@@ -1,9 +1,4 @@
-"""Hot kernels, each in a numba and a pure-numpy variant.
-
-The active backend is picked at import time from ELUSIVECODES_KERNEL:
-"numba" (require numba, error if missing), "numpy" (force the fallback),
-or "auto"/unset (numba when importable).  Both variants of every kernel
-are importable for cross-checking and benchmarks.
+"""Hot kernels of the search, vectorised with numpy.
 
 All kernels work on the vertex-index representation: a vertex of H(m,q)
 is its base-q rank, an automorphism is a row of a (|G|, q^m) action
@@ -12,37 +7,20 @@ table, and a code is a sorted int32 array of ranks.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 __all__ = [
     "BACKEND",
-    "HAS_NUMBA",
     "is_canonical",
     "first_mover",
     "stabiliser_rows",
     "min_distance_words",
 ]
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
+BACKEND = "numpy"
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy variants
-
-def np_is_canonical(table: np.ndarray, code: np.ndarray) -> bool:
+def is_canonical(table: np.ndarray, code: np.ndarray) -> bool:
     """True iff no group element maps ``code`` to a lexicographically smaller sorted image."""
     imgs = np.sort(table[:, code], axis=1)
     diff = imgs != code[None, :]
@@ -55,20 +33,20 @@ def np_is_canonical(table: np.ndarray, code: np.ndarray) -> bool:
     return bool((vals > code[first[rows]]).all())
 
 
-def np_stabiliser_rows(table: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def stabiliser_rows(table: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Boolean row selector: which group elements fix {v : mask[v]} setwise."""
     return (mask[table] == mask[None, :]).all(axis=1)
 
 
-def np_first_mover(table: np.ndarray, nb_mask: np.ndarray, code_mask: np.ndarray) -> int:
+def first_mover(table: np.ndarray, nb_mask: np.ndarray, code_mask: np.ndarray) -> int:
     """First row fixing nb_mask setwise while moving code_mask, else -1."""
-    fix_nb = np_stabiliser_rows(table, nb_mask)
+    fix_nb = stabiliser_rows(table, nb_mask)
     move_code = (code_mask[table] != code_mask[None, :]).any(axis=1)
     hits = np.nonzero(fix_nb & move_code)[0]
     return int(hits[0]) if hits.size else -1
 
 
-def np_min_distance_words(words: np.ndarray) -> int:
+def min_distance_words(words: np.ndarray) -> int:
     """Minimum pairwise Hamming distance of the rows of ``words``."""
     n, m = words.shape
     best = m
@@ -79,127 +57,3 @@ def np_min_distance_words(words: np.ndarray) -> int:
             if best == 1:
                 return 1
     return best
-
-
-# ---------------------------------------------------------------------------
-# numba variants (same contracts, early-exit loops)
-
-@njit(cache=True, nogil=True)
-def nb_is_canonical(table, code):  # pragma: no cover - measured via cross-checks
-    g_count = table.shape[0]
-    k = code.shape[0]
-    buf = np.empty(k, np.int32)
-    for r in range(g_count):
-        for t in range(k):
-            x = table[r, code[t]]
-            p = t - 1
-            while p >= 0 and buf[p] > x:
-                buf[p + 1] = buf[p]
-                p -= 1
-            buf[p + 1] = x
-        for t in range(k):
-            if buf[t] < code[t]:
-                return False
-            if buf[t] > code[t]:
-                break
-    return True
-
-
-@njit(cache=True, nogil=True)
-def nb_stabiliser_rows(table, mask):  # pragma: no cover
-    g_count, n = table.shape
-    out = np.zeros(g_count, np.bool_)
-    for r in range(g_count):
-        ok = True
-        for v in range(n):
-            if mask[table[r, v]] != mask[v]:
-                ok = False
-                break
-        out[r] = ok
-    return out
-
-
-@njit(cache=True, nogil=True)
-def nb_first_mover(table, nb_mask, code_mask):  # pragma: no cover
-    g_count, n = table.shape
-    for r in range(g_count):
-        ok = True
-        for v in range(n):
-            if nb_mask[table[r, v]] != nb_mask[v]:
-                ok = False
-                break
-        if ok:
-            for v in range(n):
-                if code_mask[table[r, v]] != code_mask[v]:
-                    return r
-    return -1
-
-
-@njit(cache=True, nogil=True)
-def nb_min_distance_words(words):  # pragma: no cover
-    n, m = words.shape
-    best = m
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = 0
-            for t in range(m):
-                if words[i, t] != words[j, t]:
-                    d += 1
-                    if d >= best:
-                        break
-            if d < best:
-                best = d
-                if best == 1:
-                    return 1
-    return best
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-
-def _pick_backend() -> str:
-    choice = os.environ.get("ELUSIVECODES_KERNEL", "auto").strip().lower()
-    if choice in ("", "auto"):
-        return "numba" if HAS_NUMBA else "numpy"
-    if choice == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError("ELUSIVECODES_KERNEL=numba but numba is not importable")
-        return "numba"
-    if choice == "numpy":
-        return "numpy"
-    raise ValueError(f"ELUSIVECODES_KERNEL must be auto, numba, or numpy, got {choice!r}")
-
-
-BACKEND = _pick_backend()
-
-if BACKEND == "numba":
-    _canonical, _mover, _stab, _mindist = (
-        nb_is_canonical,
-        nb_first_mover,
-        nb_stabiliser_rows,
-        nb_min_distance_words,
-    )
-else:
-    _canonical, _mover, _stab, _mindist = (
-        np_is_canonical,
-        np_first_mover,
-        np_stabiliser_rows,
-        np_min_distance_words,
-    )
-
-
-def is_canonical(table: np.ndarray, code: np.ndarray) -> bool:
-    return bool(_canonical(table, code))
-
-
-def first_mover(table: np.ndarray, nb_mask: np.ndarray, code_mask: np.ndarray) -> int:
-    return int(_mover(table, nb_mask, code_mask))
-
-
-def stabiliser_rows(table: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    return np.asarray(_stab(table, mask))
-
-
-def min_distance_words(words: np.ndarray) -> int:
-    words = np.ascontiguousarray(words, dtype=np.int16)
-    return int(_mindist(words))

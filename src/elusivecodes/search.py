@@ -214,38 +214,55 @@ class _SearchSpace:
         return nb_mask, code_mask
 
 
-@dataclass
-class _SubtreeResult:
-    examined: int = 0
-    max_size: int = 0
-    hits: list = None  # list of (code index tuple, mover row)
+def _check_parameters(m: int, q: int, delta: int, max_size: int | None, threads: int = 1) -> None:
+    if m < 1 or q < 2 or delta < 1:
+        raise ValueError(f"bad parameters m={m} q={q} delta={delta}")
+    if max_size is not None and max_size < 2:
+        raise ValueError(f"max_size must be at least 2, got {max_size}")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
 
-    def __post_init__(self):
-        if self.hits is None:
-            self.hits = []
+
+_Task = tuple[list[int], np.ndarray, int]  # (code, candidates above its maximum, its min distance)
+
+
+def _prepare(
+    m: int, q: int, delta: int, group: Group | None = None
+) -> tuple[_SearchSpace, list[_Task]]:
+    """The search arrays and the root tasks, one per canonical pair {0, v}.
+
+    Raises ResourceCapError when the group or the space is over its cap.
+    """
+    if delta > m:
+        raise ValueError(f"need 1 <= delta <= m, got delta={delta}, m={m}")
+    if space_size(m, q) > vertex_cap():
+        raise ResourceCapError(f"H({m},{q}) too large to enumerate")
+    if group is None:
+        expected = math.factorial(q) ** m * math.factorial(m)
+        if expected > group_cap():
+            raise ResourceCapError(f"Aut(H({m},{q})) order {expected} over the group cap")
+        group = generate_group(full_group_generators(m, q))
+    space = _SearchSpace(m, q, delta, group)
+
+    idx = np.arange(space.n, dtype=np.int32)
+    roots = idx[(idx > 0) & (space.dist[0, idx] >= delta)]
+    tasks = []
+    for pos in range(roots.size):
+        v = int(roots[pos])
+        rest = roots[pos + 1 :]
+        tasks.append(([0, v], rest[space.dist[v, rest] >= delta], int(space.dist[0, v])))
+    return space, tasks
 
 
 def _walk(
-    space: _SearchSpace,
-    code: list[int],
-    cand: np.ndarray,
-    cur_min: int,
-    max_size: int | None,
-    out: _SubtreeResult,
-    scan_movers: bool,
-) -> None:
+    space: _SearchSpace, code: list[int], cand: np.ndarray, cur_min: int, max_size: int | None
+) -> Iterator[tuple[list[int], int]]:
+    """Depth first from ``code``: every canonical code in its subtree, with
+    its minimum distance."""
     arr = np.array(code, dtype=np.int32)
     if not _kernels.is_canonical(space.table, arr):
         return
-    if len(code) >= 2:
-        out.examined += 1
-        if len(code) > out.max_size:
-            out.max_size = len(code)
-        if scan_movers and cur_min == space.delta:
-            nb_mask, code_mask = space.masks(code)
-            row = _kernels.first_mover(space.table, nb_mask, code_mask)
-            if row >= 0:
-                out.hits.append((tuple(code), row))
+    yield code, cur_min
     if max_size is not None and len(code) >= max_size:
         return
     for pos in range(cand.size):
@@ -253,12 +270,7 @@ def _walk(
         rest = cand[pos + 1 :]
         new_cand = rest[space.dist[v, rest] >= space.delta]
         new_min = min(cur_min, int(space.dist[v, arr].min()))
-        _walk(space, code + [v], new_cand, new_min, max_size, out, scan_movers)
-
-
-def _root_candidates(space: _SearchSpace) -> np.ndarray:
-    idx = np.arange(space.n, dtype=np.int32)
-    return idx[(idx > 0) & (space.dist[0, idx] >= space.delta)]
+        yield from _walk(space, code + [v], new_cand, new_min, max_size)
 
 
 def enumerate_codes(
@@ -270,31 +282,11 @@ def enumerate_codes(
 ) -> Iterator[Code]:
     """One representative per equivalence class of codes with |C| >= 2 and
     pairwise distance >= delta, in canonical depth-first order."""
-    if delta < 1 or delta > m:
-        raise ValueError(f"need 1 <= delta <= m, got delta={delta}, m={m}")
-    if group is None:
-        expected = math.factorial(q) ** m * math.factorial(m)
-        if expected > group_cap():
-            raise ResourceCapError(f"Aut(H({m},{q})) order {expected} over the group cap")
-        group = generate_group(full_group_generators(m, q))
-    if space_size(m, q) > vertex_cap():
-        raise ResourceCapError(f"H({m},{q}) too large to enumerate")
-    space = _SearchSpace(m, q, delta, group)
-
-    def rec(code: list[int], cand: np.ndarray) -> Iterator[Code]:
-        arr = np.array(code, dtype=np.int32)
-        if not _kernels.is_canonical(space.table, arr):
-            return
-        if len(code) >= 2:
+    _check_parameters(m, q, delta, max_size)
+    space, tasks = _prepare(m, q, delta, group)
+    for task in tasks:
+        for code, _ in _walk(space, *task, max_size):
             yield space.code_of(code)
-        if max_size is not None and len(code) >= max_size:
-            return
-        for pos in range(cand.size):
-            v = int(cand[pos])
-            rest = cand[pos + 1 :]
-            yield from rec(code + [v], rest[space.dist[v, rest] >= space.delta])
-
-    yield from rec([0], _root_candidates(space))
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +323,7 @@ def search_elusive(
     branch order together with that full stabiliser.
     """
     start = time.perf_counter()
-    if m < 1 or q < 2 or delta < 1:
-        raise ValueError(f"bad parameters m={m} q={q} delta={delta}")
+    _check_parameters(m, q, delta, max_size, threads)
     filters = ("parity",) if parity_filter else ()
 
     def cert(outcome, examined=0, max_seen=0, found=None):
@@ -353,46 +344,39 @@ def search_elusive(
         return cert("NoneExhaustive")
     if delta > m:
         return cert("NoneExhaustive")
-
-    expected_order = math.factorial(q) ** m * math.factorial(m)
-    if expected_order > group_cap() or space_size(m, q) > vertex_cap():
+    try:
+        space, tasks = _prepare(m, q, delta)
+    except ResourceCapError:
         return cert("Aborted")
-    group = generate_group(full_group_generators(m, q))
-    if group.elements is None:
-        return cert("Aborted")
-    space = _SearchSpace(m, q, delta, group)
 
-    roots = _root_candidates(space)
-    tasks: list[tuple[list[int], np.ndarray]] = []
-    for pos in range(roots.size):
-        v = int(roots[pos])
-        rest = roots[pos + 1 :]
-        tasks.append(([0, v], rest[space.dist[v, rest] >= delta]))
+    def run_task(task: _Task) -> tuple[int, int, list[int] | None]:
+        examined = max_seen = 0
+        hit = None
+        for code, cur_min in _walk(space, *task, max_size):
+            examined += 1
+            max_seen = max(max_seen, len(code))
+            if hit is None and cur_min == delta:
+                nb_mask, code_mask = space.masks(code)
+                if _kernels.first_mover(space.table, nb_mask, code_mask) >= 0:
+                    hit = code
+        return examined, max_seen, hit
 
-    def run_task(task) -> _SubtreeResult:
-        code, cand = task
-        out = _SubtreeResult()
-        _walk(space, code, cand, int(space.dist[code[0], code[1]]), max_size, out, True)
-        return out
-
-    if threads <= 1:
+    if threads == 1:
         results = [run_task(t) for t in tasks]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run_task, tasks))
 
-    examined = sum(r.examined for r in results)
-    max_seen = max((r.max_size for r in results), default=0)
-    for r in results:
-        if r.hits:
-            idxs, _mover_row = r.hits[0]
-            found_code = space.code_of(idxs)
-            nb_mask, _ = space.masks(idxs)
-            rows = np.nonzero(_kernels.stabiliser_rows(space.table, nb_mask))[0]
-            members = tuple(group.elements[int(i)] for i in rows)
-            stab = Group(m, q, members, members)
-            return cert("Found", examined, max_seen, (found_code, stab))
-    return cert("NoneExhaustive", examined, max_seen)
+    examined = sum(r[0] for r in results)
+    max_seen = max((r[1] for r in results), default=0)
+    hit = next((r[2] for r in results if r[2] is not None), None)
+    if hit is None:
+        return cert("NoneExhaustive", examined, max_seen)
+    nb_mask, _ = space.masks(hit)
+    rows = np.nonzero(_kernels.stabiliser_rows(space.table, nb_mask))[0]
+    members = tuple(space.group.elements[int(i)] for i in rows)
+    stab = Group(m, q, members, members)
+    return cert("Found", examined, max_seen, (space.code_of(hit), stab))
 
 
 def format_certificate(cert: SearchCertificate, *, wall_time: bool = True) -> str:

@@ -1,22 +1,17 @@
 import itertools
 import random
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from elusivecodes import _kernels
 from elusivecodes._kernels import (
-    np_first_mover,
-    np_is_canonical,
-    np_min_distance_words,
-    np_stabiliser_rows,
+    first_mover,
+    is_canonical,
+    min_distance_words,
+    stabiliser_rows,
 )
 from elusivecodes.autgroup import vertex_action_table
 from elusivecodes.hamming import all_vertices, distance, vertex_from_index
-
-needs_numba = pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba missing")
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +38,7 @@ def test_np_is_canonical_against_python_oracle(table33):
         want = all(
             sorted(table33[r, code]) >= list(code) for r in range(table33.shape[0])
         )
-        assert np_is_canonical(table33, code) == want
+        assert is_canonical(table33, code) == want
 
 
 def test_np_stabiliser_rows_against_python_oracle(table33):
@@ -53,7 +48,7 @@ def test_np_stabiliser_rows_against_python_oracle(table33):
         want = np.array(
             [set(table33[r, code]) == set(code) for r in range(table33.shape[0])]
         )
-        got = np_stabiliser_rows(table33, mask)
+        got = stabiliser_rows(table33, mask)
         assert (got == want).all()
 
 
@@ -85,7 +80,7 @@ def test_np_first_mover_against_python_oracle(table33):
             if moves_code:
                 want = r
                 break
-        assert np_first_mover(table33, nb_mask, code_mask) == want
+        assert first_mover(table33, nb_mask, code_mask) == want
 
 
 def test_np_min_distance_against_python_oracle():
@@ -102,113 +97,4 @@ def test_np_min_distance_against_python_oracle():
             sum(1 for t in range(m) if a[t] != b[t])
             for a, b in itertools.combinations(words.tolist(), 2)
         )
-        assert np_min_distance_words(words) == want
-
-
-@needs_numba
-def test_numba_variants_match_numpy(table33):
-    from elusivecodes._kernels import (
-        nb_first_mover,
-        nb_is_canonical,
-        nb_min_distance_words,
-        nb_stabiliser_rows,
-    )
-
-    rng = random.Random(25)
-    for code in _random_cases(rng, 40):
-        assert bool(nb_is_canonical(table33, code)) == np_is_canonical(table33, code)
-        mask = _mask(code)
-        assert (
-            np.asarray(nb_stabiliser_rows(table33, mask))
-            == np_stabiliser_rows(table33, mask)
-        ).all()
-    for _ in range(25):
-        n = rng.randrange(2, 10)
-        rows = set()
-        while len(rows) < n:
-            rows.add(tuple(rng.randrange(3) for _ in range(5)))
-        words = np.array(sorted(rows), dtype=np.int16)
-        assert int(nb_min_distance_words(words)) == np_min_distance_words(words)
-    # first_mover on a handful of derived mask pairs
-    for code in _random_cases(rng, 15, max_size=4):
-        code_mask = _mask(code)
-        nb_mask = np.zeros(27, dtype=bool)
-        for idx in code:
-            v = vertex_from_index(int(idx), 3, 3)
-            for i, w in enumerate(all_vertices(3, 3)):
-                if distance(v, w) == 1:
-                    nb_mask[i] = True
-        nb_mask &= ~code_mask
-        assert int(nb_first_mover(table33, nb_mask, code_mask)) == np_first_mover(
-            table33, nb_mask, code_mask
-        )
-
-
-def test_wrappers_use_selected_backend():
-    assert _kernels.BACKEND in ("numba", "numpy")
-    if _kernels.HAS_NUMBA:
-        assert _kernels.BACKEND == "numba"  # auto picks numba when importable
-
-
-def _backend_in_subprocess(env_value):
-    code = (
-        "import elusivecodes._kernels as k; print(k.BACKEND)"
-    )
-    import os
-
-    env = dict(os.environ)
-    if env_value is None:
-        env.pop("ELUSIVECODES_KERNEL", None)
-    else:
-        env["ELUSIVECODES_KERNEL"] = env_value
-    res = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-    return res
-
-
-def test_env_flag_numpy():
-    res = _backend_in_subprocess("numpy")
-    assert res.returncode == 0 and res.stdout.strip() == "numpy"
-
-
-@needs_numba
-def test_env_flag_numba():
-    res = _backend_in_subprocess("numba")
-    assert res.returncode == 0 and res.stdout.strip() == "numba"
-
-
-def test_env_flag_auto():
-    res = _backend_in_subprocess("auto")
-    want = "numba" if _kernels.HAS_NUMBA else "numpy"
-    assert res.returncode == 0 and res.stdout.strip() == want
-
-
-def test_env_flag_bogus_rejected():
-    res = _backend_in_subprocess("cuda")
-    assert res.returncode != 0
-    assert "ELUSIVECODES_KERNEL" in res.stderr
-
-
-def test_numpy_backend_full_equivalence_subprocess(tmp_path):
-    # the same search run under both backends must report identical results
-    script = tmp_path / "probe.py"
-    script.write_text(
-        "from elusivecodes.search import search_elusive\n"
-        "cert = search_elusive(3, 3, 3)\n"
-        "print(cert.outcome, cert.canonical_codes_examined, cert.max_code_size_seen)\n"
-        "code, stab = cert.found_pair\n"
-        "print(' '.join(str(e) for w in code.words for e in w.entries))\n"
-        "print(stab.order)\n"
-    )
-    import os
-
-    outs = []
-    for backend in ("numpy", "auto"):
-        env = dict(os.environ, ELUSIVECODES_KERNEL=backend)
-        res = subprocess.run(
-            [sys.executable, str(script)], capture_output=True, text=True, env=env
-        )
-        assert res.returncode == 0, res.stderr
-        outs.append(res.stdout)
-    assert outs[0] == outs[1]
+        assert min_distance_words(words) == want

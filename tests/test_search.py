@@ -5,6 +5,7 @@ import pytest
 
 from elusivecodes.autgroup import apply, diag_top_generators
 from elusivecodes.caps import ResourceCapError
+from elusivecodes.cli import main
 from elusivecodes.codes import (
     Code,
     apply_to_code,
@@ -340,6 +341,39 @@ def test_search_rejects_bad_parameters():
         search_elusive(3, 1, 3)
     with pytest.raises(ValueError):
         search_elusive(3, 3, 0)
+
+
+def test_max_size_below_two_rejected():
+    # a level cut below the first canonical pair would examine nothing
+    with pytest.raises(ValueError):
+        search_elusive(3, 3, 3, max_size=1)
+    with pytest.raises(ValueError):
+        search_elusive(3, 2, 3, max_size=0)  # even where the parity filter answers
+    with pytest.raises(ValueError):
+        list(enumerate_codes(3, 3, 3, max_size=1))
+    assert main(["search", "--m", "3", "--q", "3", "--delta", "3", "--max-size", "1"]) == 2
+
+
+def test_threads_below_one_rejected():
+    for threads in (0, -3):
+        with pytest.raises(ValueError):
+            search_elusive(3, 3, 3, threads=threads)
+    assert main(["search", "--m", "3", "--q", "3", "--delta", "3", "--threads", "0"]) == 2
+
+
+@pytest.mark.parametrize(
+    "m, q, delta, max_size, count",
+    [(3, 3, 2, None, 37), (4, 3, 3, None, 24), (4, 3, 3, 3, 7)],
+)
+def test_search_and_enumeration_share_the_traversal(
+    m, q, delta, max_size, count, full33, full43
+):
+    group = {3: full33, 4: full43}[m]
+    codes = list(enumerate_codes(m, q, delta, max_size=max_size, group=group))
+    assert len(codes) == count
+    cert = search_elusive(m, q, delta, max_size=max_size)
+    assert cert.canonical_codes_examined == len(codes)
+    assert cert.max_code_size_seen == max(len(c) for c in codes)
 
 
 def test_search_aborts_over_cap(monkeypatch):
