@@ -9,8 +9,10 @@ and apply(compose(x, y), v) == apply(y, apply(x, v)).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import permutations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,6 +40,8 @@ __all__ = [
     "parse_automorphism",
     "format_automorphism",
     "vertex_action_table",
+    "full_action_table",
+    "full_group_element",
 ]
 
 
@@ -353,17 +357,20 @@ def read_group(path) -> Group:
     return Group(m, q, tuple(gens))
 
 
+def _digits(m: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(powers, entries): place values q^(m-1-j) and entries[v, j], digit j of vertex v."""
+    powers = np.array([q ** (m - 1 - j) for j in range(m)], dtype=np.int64)
+    idx = np.arange(space_size(m, q), dtype=np.int64)
+    return powers, (idx[:, None] // powers[None, :]) % q
+
+
 def vertex_action_table(elements: Sequence[Automorphism], m: int, q: int) -> np.ndarray:
     """Row e, column v: index of vertex v under elements[e].
 
     Vertices are keyed by their base-q index; see hamming.vertex_index.
     """
-    n = space_size(m, q)
-    powers = np.array([q ** (m - 1 - j) for j in range(m)], dtype=np.int64)
-    # entries[v, j] = digit j of vertex with index v
-    idx = np.arange(n, dtype=np.int64)
-    entries = (idx[:, None] // powers[None, :]) % q
-    table = np.empty((len(elements), n), dtype=np.int32)
+    powers, entries = _digits(m, q)
+    table = np.empty((len(elements), entries.shape[0]), dtype=np.int32)
     for e, x in enumerate(elements):
         src = x._sources
         w = np.empty_like(entries)
@@ -373,3 +380,47 @@ def vertex_action_table(elements: Sequence[Automorphism], m: int, q: int) -> np.
             w[:, j] = cmap[entries[:, s]]
         table[e] = w @ powers
     return table
+
+
+def full_action_table(m: int, q: int) -> np.ndarray:
+    """vertex_action_table of all of Aut(H(m,q)), built in closed form.
+
+    Rows follow ``generate_group`` order (lexicographic in g_1, ..., g_m,
+    sigma), so row ((i_1 q! + i_2) q! + ... + i_m) m! + k is the element
+    whose g_s is the i_s-th and whose sigma is the k-th permutation in
+    lexicographic order; see full_group_element.  Source position s holds
+    digit g_s(v_s), which lands at position sigma(s), worth q^(m-1-sigma(s)).
+    The caller checks the table's size against the caps first.
+    """
+    powers, entries = _digits(m, q)
+    sq = np.array(list(permutations(range(q))), dtype=np.int32)  # (q!, q)
+    sm = np.array(list(permutations(range(m))), dtype=np.int64)  # (m!, m)
+    weight = powers[sm].astype(np.int32)  # weight[k, s] = q^(m-1-sigma_k(s))
+    table = np.zeros((1, len(sm), entries.shape[0]), dtype=np.int32)
+    for s in range(m):
+        # term[i, k, v] = g_i(v_s) * q^(m-1-sigma_k(s))
+        term = sq[:, entries[:, s]][:, None, :] * weight[None, :, s, None]
+        table = (table[:, None] + term[None]).reshape(-1, len(sm), entries.shape[0])
+    return table.reshape(-1, entries.shape[0])
+
+
+def _unrank(rank: int, n: int) -> Perm:
+    """The rank-th permutation of degree n in lexicographic image order."""
+    pool = list(range(n))
+    images = []
+    for i in range(n - 1, -1, -1):
+        pos, rank = divmod(rank, math.factorial(i))
+        images.append(pool.pop(pos))
+    return Perm(tuple(images))
+
+
+def full_group_element(row: int, m: int, q: int) -> Automorphism:
+    """The automorphism behind row ``row`` of full_action_table(m, q)."""
+    row, k = divmod(row, math.factorial(m))
+    ranks = []
+    for _ in range(m):
+        row, i = divmod(row, math.factorial(q))
+        ranks.append(i)
+    if row:
+        raise ValueError(f"row index out of range for Aut(H({m},{q}))")
+    return Automorphism(tuple(_unrank(i, q) for i in reversed(ranks)), _unrank(k, m))

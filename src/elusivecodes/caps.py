@@ -2,7 +2,8 @@
 
 Every routine that materialises a vertex set, a group closure, or an
 orbit checks its size against a cap first and raises ResourceCapError
-instead of thrashing.  Caps are read from the environment on each call
+instead of thrashing; a search checks its action table's bytes the same
+way before building it.  Caps are read from the environment on each call
 so tests and long-running drivers can adjust them without re-imports.
 """
 
@@ -15,11 +16,13 @@ __all__ = [
     "vertex_cap",
     "group_cap",
     "orbit_cap",
+    "table_bytes_cap",
 ]
 
 _DEFAULT_VERTEX_CAP = 10_000_000
 _DEFAULT_GROUP_CAP = 10_000_000
 _DEFAULT_ORBIT_CAP = 10_000_000
+_DEFAULT_TABLE_BYTES_CAP = 1 << 30
 
 
 class ResourceCapError(RuntimeError):
@@ -52,3 +55,8 @@ def group_cap() -> int:
 def orbit_cap() -> int:
     """Max orbit length any orbit computation may materialise."""
     return _read("ELUSIVECODES_MAX_ORBIT", _DEFAULT_ORBIT_CAP)
+
+
+def table_bytes_cap() -> int:
+    """Max bytes of the vertex-action table a search may build."""
+    return _read("ELUSIVECODES_MAX_TABLE_BYTES", _DEFAULT_TABLE_BYTES_CAP)

@@ -10,6 +10,8 @@ from __future__ import annotations
 import random
 from itertools import product as _iproduct
 
+import numpy as np
+
 from . import constructions as cons
 from . import perms
 from .autgroup import (
@@ -17,9 +19,12 @@ from .autgroup import (
     compose,
     diag,
     diag_top_generators,
+    full_action_table,
     full_group_generators,
+    generate_group,
     identity_automorphism,
     top,
+    vertex_action_table,
     wreath_embed,
     wreath_generators,
 )
@@ -140,6 +145,14 @@ def suite_act(seed: int = 0) -> list[Check]:
         _check("nu-swap-q4", _nu_swap_holds(4), "swap identity fails"),
         _check("nu-covers-q3", _nu_covers_neighbours(3), "neighbour parametrisation misses vertices"),
         _check("mu-equivariance-q3l2", _mu_equivariance_holds(), "block equivariance fails"),
+        _check(
+            "full-table-closed-form-h33",
+            np.array_equal(
+                full_action_table(3, 3),
+                vertex_action_table(generate_group(full_group_generators(3, 3)).elements, 3, 3),
+            ),
+            "closed-form table differs from the BFS group's table",
+        ),
     ]
     rng = random.Random(seed)
     gens = full_group_generators(4, 3)

@@ -33,11 +33,11 @@ from .autgroup import (
     Automorphism,
     Group,
     apply,
-    full_group_generators,
-    generate_group,
+    full_action_table,
+    full_group_element,
     vertex_action_table,
 )
-from .caps import ResourceCapError, group_cap, vertex_cap
+from .caps import ResourceCapError, group_cap, table_bytes_cap, vertex_cap
 from .codes import Code, format_code, min_distance
 from .hamming import Vertex, distance, space_size, sphere, vertex_from_index
 
@@ -183,15 +183,32 @@ def check_partition_lemma(C: Code, x: Automorphism, alpha: Vertex) -> PartitionC
 # orderly enumeration
 
 class _SearchSpace:
-    """Shared read-only arrays for one (m, q, delta) search."""
+    """Shared read-only arrays for one (m, q, delta) search.
 
-    def __init__(self, m: int, q: int, delta: int, group: Group):
-        if group.elements is None:
-            raise ResourceCapError("search needs the full group enumerated")
+    Without ``group`` the action table is that of all of Aut(H(m,q)),
+    built in closed form; its rows decode by full_group_element.  Raises
+    ResourceCapError when the group order or the table's bytes are over
+    their caps, before the table is allocated.
+    """
+
+    def __init__(self, m: int, q: int, delta: int, group: Group | None = None):
         self.m, self.q, self.delta = m, q, delta
-        self.group = group
         self.n = space_size(m, q)
-        self.table = vertex_action_table(group.elements, m, q)
+        if group is None:
+            rows = math.factorial(q) ** m * math.factorial(m)
+            if rows > group_cap():
+                raise ResourceCapError(f"Aut(H({m},{q})) order {rows} over the group cap")
+        elif group.elements is None:
+            raise ResourceCapError("search needs the full group enumerated")
+        else:
+            rows = len(group.elements)
+        nbytes = rows * self.n * 4
+        if nbytes > table_bytes_cap():
+            raise ResourceCapError(f"action table of {nbytes} bytes over the table-bytes cap")
+        if group is None:
+            self.table = full_action_table(m, q)
+        else:
+            self.table = vertex_action_table(group.elements, m, q)
         entries = np.array(
             [vertex_from_index(i, m, q).entries for i in range(self.n)], dtype=np.int16
         )
@@ -231,17 +248,13 @@ def _prepare(
 ) -> tuple[_SearchSpace, list[_Task]]:
     """The search arrays and the root tasks, one per canonical pair {0, v}.
 
-    Raises ResourceCapError when the group or the space is over its cap.
+    Raises ResourceCapError when the space, the group or its table is over
+    its cap.
     """
     if delta > m:
         raise ValueError(f"need 1 <= delta <= m, got delta={delta}, m={m}")
     if space_size(m, q) > vertex_cap():
         raise ResourceCapError(f"H({m},{q}) too large to enumerate")
-    if group is None:
-        expected = math.factorial(q) ** m * math.factorial(m)
-        if expected > group_cap():
-            raise ResourceCapError(f"Aut(H({m},{q})) order {expected} over the group cap")
-        group = generate_group(full_group_generators(m, q))
     space = _SearchSpace(m, q, delta, group)
 
     idx = np.arange(space.n, dtype=np.int32)
@@ -374,7 +387,7 @@ def search_elusive(
         return cert("NoneExhaustive", examined, max_seen)
     nb_mask, _ = space.masks(hit)
     rows = np.nonzero(_kernels.stabiliser_rows(space.table, nb_mask))[0]
-    members = tuple(space.group.elements[int(i)] for i in rows)
+    members = tuple(full_group_element(int(i), m, q) for i in rows)
     stab = Group(m, q, members, members)
     return cert("Found", examined, max_seen, (space.code_of(hit), stab))
 

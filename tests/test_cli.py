@@ -234,6 +234,20 @@ def test_search_aborted_is_exit_three():
     assert "outcome=Aborted" in res.stdout
 
 
+def test_search_over_table_bytes_cap_is_exit_three(monkeypatch, capsys):
+    # in process, so the 8.2 GB H(4,4) table can be refused if ever reached
+    from elusivecodes import search
+
+    def refuse(m, q):
+        raise AssertionError(f"full_action_table({m}, {q}) was built")
+
+    monkeypatch.setattr(search, "full_action_table", refuse)
+    monkeypatch.delenv("ELUSIVECODES_MAX_GROUP", raising=False)
+    monkeypatch.delenv("ELUSIVECODES_MAX_TABLE_BYTES", raising=False)
+    assert main(["search", "--m", "4", "--q", "4", "--delta", "3"]) == 3
+    assert "outcome=Aborted" in capsys.readouterr().out
+
+
 def test_search_output_thread_invariant(tmp_path):
     outs = []
     for threads in ("1", "3"):

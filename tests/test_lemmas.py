@@ -18,7 +18,9 @@ def test_suite_same_passes():
 
 
 def test_suite_act_passes():
-    _assert_all_pass(suite_act(seed=0))
+    checks = suite_act(seed=0)
+    _assert_all_pass(checks)
+    assert "full-table-closed-form-h33" in [name for name, _, _ in checks]
 
 
 def test_suite_act_seed_changes_cases_not_outcome():

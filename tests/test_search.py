@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from elusivecodes import search as search_module
 from elusivecodes.autgroup import apply, diag_top_generators
 from elusivecodes.caps import ResourceCapError
 from elusivecodes.cli import main
@@ -298,6 +299,15 @@ def test_search_h333_found():
     assert rep.xc_order == 36
 
 
+def test_found_stabiliser_is_the_full_setwise_stabiliser(full33):
+    # decoded row by row from the closed-form table: the same members, in
+    # the same generate_group order, as the stabiliser taken over full33
+    code, stab = search_elusive(3, 3, 3).found_pair
+    X = setwise_stabiliser(full33, neighbour_set(rep_code(3, 3)))
+    assert stab.order == X.order == 108
+    assert stab.generators == stab.elements == X.elements
+
+
 def test_search_h433_exhaustive_negative():
     cert = search_elusive(4, 3, 3)
     assert cert.outcome == "NoneExhaustive"
@@ -381,6 +391,35 @@ def test_search_aborts_over_cap(monkeypatch):
     cert = search_elusive(4, 3, 3)
     assert cert.outcome == "Aborted"
     assert cert.canonical_codes_examined == 0
+
+
+def _refuse_full_table(monkeypatch):
+    def refuse(m, q):
+        raise AssertionError(f"full_action_table({m}, {q}) was built")
+
+    monkeypatch.setattr(search_module, "full_action_table", refuse)
+
+
+def test_search_aborts_over_table_bytes_cap(monkeypatch):
+    # Aut(H(4,4)) has order 7,962,624, under the group cap, but its table
+    # would take 7,962,624 * 256 * 4 bytes (8.2 GB): refused before allocation
+    monkeypatch.delenv("ELUSIVECODES_MAX_GROUP", raising=False)
+    monkeypatch.delenv("ELUSIVECODES_MAX_TABLE_BYTES", raising=False)
+    _refuse_full_table(monkeypatch)
+    cert = search_elusive(4, 4, 3)
+    assert cert.outcome == "Aborted"
+    assert cert.canonical_codes_examined == 0
+
+
+def test_table_bytes_cap_is_exact(monkeypatch, full33):
+    # the H(3,3) table is 1296 * 27 * 4 = 139,968 bytes
+    monkeypatch.setenv("ELUSIVECODES_MAX_TABLE_BYTES", "139968")
+    assert search_elusive(3, 3, 3).outcome == "Found"
+    monkeypatch.setenv("ELUSIVECODES_MAX_TABLE_BYTES", "139967")
+    assert search_elusive(3, 3, 3).outcome == "Aborted"
+    # a supplied group is checked before its table is built too
+    with pytest.raises(ResourceCapError):
+        list(enumerate_codes(3, 3, 3, group=full33))
 
 
 def test_thread_count_invariance():
