@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -393,8 +392,8 @@ def full_action_table(m: int, q: int) -> np.ndarray:
     The caller checks the table's size against the caps first.
     """
     powers, entries = _digits(m, q)
-    sq = np.array(list(permutations(range(q))), dtype=np.int32)  # (q!, q)
-    sm = np.array(list(permutations(range(m))), dtype=np.int64)  # (m!, m)
+    sq = np.array([p.images for p in perms.symmetric_group(q)], dtype=np.int32)  # (q!, q)
+    sm = np.array([p.images for p in perms.symmetric_group(m)], dtype=np.int64)  # (m!, m)
     weight = powers[sm].astype(np.int32)  # weight[k, s] = q^(m-1-sigma_k(s))
     table = np.zeros((1, len(sm), entries.shape[0]), dtype=np.int32)
     for s in range(m):
@@ -402,16 +401,6 @@ def full_action_table(m: int, q: int) -> np.ndarray:
         term = sq[:, entries[:, s]][:, None, :] * weight[None, :, s, None]
         table = (table[:, None] + term[None]).reshape(-1, len(sm), entries.shape[0])
     return table.reshape(-1, entries.shape[0])
-
-
-def _unrank(rank: int, n: int) -> Perm:
-    """The rank-th permutation of degree n in lexicographic image order."""
-    pool = list(range(n))
-    images = []
-    for i in range(n - 1, -1, -1):
-        pos, rank = divmod(rank, math.factorial(i))
-        images.append(pool.pop(pos))
-    return Perm(tuple(images))
 
 
 def full_group_element(row: int, m: int, q: int) -> Automorphism:
@@ -423,4 +412,5 @@ def full_group_element(row: int, m: int, q: int) -> Automorphism:
         ranks.append(i)
     if row:
         raise ValueError(f"row index out of range for Aut(H({m},{q}))")
-    return Automorphism(tuple(_unrank(i, q) for i in reversed(ranks)), _unrank(k, m))
+    sq = perms.symmetric_group(q)
+    return Automorphism(tuple(sq[i] for i in reversed(ranks)), perms.symmetric_group(m)[k])

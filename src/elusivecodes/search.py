@@ -35,7 +35,6 @@ from .autgroup import (
     apply,
     full_action_table,
     full_group_element,
-    vertex_action_table,
 )
 from .caps import ResourceCapError, group_cap, table_bytes_cap, vertex_cap
 from .codes import Code, format_code, min_distance
@@ -185,30 +184,22 @@ def check_partition_lemma(C: Code, x: Automorphism, alpha: Vertex) -> PartitionC
 class _SearchSpace:
     """Shared read-only arrays for one (m, q, delta) search.
 
-    Without ``group`` the action table is that of all of Aut(H(m,q)),
-    built in closed form; its rows decode by full_group_element.  Raises
-    ResourceCapError when the group order or the table's bytes are over
-    their caps, before the table is allocated.
+    The action table is that of all of Aut(H(m,q)), built in closed form;
+    its rows decode by full_group_element.  Raises ResourceCapError when
+    the group order or the table's bytes are over their caps, before the
+    table is allocated.
     """
 
-    def __init__(self, m: int, q: int, delta: int, group: Group | None = None):
+    def __init__(self, m: int, q: int, delta: int):
         self.m, self.q, self.delta = m, q, delta
         self.n = space_size(m, q)
-        if group is None:
-            rows = math.factorial(q) ** m * math.factorial(m)
-            if rows > group_cap():
-                raise ResourceCapError(f"Aut(H({m},{q})) order {rows} over the group cap")
-        elif group.elements is None:
-            raise ResourceCapError("search needs the full group enumerated")
-        else:
-            rows = len(group.elements)
+        rows = math.factorial(q) ** m * math.factorial(m)
+        if rows > group_cap():
+            raise ResourceCapError(f"Aut(H({m},{q})) order {rows} over the group cap")
         nbytes = rows * self.n * 4
         if nbytes > table_bytes_cap():
             raise ResourceCapError(f"action table of {nbytes} bytes over the table-bytes cap")
-        if group is None:
-            self.table = full_action_table(m, q)
-        else:
-            self.table = vertex_action_table(group.elements, m, q)
+        self.table = full_action_table(m, q)
         entries = np.array(
             [vertex_from_index(i, m, q).entries for i in range(self.n)], dtype=np.int16
         )
@@ -243,9 +234,7 @@ def _check_parameters(m: int, q: int, delta: int, max_size: int | None, threads:
 _Task = tuple[list[int], np.ndarray, int]  # (code, candidates above its maximum, its min distance)
 
 
-def _prepare(
-    m: int, q: int, delta: int, group: Group | None = None
-) -> tuple[_SearchSpace, list[_Task]]:
+def _prepare(m: int, q: int, delta: int) -> tuple[_SearchSpace, list[_Task]]:
     """The search arrays and the root tasks, one per canonical pair {0, v}.
 
     Raises ResourceCapError when the space, the group or its table is over
@@ -255,7 +244,7 @@ def _prepare(
         raise ValueError(f"need 1 <= delta <= m, got delta={delta}, m={m}")
     if space_size(m, q) > vertex_cap():
         raise ResourceCapError(f"H({m},{q}) too large to enumerate")
-    space = _SearchSpace(m, q, delta, group)
+    space = _SearchSpace(m, q, delta)
 
     idx = np.arange(space.n, dtype=np.int32)
     roots = idx[(idx > 0) & (space.dist[0, idx] >= delta)]
@@ -287,16 +276,12 @@ def _walk(
 
 
 def enumerate_codes(
-    m: int,
-    q: int,
-    delta: int,
-    max_size: int | None = None,
-    group: Group | None = None,
+    m: int, q: int, delta: int, max_size: int | None = None
 ) -> Iterator[Code]:
     """One representative per equivalence class of codes with |C| >= 2 and
     pairwise distance >= delta, in canonical depth-first order."""
     _check_parameters(m, q, delta, max_size)
-    space, tasks = _prepare(m, q, delta, group)
+    space, tasks = _prepare(m, q, delta)
     for task in tasks:
         for code, _ in _walk(space, *task, max_size):
             yield space.code_of(code)

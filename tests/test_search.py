@@ -157,8 +157,8 @@ def test_enumerate_counts_h33():
     assert codes[-1] == rep_code(3, 3) or codes[0] == rep_code(3, 3)
 
 
-def test_enumerate_counts_h43(full43):
-    codes = list(enumerate_codes(4, 3, 3, group=full43))
+def test_enumerate_counts_h43():
+    codes = list(enumerate_codes(4, 3, 3))
     assert len(codes) == 24
     assert sorted(len(c) for c in codes) == [
         2, 2, 3, 3, 3, 3, 3, 4, 4, 4, 4, 4, 5, 5, 5, 5, 5, 6, 6, 6, 6, 7, 8, 9,
@@ -168,9 +168,9 @@ def test_enumerate_counts_h43(full43):
         assert c.words[0] == V("0000")  # every canonical code contains vertex 0
 
 
-def test_enumerate_max_size_is_a_level_cut(full43):
-    full = list(enumerate_codes(4, 3, 3, group=full43))
-    cut = list(enumerate_codes(4, 3, 3, max_size=3, group=full43))
+def test_enumerate_max_size_is_a_level_cut():
+    full = list(enumerate_codes(4, 3, 3))
+    cut = list(enumerate_codes(4, 3, 3, max_size=3))
     assert cut == [c for c in full if len(c) <= 3]
 
 
@@ -192,7 +192,7 @@ def test_canonicity_audit_pure_python(full43):
     # emitted code is minimal over the explicit orbit computed with apply()
     from elusivecodes.hamming import vertex_index
 
-    codes = list(enumerate_codes(4, 3, 3, group=full43))
+    codes = list(enumerate_codes(4, 3, 3))
     for C in codes:
         own = [vertex_index(w) for w in C.words]
         for x in full43.elements:
@@ -201,7 +201,7 @@ def test_canonicity_audit_pure_python(full43):
 
 
 def test_one_code_per_class(full43):
-    codes = list(enumerate_codes(4, 3, 3, group=full43))
+    codes = list(enumerate_codes(4, 3, 3))
     # no two representatives are equivalent: their sorted index sequences
     # are canonical, so equivalent codes would be identical
     seen = set()
@@ -215,15 +215,15 @@ def test_one_code_per_class(full43):
     assert are_equivalent(small[0], small[1], full43) is None
 
 
-def test_perfect_code_class_appears_once(full43):
-    codes = [c for c in enumerate_codes(4, 3, 3, group=full43) if len(c) == 9]
+def test_perfect_code_class_appears_once():
+    codes = [c for c in enumerate_codes(4, 3, 3) if len(c) == 9]
     assert len(codes) == 1
     H = codes[0]
     assert min_distance(H) == 3
     assert covering_radius(H) == 1  # perfect: spheres of radius 1 tile the space
 
 
-def test_clique_oracle_h43(full43):
+def test_clique_oracle_h43():
     networkx = pytest.importorskip("networkx")
     verts = list(all_vertices(4, 3))
     G = networkx.Graph()
@@ -249,7 +249,7 @@ def test_brute_force_completeness_h33(full33):
     cliques = [c for c in networkx.enumerate_all_cliques(G) if len(c) >= 2]
     assert len(cliques) == 144
     # the canonical representatives cover them exactly: orbit sizes add up
-    reps = list(enumerate_codes(3, 3, 3, group=full33))
+    reps = list(enumerate_codes(3, 3, 3))
     total = 0
     for C in reps:
         stab = setwise_stabiliser(full33, C)
@@ -375,11 +375,8 @@ def test_threads_below_one_rejected():
     "m, q, delta, max_size, count",
     [(3, 3, 2, None, 37), (4, 3, 3, None, 24), (4, 3, 3, 3, 7)],
 )
-def test_search_and_enumeration_share_the_traversal(
-    m, q, delta, max_size, count, full33, full43
-):
-    group = {3: full33, 4: full43}[m]
-    codes = list(enumerate_codes(m, q, delta, max_size=max_size, group=group))
+def test_search_and_enumeration_share_the_traversal(m, q, delta, max_size, count):
+    codes = list(enumerate_codes(m, q, delta, max_size=max_size))
     assert len(codes) == count
     cert = search_elusive(m, q, delta, max_size=max_size)
     assert cert.canonical_codes_examined == len(codes)
@@ -411,15 +408,12 @@ def test_search_aborts_over_table_bytes_cap(monkeypatch):
     assert cert.canonical_codes_examined == 0
 
 
-def test_table_bytes_cap_is_exact(monkeypatch, full33):
+def test_table_bytes_cap_is_exact(monkeypatch):
     # the H(3,3) table is 1296 * 27 * 4 = 139,968 bytes
     monkeypatch.setenv("ELUSIVECODES_MAX_TABLE_BYTES", "139968")
     assert search_elusive(3, 3, 3).outcome == "Found"
     monkeypatch.setenv("ELUSIVECODES_MAX_TABLE_BYTES", "139967")
     assert search_elusive(3, 3, 3).outcome == "Aborted"
-    # a supplied group is checked before its table is built too
-    with pytest.raises(ResourceCapError):
-        list(enumerate_codes(3, 3, 3, group=full33))
 
 
 def test_thread_count_invariance():
