@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import perms
-from .caps import ResourceCapError, group_cap, orbit_cap
+from .caps import ResourceCapError, check_table_bytes, group_cap, orbit_cap
 from .hamming import Vertex, space_size
 from .perms import Perm
 
@@ -181,6 +181,14 @@ class Group:
     def identity(self) -> Automorphism:
         return identity_automorphism(self.m, self.q)
 
+    @cached_property
+    def table(self) -> np.ndarray:
+        """vertex_action_table of the elements, rows in element order; built once."""
+        if self.elements is None:
+            raise ResourceCapError("acting through the table needs an enumerated group")
+        check_table_bytes(len(self.elements), space_size(self.m, self.q))
+        return vertex_action_table(self.elements, self.m, self.q)
+
 
 def generate_group(
     gens: Iterable[Automorphism], cap: int | None = None, *, m: int | None = None, q: int | None = None
@@ -188,8 +196,8 @@ def generate_group(
     """Close ``gens`` under composition.
 
     Returns a Group with ``elements`` sorted by canonical key when the
-    closure stays within ``cap`` (default: the group cap); otherwise a
-    generators-only Group with ``elements`` absent.
+    closure stays within ``cap`` and the group cap, whichever is smaller;
+    otherwise a generators-only Group with ``elements`` absent.
     """
     gens = tuple(gens)
     if not gens:
@@ -198,8 +206,7 @@ def generate_group(
         ident = identity_automorphism(m, q)
         return Group(m, q, (), (ident,))
     m, q = gens[0].m, gens[0].q
-    if cap is None:
-        cap = group_cap()
+    cap = group_cap() if cap is None else min(cap, group_cap())
     ident = identity_automorphism(m, q)
     seen: set[Automorphism] = {ident}
     frontier: list[Automorphism] = [ident]

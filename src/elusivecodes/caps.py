@@ -2,9 +2,9 @@
 
 Every routine that materialises a vertex set, a group closure, or an
 orbit checks its size against a cap first and raises ResourceCapError
-instead of thrashing; a search checks its action table's bytes the same
-way before building it.  Caps are read from the environment on each call
-so tests and long-running drivers can adjust them without re-imports.
+instead of thrashing, and checks every vertex-action table's bytes the
+same way before building it.  Caps are read from the environment on each
+call so tests and long-running drivers can adjust them without re-imports.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ __all__ = [
     "group_cap",
     "orbit_cap",
     "table_bytes_cap",
+    "check_table_bytes",
 ]
 
 _DEFAULT_VERTEX_CAP = 10_000_000
@@ -58,5 +59,12 @@ def orbit_cap() -> int:
 
 
 def table_bytes_cap() -> int:
-    """Max bytes of the vertex-action table a search may build."""
+    """Max bytes of any vertex-action table, a search's or a group's."""
     return _read("ELUSIVECODES_MAX_TABLE_BYTES", _DEFAULT_TABLE_BYTES_CAP)
+
+
+def check_table_bytes(rows: int, n: int) -> None:
+    """Raise ResourceCapError if a (rows, n) int32 table is over the table-bytes cap."""
+    nbytes = rows * n * 4
+    if nbytes > table_bytes_cap():
+        raise ResourceCapError(f"action table of {nbytes} bytes over the table-bytes cap")

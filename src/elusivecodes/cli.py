@@ -29,7 +29,7 @@ from .codes import (
     read_code,
     write_code,
 )
-from .elusive import format_report, verify_elusive, write_report
+from .elusive import XC_ENUM_CAP, format_report, verify_elusive, write_report
 from .search import format_certificate, search_elusive, write_certificate
 
 __all__ = ["main", "run"]
@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--group", required=True, help="diag-top | wreath(diag-top,L) | full | group file")
     v.add_argument("-o", "--output", help="write the report (and image files) here")
     v.add_argument("--expect", choices=["elusive", "not-elusive"])
-    v.add_argument("--enum-cap", type=int, default=50_000, help="group-order cap for exact |X_C|")
+    v.add_argument("--enum-cap", type=int, default=XC_ENUM_CAP, help="group-order cap for exact |X_C|")
 
     s = sub.add_parser("search", help="exhaustive elusive-pair search at (m, q, delta)")
     s.add_argument("--m", type=int, required=True)

@@ -15,8 +15,7 @@ import numpy as np
 
 from . import _kernels
 from .autgroup import Automorphism, Group, apply, orbit
-from .caps import ResourceCapError
-from .hamming import Vertex, all_vertices, distance, neighbours
+from .hamming import Vertex, all_vertices, distance, neighbours, space_size, vertex_index
 
 __all__ = [
     "Code",
@@ -151,26 +150,32 @@ def is_transitive(gens: Sequence[Automorphism], S: Iterable[Vertex]) -> bool:
     return orbit(gens, min(S)) == S
 
 
+def _mask(S: Iterable[Vertex], G: Group) -> np.ndarray:
+    """uint8 indicator of S over the columns of G.table; a vertex of another space raises apply()'s error."""
+    mask = np.zeros(space_size(G.m, G.q), dtype=np.uint8)
+    for v in S:
+        if v.m != G.m or v.q != G.q:
+            raise ValueError(f"automorphism of H({G.m},{G.q}) applied to vertex of H({v.m},{v.q})")
+        mask[vertex_index(v)] = 1
+    return mask
+
+
 def setwise_stabiliser(G: Group, S: Iterable[Vertex]) -> Group:
-    """The subgroup {x in G : S^x = S}; needs G fully enumerated."""
-    if G.elements is None:
-        raise ResourceCapError("setwise stabiliser needs an enumerated group")
-    S = S.word_set if isinstance(S, Code) else frozenset(S)
-    kept = tuple(x for x in G.elements if fixes_setwise(x, S))
+    """The subgroup {x in G : S^x = S}, in G's element order; read off G.table."""
+    rows = np.flatnonzero(_kernels.stabiliser_rows(G.table, _mask(S, G)))
+    kept = tuple(G.elements[i] for i in rows)
     return Group(G.m, G.q, kept, kept)
 
 
 def are_equivalent(C: Code, D: Code, G: Group) -> Automorphism | None:
-    """Some y in G with C^y = D, or None; needs G fully enumerated."""
-    if G.elements is None:
-        raise ResourceCapError("equivalence search needs an enumerated group")
+    """The first y in G with C^y = D, or None; read off G.table."""
+    table = G.table
     if C.m != D.m or C.q != D.q or len(C) != len(D):
         return None
-    target = D.word_set
-    for y in G.elements:
-        if frozenset(apply(y, w) for w in C.words) == target:
-            return y
-    return None
+    # rows are permutations, so C^y lies inside D exactly when C^y = D
+    images = table[:, np.flatnonzero(_mask(C, G))]
+    hits = np.flatnonzero(_mask(D, G)[images].all(axis=1))
+    return G.elements[hits[0]] if hits.size else None
 
 
 def is_neighbour_transitive(gens: Sequence[Automorphism], C: Code) -> bool:

@@ -14,7 +14,7 @@ from itertools import product as _iproduct
 from typing import Sequence
 
 from . import perms
-from .caps import ResourceCapError, group_cap, vertex_cap
+from .caps import ResourceCapError, vertex_cap
 from .codes import Code
 from .hamming import Vertex, distance
 from .perms import Perm
@@ -44,8 +44,6 @@ class PermCodeSpec:
 
     def members(self) -> list[Perm]:
         if isinstance(self.source, str):
-            if math.factorial(self.q) > group_cap():
-                raise ResourceCapError(f"S_{self.q} exceeds the group cap")
             if self.source == "sym":
                 return perms.symmetric_group(self.q)
             if self.source == "alt":

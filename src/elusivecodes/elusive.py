@@ -4,8 +4,8 @@ A pair is elusive when the group fixes the neighbour set of C setwise
 but moves C itself.  Verification works from generators alone: if every
 generator fixes the neighbour set, so does the generated group, and a
 group element moving C is exhibited explicitly.  The stabiliser of C is
-reached through Schreier generators of the action on the code images,
-so none of this needs the full group enumerated.
+reached through Schreier generators of the action on the code images;
+only the exact order ``xc_order`` enumerates the group, up to ``enum_cap``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .autgroup import (
     orbit,
 )
 from .caps import ResourceCapError, orbit_cap
-from .codes import Code, fixes_setwise, neighbour_set, write_code
+from .codes import Code, fixes_setwise, neighbour_set, setwise_stabiliser, write_code
 from .hamming import Vertex, neighbours
 
 __all__ = [
@@ -166,25 +166,22 @@ def verify_elusive(
 def code_stabiliser_analysis(C: Code, G: Group) -> tuple[Group, StabiliserFlags]:
     """The subgroup of G fixing C setwise, with its transitivity flags.
 
-    Uses direct filtering when G is enumerated, otherwise Schreier
+    Uses setwise_stabiliser when G is enumerated, otherwise Schreier
     generators from the orbit of C (elements filled in when the closure
     fits under the enumeration cap).
     """
     if G.m != C.m or G.q != C.q:
         raise ValueError("group acts on the wrong space")
     if G.elements is not None:
-        kept = tuple(x for x in G.elements if fixes_setwise(x, C.word_set))
-        xc = Group(G.m, G.q, kept, kept)
-        gens_for_orbits: Sequence[Automorphism] = kept
+        xc = setwise_stabiliser(G, C)
     else:
         _, _, schreier, _ = _code_orbit(C, G.generators, orbit_cap())
         closing = generate_group(schreier, cap=XC_ENUM_CAP, m=C.m, q=C.q)
         xc = Group(G.m, G.q, tuple(schreier), closing.elements)
-        gens_for_orbits = tuple(schreier)
     nb = neighbour_set(C)
     flags = StabiliserFlags(
-        transitive_on_code=orbit(gens_for_orbits, C.words[0]) == C.word_set,
-        transitive_on_neighbours=bool(nb) and orbit(gens_for_orbits, min(nb)) == nb,
+        transitive_on_code=orbit(xc.generators, C.words[0]) == C.word_set,
+        transitive_on_neighbours=bool(nb) and orbit(xc.generators, min(nb)) == nb,
     )
     return xc, flags
 

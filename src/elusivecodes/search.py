@@ -32,11 +32,12 @@ from . import _kernels
 from .autgroup import (
     Automorphism,
     Group,
+    _digits,
     apply,
     full_action_table,
     full_group_element,
 )
-from .caps import ResourceCapError, group_cap, table_bytes_cap, vertex_cap
+from .caps import ResourceCapError, check_table_bytes, group_cap, vertex_cap
 from .codes import Code, format_code, min_distance
 from .hamming import Vertex, distance, space_size, sphere, vertex_from_index
 
@@ -196,18 +197,12 @@ class _SearchSpace:
         rows = math.factorial(q) ** m * math.factorial(m)
         if rows > group_cap():
             raise ResourceCapError(f"Aut(H({m},{q})) order {rows} over the group cap")
-        nbytes = rows * self.n * 4
-        if nbytes > table_bytes_cap():
-            raise ResourceCapError(f"action table of {nbytes} bytes over the table-bytes cap")
+        check_table_bytes(rows, self.n)
         self.table = full_action_table(m, q)
-        entries = np.array(
-            [vertex_from_index(i, m, q).entries for i in range(self.n)], dtype=np.int16
-        )
+        entries = _digits(m, q)[1]
         self.dist = (entries[:, None, :] != entries[None, :, :]).sum(axis=2).astype(np.int16)
-        # adjacency rows: the m(q-1) neighbouring indices of each vertex
-        self.adj = np.array(
-            [np.nonzero(self.dist[v] == 1)[0] for v in range(self.n)], dtype=np.int32
-        )
+        # adjacency rows: the m(q-1) neighbouring indices of each vertex, increasing
+        self.adj = np.nonzero(self.dist == 1)[1].reshape(self.n, -1).astype(np.int32)
 
     def code_of(self, idxs: Sequence[int]) -> Code:
         return Code(tuple(vertex_from_index(int(i), self.m, self.q) for i in idxs))

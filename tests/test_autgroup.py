@@ -115,6 +115,18 @@ def test_generate_group_cap_returns_generators_only():
     assert len(G.generators) == 4
 
 
+def test_generate_group_explicit_cap_respects_group_cap(monkeypatch):
+    # an explicit cap above ELUSIVECODES_MAX_GROUP must not lift the guard
+    monkeypatch.setenv("ELUSIVECODES_MAX_GROUP", "100")
+    assert generate_group(full_group_generators(3, 3), cap=10_000).elements is None
+
+
+def test_group_table_needs_elements():
+    G = generate_group(full_group_generators(3, 3), cap=1)
+    with pytest.raises(ResourceCapError):
+        G.table
+
+
 def test_generate_group_empty_gens():
     G = generate_group((), m=2, q=3)
     assert G.order == 1 and G.elements[0].is_identity()

@@ -3,12 +3,17 @@ import random
 
 import pytest
 
-from elusivecodes import perms
+from elusivecodes import autgroup, perms
 from elusivecodes.autgroup import (
+    Automorphism,
+    Group,
+    compose,
     diag,
     diag_top_generators,
     full_group_generators,
     generate_group,
+    inverse,
+    orbit,
     top,
 )
 from elusivecodes.caps import ResourceCapError
@@ -31,7 +36,10 @@ from elusivecodes.codes import (
     words_array,
     write_code,
 )
+from elusivecodes.constructions import rep_code
+from elusivecodes.elusive import StabiliserFlags, code_stabiliser_analysis
 from elusivecodes.hamming import Vertex, all_vertices, distance
+from elusivecodes.perms import Perm
 
 
 def V(text, q=3):
@@ -208,3 +216,98 @@ def test_stabiliser_is_a_group(full33):
             from elusivecodes.autgroup import compose
 
             assert compose(a, b) in elems
+
+
+# ---------------------------------------------------------------------------
+# the table paths against the apply() definition
+
+def _stabiliser_by_apply(G, S):
+    return tuple(x for x in G.elements if fixes_setwise(x, S))
+
+
+def _equivalence_by_apply(C, D, G):
+    return next((y for y in G.elements if apply_to_code(y, C) == D), None)
+
+
+def _analysis_by_apply(C, G):
+    kept = _stabiliser_by_apply(G, C)
+    nb = neighbour_set(C)
+    return kept, StabiliserFlags(
+        transitive_on_code=orbit(kept, C.words[0]) == C.word_set,
+        transitive_on_neighbours=bool(nb) and orbit(kept, min(nb)) == nb,
+    )
+
+
+def _subgroup_h34(seed):
+    """<diag(S_4), top(S_3)>, order 144, conjugated by a seeded element of Aut(H(3,4))."""
+    rng = random.Random(seed)
+    a = Automorphism(
+        tuple(Perm(tuple(rng.sample(range(4), 4))) for _ in range(3)),
+        Perm(tuple(rng.sample(range(3), 3))),
+    )
+    gens = [
+        diag(perms.transposition(4, 0, 1), 3),
+        diag(perms.cycle(4, (0, 1, 2, 3)), 3),
+        top(perms.transposition(3, 0, 1), 4),
+        top(perms.cycle(3, (0, 1, 2)), 4),
+    ]
+    return generate_group([compose(compose(inverse(a), g), a) for g in gens])
+
+
+def _cross_check(G, codes, rng, with_neighbours):
+    for C in codes:
+        sets = [C.word_set] + ([neighbour_set(C)] if with_neighbours else [])
+        for S in sets:
+            assert setwise_stabiliser(G, S).elements == _stabiliser_by_apply(G, S)
+        xc, flags = code_stabiliser_analysis(C, G)
+        assert (xc.elements, flags) == _analysis_by_apply(C, G)
+        D = apply_to_code(rng.choice(G.elements), C)
+        y = are_equivalent(C, D, G)
+        assert y == _equivalence_by_apply(C, D, G)
+        assert apply_to_code(y, C) == D
+        E = Code.from_words(rng.sample(list(all_vertices(C.m, C.q)), len(C)))
+        assert are_equivalent(C, E, G) == _equivalence_by_apply(C, E, G)
+
+
+def _seeded_codes(m, q, seed, sizes):
+    rng = random.Random(seed)
+    verts = list(all_vertices(m, q))
+    return [rep_code(m, q)] + [Code.from_words(rng.sample(verts, k)) for k in sizes]
+
+
+def test_table_paths_match_apply_h33(full33):
+    _cross_check(full33, _seeded_codes(3, 3, 33, (2, 3, 4)), random.Random(1), True)
+
+
+def test_table_paths_match_apply_h43(full43):
+    # code sets only: the apply() scan of a neighbour set over 31104 elements is slow
+    _cross_check(full43, _seeded_codes(4, 3, 43, (3,)), random.Random(2), False)
+
+
+def test_table_paths_match_apply_subgroup_h34():
+    G = _subgroup_h34(34)
+    assert G.order == 144
+    _cross_check(G, _seeded_codes(3, 4, 34, (2, 3, 5)), random.Random(3), True)
+
+
+def test_setwise_stabiliser_checks_table_bytes_first(full33, monkeypatch):
+    # a fresh Group, so no table cached on the session fixture is reused
+    G = Group(full33.m, full33.q, full33.generators, full33.elements)
+
+    def refuse(elements, m, q):
+        raise AssertionError("the vertex-action table was built")
+
+    monkeypatch.setattr(autgroup, "vertex_action_table", refuse)
+    monkeypatch.setenv("ELUSIVECODES_MAX_TABLE_BYTES", "139967")  # 1296 * 27 * 4 - 1
+    with pytest.raises(ResourceCapError):
+        setwise_stabiliser(G, REP33)
+    with pytest.raises(ResourceCapError):
+        are_equivalent(REP33, REP33, G)
+
+
+def test_table_paths_keep_the_vertex_space_error(full33):
+    other = Code.from_words([V("00", 3), V("11", 3)])
+    with pytest.raises(ValueError, match=r"automorphism of H\(3,3\) applied to vertex of H\(2,3\)"):
+        setwise_stabiliser(full33, other)
+    with pytest.raises(ValueError, match=r"automorphism of H\(3,3\) applied to vertex of H\(2,3\)"):
+        are_equivalent(other, other, full33)

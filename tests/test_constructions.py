@@ -22,6 +22,13 @@ from elusivecodes.constructions import (
 from elusivecodes.hamming import Vertex, distance, sphere
 
 
+def test_sym_code_over_group_cap(monkeypatch):
+    # S_4 has 24 elements; perms.symmetric_group refuses it under a cap of 10
+    monkeypatch.setenv("ELUSIVECODES_MAX_GROUP", "10")
+    with pytest.raises(ResourceCapError):
+        sym_code(4)
+
+
 def test_perm_vertex():
     assert perm_vertex(perms.identity(3)) == Vertex((0, 1, 2), 3)
     assert perm_vertex(perms.cycle(4, (0, 1, 2, 3))) == Vertex((1, 2, 3, 0), 4)
