@@ -268,13 +268,8 @@ def diag_top_generators(q: int) -> list[Automorphism]:
     """Generators of the group of diagonal alphabet maps and position shuffles on H(q,q)."""
     y1 = perms.transposition(q, 0, 1) if q >= 2 else perms.identity(q)
     y2 = perms.cycle(q, tuple(range(q)))
-    out = [diag(y1, q), diag(y2, q), top(y1), top(y2)]
-    # drop duplicates while keeping order (q=2 collapses the pairs)
-    uniq: list[Automorphism] = []
-    for g in out:
-        if g not in uniq:
-            uniq.append(g)
-    return uniq
+    # q = 2 collapses the pairs; dict.fromkeys drops duplicates keeping order
+    return list(dict.fromkeys([diag(y1, q), diag(y2, q), top(y1), top(y2)]))
 
 
 def wreath_generators(q: int, l: int) -> list[Automorphism]:
@@ -289,11 +284,7 @@ def wreath_generators(q: int, l: int) -> list[Automorphism]:
     if l >= 2:
         out.append(wreath_embed([ident] * l, perms.transposition(l, 0, 1)))
         out.append(wreath_embed([ident] * l, perms.cycle(l, tuple(range(l)))))
-    uniq: list[Automorphism] = []
-    for g in out:
-        if g not in uniq:
-            uniq.append(g)
-    return uniq
+    return list(dict.fromkeys(out))
 
 
 def full_group_generators(m: int, q: int) -> list[Automorphism]:
@@ -306,11 +297,7 @@ def full_group_generators(m: int, q: int) -> list[Automorphism]:
     if m >= 2:
         out.append(top(perms.transposition(m, 0, 1), q))
         out.append(top(perms.cycle(m, tuple(range(m))), q))
-    uniq: list[Automorphism] = []
-    for g in out:
-        if g not in uniq:
-            uniq.append(g)
-    return uniq
+    return list(dict.fromkeys(out))
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,10 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--group", required=True, help="diag-top | wreath(diag-top,L) | full | group file")
     v.add_argument("-o", "--output", help="write the report (and image files) here")
     v.add_argument("--expect", choices=["elusive", "not-elusive"])
-    v.add_argument("--enum-cap", type=int, default=XC_ENUM_CAP, help="group-order cap for exact |X_C|")
+    v.add_argument(
+        "--enum-cap", type=int, default=XC_ENUM_CAP,
+        help="cap on |X| for an exact |X_C|: X_C is closed up to this // r",
+    )
 
     s = sub.add_parser("search", help="exhaustive elusive-pair search at (m, q, delta)")
     s.add_argument("--m", type=int, required=True)

@@ -3,9 +3,10 @@
 A pair is elusive when the group fixes the neighbour set of C setwise
 but moves C itself.  Verification works from generators alone: if every
 generator fixes the neighbour set, so does the generated group, and a
-group element moving C is exhibited explicitly.  The stabiliser of C is
-reached through Schreier generators of the action on the code images;
-only the exact order ``xc_order`` enumerates the group, up to ``enum_cap``.
+group element moving C is exhibited explicitly.  The stabiliser X_C of C
+is reached through Schreier generators of the action on the r code
+images; the exact order ``xc_order`` closes X_C alone, up to
+``enum_cap // r``, since |X| = r * |X_C|.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .autgroup import (
     inverse,
     orbit,
 )
-from .caps import ResourceCapError, orbit_cap
+from .caps import ResourceCapError, group_cap, orbit_cap
 from .codes import Code, fixes_setwise, neighbour_set, setwise_stabiliser, write_code
 from .hamming import Vertex, neighbours
 
@@ -40,7 +41,8 @@ __all__ = [
     "write_report",
 ]
 
-# groups up to this order are enumerated to report |X_C| exactly
+# verify_elusive closes X_C up to this // r, so it bounds |X| = r * |X_C|;
+# code_stabiliser_analysis closes a generators-only X_C up to this
 XC_ENUM_CAP = 50_000
 
 
@@ -69,8 +71,8 @@ class StabiliserFlags:
 def _code_orbit(C: Code, gens: Sequence[Automorphism], cap: int):
     """BFS orbit of the word set of C.
 
-    Returns (image keys in discovery order, transversal words, Schreier
-    generators of the stabiliser of C, first word moving C or None).
+    Returns (image keys in discovery order, Schreier generators of the
+    stabiliser of C, first word moving C or None).
     """
     start = C.words
     index = {start: 0}
@@ -100,18 +102,38 @@ def _code_orbit(C: Code, gens: Sequence[Automorphism], cap: int):
                 if not stab_el.is_identity() and stab_el not in seen_schreier:
                     seen_schreier.add(stab_el)
                     schreier.append(stab_el)
-    return order, transversal, schreier, witness
+    return order, schreier, witness
+
+
+def _stabiliser_flags(C: Code, nb: frozenset[Vertex], gens: Sequence[Automorphism]) -> StabiliserFlags:
+    return StabiliserFlags(
+        transitive_on_code=orbit(gens, C.words[0]) == C.word_set,
+        transitive_on_neighbours=bool(nb) and orbit(gens, min(nb)) == nb,
+    )
+
+
+def _close_stabiliser(C: Code, nb: frozenset[Vertex], schreier, cap: int) -> tuple[Group, StabiliserFlags]:
+    """X_C = <schreier>, enumerated when its order is at most ``cap``, and its flags."""
+    if cap < 1:  # generate_group ignores the cap for an empty generating set
+        xc = Group(C.m, C.q, tuple(schreier))
+    else:
+        xc = generate_group(schreier, cap=cap, m=C.m, q=C.q)
+    return xc, _stabiliser_flags(C, nb, xc.generators)
 
 
 def verify_elusive(
     C: Code, gens: Sequence[Automorphism], *, enum_cap: int = XC_ENUM_CAP
 ) -> ElusiveReport:
-    """Full elusivity report for the pair (C, <gens>).
+    """Full elusivity report for the pair (C, X = <gens>).
 
-    ``enum_cap`` bounds the optional group enumeration behind xc_order;
-    the transitivity flags never need it.
+    ``xc_order`` is |X_C|, found by closing the Schreier generators of X_C
+    up to ``enum_cap // r``, that is, when |X| = r * |X_C| is at most
+    ``enum_cap`` and the group cap; otherwise None.  The transitivity flags
+    need only the generators.
     """
     gens = tuple(gens)
+    if enum_cap < 1:
+        raise ValueError(f"enum_cap must be at least 1, got {enum_cap}")
     if len(C) < 2:
         raise ValueError("elusivity needs a code with at least two words")
     for g in gens:
@@ -120,7 +142,7 @@ def verify_elusive(
     nb = neighbour_set(C)
 
     fixes_neighbours = all(fixes_setwise(g, nb) for g in gens)
-    images_keys, _, schreier, witness = _code_orbit(C, gens, orbit_cap())
+    images_keys, schreier, witness = _code_orbit(C, gens, orbit_cap())
     r = len(images_keys)
     fixes_code = r == 1
     images = tuple(Code(key) for key in sorted(images_keys))
@@ -137,15 +159,7 @@ def verify_elusive(
         images_intersection = None
 
     x_transitive_on_neighbours = bool(nb) and orbit(gens, min(nb)) == nb
-    xc_transitive_on_code = orbit(schreier, C.words[0]) == C.word_set
-    xc_transitive_on_neighbours = bool(nb) and orbit(schreier, min(nb)) == nb
-
-    xc_order = None
-    full = generate_group(gens, cap=enum_cap, m=C.m, q=C.q)
-    if full.order is not None:
-        if full.order % r != 0:
-            raise AssertionError("orbit size does not divide group order")
-        xc_order = full.order // r
+    xc, xc_flags = _close_stabiliser(C, nb, schreier, min(enum_cap, group_cap()) // r)
 
     return ElusiveReport(
         is_elusive=fixes_neighbours and not fixes_code,
@@ -155,9 +169,9 @@ def verify_elusive(
         images_pairwise_disjoint=images_pairwise_disjoint,
         images_intersection=images_intersection,
         x_transitive_on_neighbours=x_transitive_on_neighbours,
-        xc_order=xc_order,
-        xc_transitive_on_code=xc_transitive_on_code,
-        xc_transitive_on_neighbours=xc_transitive_on_neighbours,
+        xc_order=xc.order,
+        xc_transitive_on_code=xc_flags.transitive_on_code,
+        xc_transitive_on_neighbours=xc_flags.transitive_on_neighbours,
         witness_mover=witness if not fixes_code else None,
         images=images,
     )
@@ -167,23 +181,17 @@ def code_stabiliser_analysis(C: Code, G: Group) -> tuple[Group, StabiliserFlags]
     """The subgroup of G fixing C setwise, with its transitivity flags.
 
     Uses setwise_stabiliser when G is enumerated, otherwise Schreier
-    generators from the orbit of C (elements filled in when the closure
-    fits under the enumeration cap).
+    generators from the orbit of C, closed when |X_C| is at most
+    ``XC_ENUM_CAP`` and the group cap.
     """
     if G.m != C.m or G.q != C.q:
         raise ValueError("group acts on the wrong space")
-    if G.elements is not None:
-        xc = setwise_stabiliser(G, C)
-    else:
-        _, _, schreier, _ = _code_orbit(C, G.generators, orbit_cap())
-        closing = generate_group(schreier, cap=XC_ENUM_CAP, m=C.m, q=C.q)
-        xc = Group(G.m, G.q, tuple(schreier), closing.elements)
     nb = neighbour_set(C)
-    flags = StabiliserFlags(
-        transitive_on_code=orbit(xc.generators, C.words[0]) == C.word_set,
-        transitive_on_neighbours=bool(nb) and orbit(xc.generators, min(nb)) == nb,
-    )
-    return xc, flags
+    if G.elements is None:
+        _, schreier, _ = _code_orbit(C, G.generators, orbit_cap())
+        return _close_stabiliser(C, nb, schreier, XC_ENUM_CAP)
+    xc = setwise_stabiliser(G, C)
+    return xc, _stabiliser_flags(C, nb, xc.generators)
 
 
 def neighbour_degree_map(C: Code) -> dict[Vertex, int]:

@@ -145,6 +145,36 @@ def test_wreath_group_order():
     assert generate_group(wreath_generators(3, 2)).order == 2592
 
 
+def test_generator_presets_drop_duplicates_keeping_order():
+    # at q = 2, l = 1 or m = 1 generators coincide; each appears once, first
+    # occurrence first
+    def fmt(gens):
+        return [format_automorphism(g) for g in gens]
+
+    assert fmt(diag_top_generators(1)) == ["g: id ; sigma: id"]
+    assert fmt(diag_top_generators(2)) == ["g: (0 1),(0 1) ; sigma: id", "g: id,id ; sigma: (0 1)"]
+    assert fmt(wreath_generators(2, 1)) == fmt(diag_top_generators(2))
+    assert fmt(wreath_generators(3, 1)) == fmt(diag_top_generators(3)) == [
+        "g: (0 1),(0 1),(0 1) ; sigma: id",
+        "g: (0 1 2),(0 1 2),(0 1 2) ; sigma: id",
+        "g: id,id,id ; sigma: (0 1)",
+        "g: id,id,id ; sigma: (0 1 2)",
+    ]
+    assert fmt(wreath_generators(2, 2)) == [
+        "g: (0 1),(0 1),id,id ; sigma: id",
+        "g: id,id,id,id ; sigma: (0 1)",
+        "g: id,id,id,id ; sigma: (0 2)(1 3)",
+    ]
+    assert fmt(full_group_generators(1, 2)) == ["g: (0 1) ; sigma: id"]
+    assert fmt(full_group_generators(1, 3)) == ["g: (0 1) ; sigma: id", "g: (0 1 2) ; sigma: id"]
+    assert fmt(full_group_generators(2, 2)) == ["g: (0 1),id ; sigma: id", "g: id,id ; sigma: (0 1)"]
+    assert fmt(full_group_generators(3, 2)) == [
+        "g: (0 1),id,id ; sigma: id",
+        "g: id,id,id ; sigma: (0 1)",
+        "g: id,id,id ; sigma: (0 1 2)",
+    ]
+
+
 def test_wreath_embed_block_action():
     # part acting in block 0, blocks swapped: the two halves trade places
     ident = identity_automorphism(2, 3)

@@ -167,6 +167,15 @@ def test_verify_group_file(tmp_path):
     assert res.returncode == 0
 
 
+def test_verify_enum_cap_below_one_is_usage_error(tmp_path):
+    code = tmp_path / "alt3.txt"
+    main(["construct", "alt", "3", "-o", str(code)])
+    for cap in ("0", "-1"):
+        res = run_cli("verify", str(code), "--group", "diag-top", "--enum-cap", cap)
+        assert res.returncode == 2
+        assert "enum_cap" in res.stderr
+
+
 def test_verify_group_space_mismatch(tmp_path):
     code = tmp_path / "alt3.txt"
     main(["construct", "alt", "3", "-o", str(code)])

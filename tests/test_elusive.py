@@ -5,6 +5,7 @@ from elusivecodes.autgroup import (
     Group,
     diag,
     diag_top_generators,
+    full_group_generators,
     generate_group,
     top,
     wreath_generators,
@@ -163,6 +164,51 @@ def test_verify_elusive_input_validation():
         verify_elusive(Code.from_words([Vertex((0, 0, 0), 3)]), diag_top_generators(3))
     with pytest.raises(ValueError):
         verify_elusive(alt_code(3), [top(perms.transposition(4, 0, 1), 4)])
+    for bad_cap in (0, -1):
+        with pytest.raises(ValueError, match="enum_cap"):
+            verify_elusive(alt_code(3), [], enum_cap=bad_cap)
+        with pytest.raises(ValueError, match="enum_cap"):
+            verify_elusive(alt_code(3), diag_top_generators(3), enum_cap=bad_cap)
+
+
+@pytest.mark.parametrize(
+    "C, gens, full",
+    [
+        pytest.param(alt_code(3), diag_top_generators(3), None, id="alt3"),
+        pytest.param(alt_code(4), diag_top_generators(4), None, id="alt4"),
+        pytest.param(parity_code(3, 2), wreath_generators(3, 2), None, id="parity32"),
+        pytest.param(
+            union_code(alt_code(4), rep_code(4, 4)), diag_top_generators(4), None, id="union4"
+        ),
+        pytest.param(rep_code(3, 3), full_group_generators(3, 3), "full33", id="rep33-full"),
+        pytest.param(rep_code(4, 3), full_group_generators(4, 3), "full43", id="rep43-full"),
+    ],
+)
+def test_xc_order_is_the_closure_of_x_over_r(C, gens, full, request):
+    # orbit-stabiliser |X| = r * |X_C|, against X closed by BFS; the full
+    # groups come from the session fixtures
+    X = request.getfixturevalue(full) if full else generate_group(gens)
+    rep = verify_elusive(C, gens)
+    assert X.order % rep.image_count_r == 0
+    assert rep.xc_order == X.order // rep.image_count_r
+
+
+def test_xc_order_cap_boundaries(monkeypatch):
+    # enum_cap bounds |X| = r * |X_C|: alt3 has |X| = 36, r = 2
+    assert verify_elusive(alt_code(3), diag_top_generators(3), enum_cap=35).xc_order is None
+    assert verify_elusive(alt_code(3), diag_top_generators(3), enum_cap=36).xc_order == 18
+    # r = 3 with a trivial X_C: no Schreier generators, and enum_cap // r = 0
+    # must still read as over the cap
+    C = Code.from_words([Vertex((0, 1, 2), 3), Vertex((1, 2, 0), 3)])
+    gens = [top(perms.cycle(3, (0, 1, 2)), 3)]
+    assert verify_elusive(C, gens, enum_cap=2).xc_order is None
+    rep = verify_elusive(C, gens, enum_cap=3)
+    assert rep.image_count_r == 3 and rep.xc_order == 1
+    # the group cap bounds |X| too, not |X_C|
+    monkeypatch.setenv("ELUSIVECODES_MAX_GROUP", "20")
+    assert verify_elusive(alt_code(3), diag_top_generators(3)).xc_order is None
+    monkeypatch.setenv("ELUSIVECODES_MAX_GROUP", "36")
+    assert verify_elusive(alt_code(3), diag_top_generators(3)).xc_order == 18
 
 
 def test_degree_profiles():
