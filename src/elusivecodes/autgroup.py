@@ -40,7 +40,10 @@ __all__ = [
     "format_automorphism",
     "vertex_action_table",
     "full_action_table",
+    "stab0_action_table",
     "full_group_element",
+    "stab0_group_element",
+    "full_group_row",
 ]
 
 
@@ -375,36 +378,83 @@ def vertex_action_table(elements: Sequence[Automorphism], m: int, q: int) -> np.
     return table
 
 
+def _action_table(m: int, q: int, coord_perms: Sequence[Perm]) -> np.ndarray:
+    """vertex_action_table of every (g_1, ..., g_m; sigma) with each g_s in
+    ``coord_perms``, rows lexicographic in (g_1, ..., g_m, sigma) by
+    position in ``coord_perms`` and in lexicographic S_m order.
+
+    Source position s holds digit g_s(v_s), which lands at position
+    sigma(s), worth q^(m-1-sigma(s)).
+    """
+    powers, entries = _digits(m, q)
+    sq = np.array([p.images for p in coord_perms], dtype=np.int32)  # (len(coord_perms), q)
+    sm = np.array([p.images for p in perms.symmetric_group(m)], dtype=np.int64)  # (m!, m)
+    weight = powers[sm].astype(np.int32)  # weight[k, s] = q^(m-1-sigma_k(s))
+    n = entries.shape[0]
+    # built vertex-major, so each column of the (rows, n) result is
+    # contiguous: the search's kernels gather whole columns
+    table = np.zeros((n, 1, len(sm)), dtype=np.int32)
+    for s in range(m):
+        # term[v, i, k] = g_i(v_s) * q^(m-1-sigma_k(s))
+        term = sq[:, entries[:, s]].T[:, :, None] * weight[None, None, :, s]
+        table = (table[:, :, None, :] + term[:, None, :, :]).reshape(n, -1, len(sm))
+    return table.reshape(n, -1).T
+
+
+def _stab0_coord_perms(q: int) -> list[Perm]:
+    # the permutations fixing 0 are the first (q-1)! in lexicographic order
+    return perms.symmetric_group(q)[: math.factorial(q - 1)]
+
+
 def full_action_table(m: int, q: int) -> np.ndarray:
     """vertex_action_table of all of Aut(H(m,q)), built in closed form.
 
     Rows follow ``generate_group`` order (lexicographic in g_1, ..., g_m,
     sigma), so row ((i_1 q! + i_2) q! + ... + i_m) m! + k is the element
     whose g_s is the i_s-th and whose sigma is the k-th permutation in
-    lexicographic order; see full_group_element.  Source position s holds
-    digit g_s(v_s), which lands at position sigma(s), worth q^(m-1-sigma(s)).
+    lexicographic order; see full_group_element and full_group_row.
     The caller checks the table's size against the caps first.
     """
-    powers, entries = _digits(m, q)
-    sq = np.array([p.images for p in perms.symmetric_group(q)], dtype=np.int32)  # (q!, q)
-    sm = np.array([p.images for p in perms.symmetric_group(m)], dtype=np.int64)  # (m!, m)
-    weight = powers[sm].astype(np.int32)  # weight[k, s] = q^(m-1-sigma_k(s))
-    table = np.zeros((1, len(sm), entries.shape[0]), dtype=np.int32)
-    for s in range(m):
-        # term[i, k, v] = g_i(v_s) * q^(m-1-sigma_k(s))
-        term = sq[:, entries[:, s]][:, None, :] * weight[None, :, s, None]
-        table = (table[:, None] + term[None]).reshape(-1, len(sm), entries.shape[0])
-    return table.reshape(-1, entries.shape[0])
+    return _action_table(m, q, perms.symmetric_group(q))
+
+
+def stab0_action_table(m: int, q: int) -> np.ndarray:
+    """vertex_action_table of Stab(0) = S_{q-1} wr S_m, built in closed form.
+
+    Stab(0) is every (g_1, ..., g_m; sigma) with each g_s(0) = 0.  Its rows
+    are the rows of full_action_table(m, q) with ``table[:, 0] == 0``, in
+    the same order, so row ((i_1 (q-1)! + i_2) ... + i_m) m! + k is the
+    element with the same i_s and k as in the full table; see
+    stab0_group_element.  The caller checks the table's size against the
+    caps first.
+    """
+    return _action_table(m, q, _stab0_coord_perms(q))
+
+
+def _element(row: int, m: int, coord_perms: Sequence[Perm], name: str) -> Automorphism:
+    row, k = divmod(row, math.factorial(m))
+    ranks = []
+    for _ in range(m):
+        row, i = divmod(row, len(coord_perms))
+        ranks.append(i)
+    if row:
+        raise ValueError(f"row index out of range for {name}")
+    return Automorphism(tuple(coord_perms[i] for i in reversed(ranks)), perms.symmetric_group(m)[k])
 
 
 def full_group_element(row: int, m: int, q: int) -> Automorphism:
     """The automorphism behind row ``row`` of full_action_table(m, q)."""
-    row, k = divmod(row, math.factorial(m))
-    ranks = []
-    for _ in range(m):
-        row, i = divmod(row, math.factorial(q))
-        ranks.append(i)
-    if row:
-        raise ValueError(f"row index out of range for Aut(H({m},{q}))")
-    sq = perms.symmetric_group(q)
-    return Automorphism(tuple(sq[i] for i in reversed(ranks)), perms.symmetric_group(m)[k])
+    return _element(row, m, perms.symmetric_group(q), f"Aut(H({m},{q}))")
+
+
+def stab0_group_element(row: int, m: int, q: int) -> Automorphism:
+    """The automorphism behind row ``row`` of stab0_action_table(m, q)."""
+    return _element(row, m, _stab0_coord_perms(q), f"Stab(0) in Aut(H({m},{q}))")
+
+
+def full_group_row(x: Automorphism) -> int:
+    """The row of ``x`` in full_action_table(x.m, x.q): full_group_element's inverse."""
+    row = 0
+    for g in x.coord_maps:
+        row = row * math.factorial(x.q) + perms.lex_rank(g)
+    return row * math.factorial(x.m) + perms.lex_rank(x.position_map)

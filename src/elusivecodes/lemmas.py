@@ -12,6 +12,7 @@ from itertools import product as _iproduct
 
 import numpy as np
 
+from . import _kernels
 from . import constructions as cons
 from . import perms
 from .autgroup import (
@@ -23,6 +24,7 @@ from .autgroup import (
     full_group_generators,
     generate_group,
     identity_automorphism,
+    stab0_action_table,
     top,
     wreath_embed,
     wreath_generators,
@@ -30,7 +32,7 @@ from .autgroup import (
 from .codes import neighbour_set
 from .elusive import verify_elusive
 from .hamming import Vertex, all_vertices, distance, neighbours, sphere
-from .search import check_partition_lemma, common_neighbours, fourth_vertex
+from .search import _prepare, _walk, check_partition_lemma, common_neighbours, fourth_vertex
 
 __all__ = ["suite_same", "suite_act", "suite_partition", "suite_neigh", "SUITES"]
 
@@ -135,8 +137,38 @@ def _mu_equivariance_holds() -> bool:
     return True
 
 
+def _coset_kernels_agree(m: int, q: int, delta: int) -> tuple[bool, bool]:
+    """(canonicity, mover) verdicts of the coset kernels against the full
+    table, at every node the walk tests and every code it could scan."""
+    space, tasks = _prepare(m, q, delta)
+    full = full_action_table(m, q)
+    canonical = [found for task in tasks for found in _walk(space, *task, None)]
+    nodes = [task[0] for task in tasks] + [
+        code + [v]
+        for code, _ in canonical
+        for v in range(code[-1] + 1, space.n)
+        if space.dist[v, code].min() >= delta
+    ]
+    canon_ok = True
+    for code in nodes:
+        imgs = np.sort(full[:, code], axis=1)
+        least = imgs[np.lexsort(imgs.T[::-1])[0]]  # the lexicographically least image
+        got = _kernels.is_canonical(space.stab0, np.array(code), space.minus)
+        canon_ok &= got == np.array_equal(least, code)
+    mover_ok = True
+    for code in (code for code, cur_min in canonical if cur_min == delta):
+        nb_mask, code_mask = space.masks(code)
+        fixing = full[_kernels.stabiliser_rows(full, nb_mask)]
+        moved = bool((code_mask[fixing] != code_mask).any())
+        got = _kernels.first_mover(space.stab0, nb_mask, code_mask, space.minus, space.plus, space.adj)
+        mover_ok &= (got >= 0) == moved
+    return canon_ok, mover_ok
+
+
 def suite_act(seed: int = 0) -> list[Check]:
-    """The group-action identity on permutation words, plus action axioms."""
+    """The group-action identity on permutation words, plus action axioms
+    and the search's coset kernels against the full table."""
+    full33 = full_action_table(3, 3)
     out = [
         _check("act-identity-q3", _act_identity_holds(3), "diag/top action identity fails"),
         _check("act-identity-q4", _act_identity_holds(4), "diag/top action identity fails"),
@@ -147,12 +179,32 @@ def suite_act(seed: int = 0) -> list[Check]:
         _check(
             "full-table-closed-form-h33",
             np.array_equal(
-                full_action_table(3, 3),
+                full33,
                 generate_group(full_group_generators(3, 3)).table,
             ),
             "closed-form table differs from the BFS group's table",
         ),
+        _check(
+            "stab0-closed-form-h33",
+            np.array_equal(stab0_action_table(3, 3), full33[full33[:, 0] == 0]),
+            "Stab(0) table differs from the full table's rows fixing vertex 0",
+        ),
     ]
+    agree = [_coset_kernels_agree(3, 3, delta) for delta in (2, 3)]
+    out.append(
+        _check(
+            "coset-canonicity-h33",
+            all(canon for canon, _ in agree),
+            "coset canonicity differs from the full-table scan",
+        )
+    )
+    out.append(
+        _check(
+            "mover-prune-h33",
+            all(mover for _, mover in agree),
+            "pruned coset mover scan differs from the full-table scan",
+        )
+    )
     rng = random.Random(seed)
     gens = full_group_generators(4, 3)
     verts = list(all_vertices(4, 3))

@@ -25,6 +25,7 @@ __all__ = [
     "cycle",
     "symmetric_group",
     "alternating_group",
+    "lex_rank",
     "parse_perm",
     "format_perm",
 ]
@@ -129,6 +130,15 @@ def symmetric_group(n: int) -> list[Perm]:
 def alternating_group(n: int) -> list[Perm]:
     """The even permutations of degree n, in lexicographic image order."""
     return [p for p in symmetric_group(n) if is_even(p)]
+
+
+def lex_rank(p: Perm) -> int:
+    """Position of p in symmetric_group(p.degree): its lexicographic rank."""
+    im, n = p.images, p.degree
+    return sum(
+        sum(1 for b in im[i + 1 :] if b < a) * math.factorial(n - 1 - i)
+        for i, a in enumerate(im)
+    )
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")

@@ -13,6 +13,13 @@ of a lex-minimal set leaves a lex-minimal set, so every canonical code
 is reached from the canonical singleton {0} and pruning non-canonical
 nodes loses nothing.
 
+Every node therefore contains vertex 0, and the search acts only through
+the table of Stab(0) = S_{q-1} wr S_m, the stabiliser of vertex 0, and
+its cosets {x : x(c) = u}.  The canonicity test scans the |C| cosets
+that send a codeword to 0, the mover test scans only the cosets the U(C)
+prune leaves (often none), and a Found stabiliser is collected from the
+|Γ1(C)| cosets that send min Γ1(C) into Γ1(C); see ``_kernels``.
+
 The traversal always runs to exhaustion (no early exit), which makes
 the certificate counts independent of the worker count; "Found" is the
 first hit in deterministic branch order.
@@ -28,14 +35,16 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, perms
 from .autgroup import (
     Automorphism,
     Group,
     _digits,
     apply,
-    full_action_table,
-    full_group_element,
+    compose,
+    full_group_row,
+    stab0_action_table,
+    stab0_group_element,
 )
 from .caps import ResourceCapError, check_table_bytes, group_cap, vertex_cap
 from .codes import Code, format_code, min_distance
@@ -185,24 +194,59 @@ def check_partition_lemma(C: Code, x: Automorphism, alpha: Vertex) -> PartitionC
 class _SearchSpace:
     """Shared read-only arrays for one (m, q, delta) search.
 
-    The action table is that of all of Aut(H(m,q)), built in closed form;
-    its rows decode by full_group_element.  Raises ResourceCapError when
-    the group order or the table's bytes are over their caps, before the
-    table is allocated.
+    Every node of the walk contains vertex 0, so the search never holds the
+    table of all of Aut(H(m,q)): it holds the table of Stab(0), the
+    stabiliser of vertex 0, built in closed form, and reaches each coset
+    {x : x(c) = u} = {s_u h t_c : h in Stab(0)} through the translation
+    arrays ``minus[c]`` (v -> v - c) and ``plus[u]`` (v -> v + u), digit by
+    digit mod q.  Raises ResourceCapError when the order of Stab(0) or the
+    bytes of its table are over their caps, before the table is allocated.
     """
 
     def __init__(self, m: int, q: int, delta: int):
         self.m, self.q, self.delta = m, q, delta
         self.n = space_size(m, q)
-        rows = math.factorial(q) ** m * math.factorial(m)
+        rows = math.factorial(q - 1) ** m * math.factorial(m)
         if rows > group_cap():
-            raise ResourceCapError(f"Aut(H({m},{q})) order {rows} over the group cap")
+            raise ResourceCapError(f"Stab(0) in Aut(H({m},{q})) order {rows} over the group cap")
         check_table_bytes(rows, self.n)
-        self.table = full_action_table(m, q)
-        entries = _digits(m, q)[1]
+        self.stab0 = stab0_action_table(m, q)
+        powers, entries = _digits(m, q)
+        self.minus = (((entries[None, :, :] - entries[:, None, :]) % q) @ powers).astype(np.int32)
+        self.plus = (((entries[None, :, :] + entries[:, None, :]) % q) @ powers).astype(np.int32)
         self.dist = (entries[:, None, :] != entries[None, :, :]).sum(axis=2).astype(np.int16)
         # adjacency rows: the m(q-1) neighbouring indices of each vertex, increasing
         self.adj = np.nonzero(self.dist == 1)[1].reshape(self.n, -1).astype(np.int32)
+
+    def translation(self, c: int, sign: int) -> Automorphism:
+        """The automorphism v -> v + sign * c, digit by digit mod q."""
+        q = self.q
+        shifts = vertex_from_index(c, self.m, q).entries
+        return Automorphism(
+            tuple(perms.Perm(tuple((a + sign * d) % q for a in range(q))) for d in shifts),
+            perms.identity(self.m),
+        )
+
+    def stabiliser(self, idxs: Sequence[int]) -> Group:
+        """The setwise stabiliser of Γ1(C) in Aut(H(m,q)), members in full-table row order.
+
+        With n0 = min Γ1(C), every member maps n0 to some n in Γ1(C), so the
+        members are the elements of the |Γ1(C)| cosets
+        {x : x(n0) = n} = {s_n h t_n0 : h in Stab(0)} that fix Γ1(C).
+        """
+        nb_mask, _ = self.masks(idxs)
+        nb = np.nonzero(nb_mask)[0]
+        n0 = int(nb[0])
+        t_n0 = self.translation(n0, -1)
+        members = []
+        for n in nb.tolist():
+            coset = self.plus[n][self.stab0[:, self.minus[n0]]]
+            s_n = self.translation(n, 1)
+            for h in np.nonzero(_kernels.stabiliser_rows(coset, nb_mask))[0]:
+                h_elt = stab0_group_element(int(h), self.m, self.q)
+                members.append(compose(compose(t_n0, h_elt), s_n))
+        members.sort(key=full_group_row)
+        return Group(self.m, self.q, tuple(members), tuple(members))
 
     def code_of(self, idxs: Sequence[int]) -> Code:
         return Code(tuple(vertex_from_index(int(i), self.m, self.q) for i in idxs))
@@ -257,7 +301,7 @@ def _walk(
     """Depth first from ``code``: every canonical code in its subtree, with
     its minimum distance."""
     arr = np.array(code, dtype=np.int32)
-    if not _kernels.is_canonical(space.table, arr):
+    if not _kernels.is_canonical(space.stab0, arr, space.minus):
         return
     yield code, cur_min
     if max_size is not None and len(code) >= max_size:
@@ -350,7 +394,10 @@ def search_elusive(
             max_seen = max(max_seen, len(code))
             if hit is None and cur_min == delta:
                 nb_mask, code_mask = space.masks(code)
-                if _kernels.first_mover(space.table, nb_mask, code_mask) >= 0:
+                mover = _kernels.first_mover(
+                    space.stab0, nb_mask, code_mask, space.minus, space.plus, space.adj
+                )
+                if mover >= 0:
                     hit = code
         return examined, max_seen, hit
 
@@ -365,11 +412,7 @@ def search_elusive(
     hit = next((r[2] for r in results if r[2] is not None), None)
     if hit is None:
         return cert("NoneExhaustive", examined, max_seen)
-    nb_mask, _ = space.masks(hit)
-    rows = np.nonzero(_kernels.stabiliser_rows(space.table, nb_mask))[0]
-    members = tuple(full_group_element(int(i), m, q) for i in rows)
-    stab = Group(m, q, members, members)
-    return cert("Found", examined, max_seen, (space.code_of(hit), stab))
+    return cert("Found", examined, max_seen, (space.code_of(hit), space.stabiliser(hit)))
 
 
 def format_certificate(cert: SearchCertificate, *, wall_time: bool = True) -> str:

@@ -15,12 +15,15 @@ from elusivecodes.autgroup import (
     full_action_table,
     full_group_element,
     full_group_generators,
+    full_group_row,
     generate_group,
     identity_automorphism,
     inverse,
     orbit,
     parse_automorphism,
     read_group,
+    stab0_action_table,
+    stab0_group_element,
     top,
     vertex_action_table,
     wreath_embed,
@@ -313,3 +316,29 @@ def test_full_group_element_decodes_every_row_h33(full33):
     assert [full_group_element(i, 3, 3) for i in range(full33.order)] == list(full33.elements)
     with pytest.raises(ValueError):
         full_group_element(full33.order, 3, 3)
+
+
+@pytest.mark.parametrize("m, q", [(3, 3), (4, 3), (3, 4), (5, 2)])
+def test_stab0_action_table_is_the_filtered_full_table(m, q):
+    # Stab(0)'s rows are the full table's rows fixing vertex 0, in order
+    full = full_action_table(m, q)
+    stab0 = stab0_action_table(m, q)
+    assert stab0.dtype == np.int32
+    assert stab0.shape[0] == math.factorial(q - 1) ** m * math.factorial(m)
+    assert np.array_equal(stab0, full[full[:, 0] == 0])
+
+
+@pytest.mark.parametrize("m, q", [(3, 3), (2, 4)])
+def test_stab0_group_element_decodes_every_row(m, q):
+    stab0 = stab0_action_table(m, q)
+    elems = [stab0_group_element(i, m, q) for i in range(stab0.shape[0])]
+    assert np.array_equal(vertex_action_table(elems, m, q), stab0)
+    with pytest.raises(ValueError):
+        stab0_group_element(stab0.shape[0], m, q)
+
+
+def test_full_group_row_inverts_full_group_element(full33):
+    assert [full_group_row(x) for x in full33.elements] == list(range(full33.order))
+    rng = random.Random(49)
+    for row in rng.sample(range(math.factorial(4) ** 3 * math.factorial(3)), 300):
+        assert full_group_row(full_group_element(row, 3, 4)) == row

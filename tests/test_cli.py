@@ -244,16 +244,16 @@ def test_search_aborted_is_exit_three():
 
 
 def test_search_over_table_bytes_cap_is_exit_three(monkeypatch, capsys):
-    # in process, so the 8.2 GB H(4,4) table can be refused if ever reached
+    # in process, so the 3.82 GB Stab(0) table of H(5,4) can be refused if ever reached
     from elusivecodes import search
 
     def refuse(m, q):
-        raise AssertionError(f"full_action_table({m}, {q}) was built")
+        raise AssertionError(f"stab0_action_table({m}, {q}) was built")
 
-    monkeypatch.setattr(search, "full_action_table", refuse)
+    monkeypatch.setattr(search, "stab0_action_table", refuse)
     monkeypatch.delenv("ELUSIVECODES_MAX_GROUP", raising=False)
     monkeypatch.delenv("ELUSIVECODES_MAX_TABLE_BYTES", raising=False)
-    assert main(["search", "--m", "4", "--q", "4", "--delta", "3"]) == 3
+    assert main(["search", "--m", "5", "--q", "4", "--delta", "4"]) == 3
     assert "outcome=Aborted" in capsys.readouterr().out
 
 

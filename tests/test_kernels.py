@@ -4,13 +4,10 @@ import random
 import numpy as np
 import pytest
 
-from elusivecodes._kernels import (
-    first_mover,
-    is_canonical,
-    min_distance_words,
-    stabiliser_rows,
-)
-from elusivecodes.autgroup import vertex_action_table
+from dense_kernels import first_mover, is_canonical
+from elusivecodes import _kernels, search
+from elusivecodes._kernels import min_distance_words, stabiliser_rows
+from elusivecodes.autgroup import full_action_table, vertex_action_table
 from elusivecodes.hamming import all_vertices, distance, vertex_from_index
 
 
@@ -98,3 +95,90 @@ def test_np_min_distance_against_python_oracle():
             for a, b in itertools.combinations(words.tolist(), 2)
         )
         assert min_distance_words(words) == want
+
+
+@pytest.mark.parametrize(
+    "m, q, delta, kwargs",
+    [
+        (3, 3, 2, {}),
+        (3, 3, 3, {}),
+        (4, 3, 3, {}),
+        (5, 2, 2, {}),
+        (3, 4, 3, {"parity_filter": False}),
+        (4, 3, 2, {"max_size": 4}),
+    ],
+)
+def test_coset_kernels_match_dense_oracle_on_every_call(m, q, delta, kwargs, monkeypatch):
+    # every canonicity test and mover scan of a real search, checked
+    # against the dense kernel over the full table
+    full = full_action_table(m, q)
+    calls = {"canonical": 0, "mover": 0}
+    coset_canonical, coset_mover = _kernels.is_canonical, _kernels.first_mover
+
+    def checked_canonical(table, code, minus):
+        got = coset_canonical(table, code, minus)
+        assert got == is_canonical(full, code), code
+        calls["canonical"] += 1
+        return got
+
+    def checked_mover(table, nb_mask, code_mask, *arrays):
+        got = coset_mover(table, nb_mask, code_mask, *arrays)
+        assert (got >= 0) == (first_mover(full, nb_mask, code_mask) >= 0), np.nonzero(code_mask)
+        calls["mover"] += 1
+        return got
+
+    monkeypatch.setattr(_kernels, "is_canonical", checked_canonical)
+    monkeypatch.setattr(_kernels, "first_mover", checked_mover)
+    search.search_elusive(m, q, delta, **kwargs)
+    assert calls["canonical"] > 0 and calls["mover"] > 0
+
+
+@pytest.mark.parametrize(
+    "m, q, delta, max_size",
+    [(2, 3, 1, None), (3, 2, 1, 6), (3, 3, 1, 4), (2, 4, 1, 5), (4, 3, 3, None), (6, 2, 3, None)],
+)
+def test_first_mover_matches_dense_oracle_at_every_scannable_code(m, q, delta, max_size):
+    # every canonical code with minimum distance exactly delta, also past the
+    # first hit, where a search stops scanning; at delta = 1 the U(C) prune
+    # does not hold and must not be applied
+    space, tasks = search._prepare(m, q, delta)
+    full = full_action_table(m, q)
+    scanned = 0
+    for task in tasks:
+        for code, cur_min in search._walk(space, *task, max_size):
+            if cur_min != delta:
+                continue
+            nb_mask, code_mask = space.masks(code)
+            got = _kernels.first_mover(
+                space.stab0, nb_mask, code_mask, space.minus, space.plus, space.adj
+            )
+            assert (got >= 0) == (first_mover(full, nb_mask, code_mask) >= 0), code
+            scanned += 1
+    assert scanned > 0
+
+
+def test_mover_prune_settles_without_the_table():
+    # U(C) = {u not in Γ1(C) : S1(u) ⊆ Γ1(C)}, by definition on Vertex objects;
+    # where U(C) ⊆ C the scan must answer -1 without reading the table
+    from elusivecodes.codes import neighbour_set
+    from elusivecodes.hamming import sphere, vertex_index
+
+    space, tasks = search._prepare(4, 3, 3)
+    settled = scans = 0
+    for task in tasks:
+        for code, cur_min in search._walk(space, *task, None):
+            if cur_min != 3:
+                continue
+            scans += 1
+            C = space.code_of(code)
+            nb = neighbour_set(C)
+            U = {u for u in all_vertices(4, 3) if u not in nb and sphere(u, 1) <= nb}
+            if not U <= C.word_set:
+                continue
+            settled += 1
+            nb_mask, code_mask = space.masks(code)
+            assert {vertex_index(w) for w in nb} == set(np.nonzero(nb_mask)[0].tolist())
+            assert _kernels.first_mover(
+                None, nb_mask, code_mask, space.minus, space.plus, space.adj
+            ) == -1
+    assert (settled, scans) == (19, 22)

@@ -1,10 +1,13 @@
 import itertools
 import random
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from elusivecodes import search as search_module
-from elusivecodes.autgroup import apply, diag_top_generators
+from elusivecodes._kernels import stabiliser_rows
+from elusivecodes.autgroup import apply, diag_top_generators, full_action_table, full_group_element
 from elusivecodes.caps import ResourceCapError
 from elusivecodes.cli import main
 from elusivecodes.codes import (
@@ -17,7 +20,7 @@ from elusivecodes.codes import (
 )
 from elusivecodes.constructions import alt_code, rep_code
 from elusivecodes.elusive import verify_elusive
-from elusivecodes.hamming import Vertex, all_vertices, distance, sphere
+from elusivecodes.hamming import Vertex, all_vertices, distance, sphere, vertex_index
 from elusivecodes.search import (
     check_partition_lemma,
     common_neighbours,
@@ -28,6 +31,8 @@ from elusivecodes.search import (
     search_elusive,
     write_certificate,
 )
+
+CERTIFICATES = Path(__file__).resolve().parent.parent / "certificates"
 
 
 def V(text, q=3):
@@ -182,7 +187,8 @@ def test_enumerate_codes_validation():
 
 
 def test_enumerate_codes_cap(monkeypatch):
-    monkeypatch.setenv("ELUSIVECODES_MAX_GROUP", "100")
+    # Stab(0) of Aut(H(3,3)) has (2!)^3 * 3! = 48 elements
+    monkeypatch.setenv("ELUSIVECODES_MAX_GROUP", "47")
     with pytest.raises(ResourceCapError):
         list(enumerate_codes(3, 3, 3))
 
@@ -190,8 +196,6 @@ def test_enumerate_codes_cap(monkeypatch):
 def test_canonicity_audit_pure_python(full43):
     # independent of the kernel path: the sorted index sequence of every
     # emitted code is minimal over the explicit orbit computed with apply()
-    from elusivecodes.hamming import vertex_index
-
     codes = list(enumerate_codes(4, 3, 3))
     for C in codes:
         own = [vertex_index(w) for w in C.words]
@@ -300,12 +304,25 @@ def test_search_h333_found():
 
 
 def test_found_stabiliser_is_the_full_setwise_stabiliser(full33):
-    # decoded row by row from the closed-form table: the same members, in
-    # the same generate_group order, as the stabiliser taken over full33
+    # collected from the cosets of Stab(0) and sorted by full-table row: the
+    # same members, in the same generate_group order, as the stabiliser
+    # taken over full33
     code, stab = search_elusive(3, 3, 3).found_pair
     X = setwise_stabiliser(full33, neighbour_set(rep_code(3, 3)))
     assert stab.order == X.order == 108
     assert stab.generators == stab.elements == X.elements
+
+
+@pytest.mark.parametrize("m, q, delta, order", [(3, 3, 2, 6), (5, 2, 2, 12)])
+def test_found_stabiliser_matches_the_full_table_rows(m, q, delta, order):
+    # the full table's rows fixing Γ1(C), decoded in row order
+    code, stab = search_elusive(m, q, delta).found_pair
+    table = full_action_table(m, q)
+    mask = np.zeros(table.shape[1], dtype=np.uint8)
+    mask[[vertex_index(v) for v in neighbour_set(code)]] = 1
+    rows = np.nonzero(stabiliser_rows(table, mask))[0]
+    assert stab.elements == tuple(full_group_element(int(r), m, q) for r in rows)
+    assert stab.order == order
 
 
 def test_search_h433_exhaustive_negative():
@@ -384,36 +401,47 @@ def test_search_and_enumeration_share_the_traversal(m, q, delta, max_size, count
 
 
 def test_search_aborts_over_cap(monkeypatch):
-    monkeypatch.setenv("ELUSIVECODES_MAX_GROUP", "1000")
+    # the search holds Stab(0) of Aut(H(4,3)): (2!)^4 * 4! = 384 rows
+    monkeypatch.setenv("ELUSIVECODES_MAX_GROUP", "383")
     cert = search_elusive(4, 3, 3)
     assert cert.outcome == "Aborted"
     assert cert.canonical_codes_examined == 0
+    monkeypatch.setenv("ELUSIVECODES_MAX_GROUP", "384")
+    assert search_elusive(4, 3, 3).outcome == "NoneExhaustive"
 
 
-def _refuse_full_table(monkeypatch):
+def _refuse_stab0_table(monkeypatch):
     def refuse(m, q):
-        raise AssertionError(f"full_action_table({m}, {q}) was built")
+        raise AssertionError(f"stab0_action_table({m}, {q}) was built")
 
-    monkeypatch.setattr(search_module, "full_action_table", refuse)
+    monkeypatch.setattr(search_module, "stab0_action_table", refuse)
 
 
 def test_search_aborts_over_table_bytes_cap(monkeypatch):
-    # Aut(H(4,4)) has order 7,962,624, under the group cap, but its table
-    # would take 7,962,624 * 256 * 4 bytes (8.2 GB): refused before allocation
+    # Stab(0) of Aut(H(5,4)) has order (3!)^5 * 5! = 933,120, under the group
+    # cap, but its table would take 933,120 * 1024 * 4 bytes (3.82 GB):
+    # refused before allocation
     monkeypatch.delenv("ELUSIVECODES_MAX_GROUP", raising=False)
     monkeypatch.delenv("ELUSIVECODES_MAX_TABLE_BYTES", raising=False)
-    _refuse_full_table(monkeypatch)
-    cert = search_elusive(4, 4, 3)
+    _refuse_stab0_table(monkeypatch)
+    cert = search_elusive(5, 4, 4)
     assert cert.outcome == "Aborted"
     assert cert.canonical_codes_examined == 0
 
 
 def test_table_bytes_cap_is_exact(monkeypatch):
-    # the H(3,3) table is 1296 * 27 * 4 = 139,968 bytes
-    monkeypatch.setenv("ELUSIVECODES_MAX_TABLE_BYTES", "139968")
+    # the H(3,3) Stab(0) table is 48 * 27 * 4 = 5184 bytes
+    monkeypatch.setenv("ELUSIVECODES_MAX_TABLE_BYTES", "5184")
     assert search_elusive(3, 3, 3).outcome == "Found"
-    monkeypatch.setenv("ELUSIVECODES_MAX_TABLE_BYTES", "139967")
+    monkeypatch.setenv("ELUSIVECODES_MAX_TABLE_BYTES", "5183")
     assert search_elusive(3, 3, 3).outcome == "Aborted"
+
+
+@pytest.mark.parametrize("m, q, delta", [(5, 3, 4), (5, 3, 5)])
+def test_committed_certificates_reproduce(m, q, delta):
+    # q does not divide m at these triples; both are NoneExhaustive
+    want = (CERTIFICATES / f"search-{m}-{q}-{delta}.txt").read_text()
+    assert format_certificate(search_elusive(m, q, delta), wall_time=False) == want
 
 
 def test_thread_count_invariance():
