@@ -43,7 +43,6 @@ __all__ = [
     "stab0_action_table",
     "full_group_element",
     "stab0_group_element",
-    "full_group_row",
 ]
 
 
@@ -81,11 +80,9 @@ class Automorphism:
 
     @cached_property
     def sort_key(self) -> tuple[int, ...]:
-        """Concatenated image arrays of (g_1, ..., g_m, sigma); canonical order key."""
-        key: tuple[int, ...] = ()
-        for p in self.coord_maps:
-            key += p.images
-        return key + self.position_map.images
+        """Concatenated image arrays of (g_1, ..., g_m, sigma); canonical order
+        key, and as a numpy row the library's packed element format (``_keys``)."""
+        return tuple(a for p in self.coord_maps for a in p.images) + self.position_map.images
 
     def is_identity(self) -> bool:
         return all(not perms.cycles(p) for p in self.coord_maps) and not perms.cycles(
@@ -200,32 +197,30 @@ def generate_group(
 
     Returns a Group with ``elements`` sorted by canonical key when the
     closure stays within ``cap`` and the group cap, whichever is smaller;
-    otherwise a generators-only Group with ``elements`` absent.
+    otherwise a generators-only Group with ``elements`` absent; breadth first
+    over packed keys.  ``m`` and ``q`` name the space of an empty generating set.
     """
     gens = tuple(gens)
-    if not gens:
-        if m is None or q is None:
-            raise ValueError("need m and q for an empty generating set")
-        ident = identity_automorphism(m, q)
-        return Group(m, q, (), (ident,))
-    m, q = gens[0].m, gens[0].q
+    if gens:
+        m, q = gens[0].m, gens[0].q
+    elif m is None or q is None:
+        raise ValueError("need m and q for an empty generating set")
+    gen_keys = _keys(gens, m, q)
     cap = group_cap() if cap is None else min(cap, group_cap())
-    ident = identity_automorphism(m, q)
-    seen: set[Automorphism] = {ident}
-    frontier: list[Automorphism] = [ident]
-    while frontier:
-        new: list[Automorphism] = []
-        for e in frontier:
-            for g in gens:
-                f = compose(e, g)
-                if f not in seen:
-                    seen.add(f)
-                    if len(seen) > cap:
-                        return Group(m, q, gens, None)
-                    new.append(f)
-        frontier = new
-    elements = tuple(sorted(seen, key=lambda x: x.sort_key))
-    return Group(m, q, gens, elements)
+    cands = _keys([identity_automorphism(m, q)], m, q)
+    seen: set[bytes] = set()
+    layers = []
+    while len(cands):
+        fresh = []
+        for i, row in enumerate(cands.view(np.dtype((np.void, cands[0].nbytes))).ravel().tolist()):
+            if row not in seen:
+                seen.add(row)
+                if len(seen) > cap:
+                    return Group(m, q, gens, None)
+                fresh.append(i)
+        layers.append(cands[fresh])
+        cands = _compose_keys(layers[-1][:, None], gen_keys, m, q).reshape(-1, cands.shape[1])
+    return Group(m, q, gens, _sorted_elements(np.concatenate(layers), m, q))
 
 
 def orbit(gens: Iterable[Automorphism], seed, cap: int | None = None) -> set:
@@ -364,17 +359,15 @@ def vertex_action_table(elements: Sequence[Automorphism], m: int, q: int) -> np.
     """Row e, column v: index of vertex v under elements[e].
 
     Vertices are keyed by their base-q index; see hamming.vertex_index.
+    Raises ValueError for an element of another space.
     """
+    g, sigma = _split(_keys(elements, m, q), m, q)
     powers, entries = _digits(m, q)
-    table = np.empty((len(elements), entries.shape[0]), dtype=np.int32)
-    for e, x in enumerate(elements):
-        src = x._sources
-        w = np.empty_like(entries)
-        for j in range(m):
-            s = src[j]
-            cmap = np.asarray(x.coord_maps[s].images, dtype=np.int64)
-            w[:, j] = cmap[entries[:, s]]
-        table[e] = w @ powers
+    weight = powers.astype(np.int32)[sigma]  # weight[e, s] = q^(m-1-sigma_e(s))
+    table = np.zeros((len(elements), entries.shape[0]), dtype=np.int32)
+    for s in range(m):
+        # source position s holds digit g_s(v_s), which lands at position sigma(s)
+        table += g[:, s, entries[:, s]] * weight[:, s, None]
     return table
 
 
@@ -412,7 +405,7 @@ def full_action_table(m: int, q: int) -> np.ndarray:
     Rows follow ``generate_group`` order (lexicographic in g_1, ..., g_m,
     sigma), so row ((i_1 q! + i_2) q! + ... + i_m) m! + k is the element
     whose g_s is the i_s-th and whose sigma is the k-th permutation in
-    lexicographic order; see full_group_element and full_group_row.
+    lexicographic order; see full_group_element.
     The caller checks the table's size against the caps first.
     """
     return _action_table(m, q, perms.symmetric_group(q))
@@ -431,30 +424,62 @@ def stab0_action_table(m: int, q: int) -> np.ndarray:
     return _action_table(m, q, _stab0_coord_perms(q))
 
 
-def _element(row: int, m: int, coord_perms: Sequence[Perm], name: str) -> Automorphism:
-    row, k = divmod(row, math.factorial(m))
-    ranks = []
-    for _ in range(m):
-        row, i = divmod(row, len(coord_perms))
-        ranks.append(i)
-    if row:
-        raise ValueError(f"row index out of range for {name}")
-    return Automorphism(tuple(coord_perms[i] for i in reversed(ranks)), perms.symmetric_group(m)[k])
+def _row_keys(rows, m: int, coord_perms: Sequence[Perm]) -> np.ndarray:
+    """Keys of rows of _action_table(m, q, coord_perms), read as digits
+    (i_1, ..., i_m, k); ValueError for a row out of range."""
+    coord = np.array([p.images for p in coord_perms], dtype=np.int32)
+    sm = np.array([p.images for p in perms.symmetric_group(m)], dtype=np.int32)
+    *ranks, k = np.unravel_index(rows, (len(coord),) * m + (len(sm),))
+    return np.concatenate([coord[np.stack(ranks, axis=-1)].reshape(len(k), -1), sm[k]], axis=1)
 
 
 def full_group_element(row: int, m: int, q: int) -> Automorphism:
     """The automorphism behind row ``row`` of full_action_table(m, q)."""
-    return _element(row, m, perms.symmetric_group(q), f"Aut(H({m},{q}))")
+    return _sorted_elements(_row_keys([row], m, perms.symmetric_group(q)), m, q)[0]
 
 
 def stab0_group_element(row: int, m: int, q: int) -> Automorphism:
     """The automorphism behind row ``row`` of stab0_action_table(m, q)."""
-    return _element(row, m, _stab0_coord_perms(q), f"Stab(0) in Aut(H({m},{q}))")
+    return _sorted_elements(_row_keys([row], m, _stab0_coord_perms(q)), m, q)[0]
 
 
-def full_group_row(x: Automorphism) -> int:
-    """The row of ``x`` in full_action_table(x.m, x.q): full_group_element's inverse."""
-    row = 0
-    for g in x.coord_maps:
-        row = row * math.factorial(x.q) + perms.lex_rank(g)
-    return row * math.factorial(x.m) + perms.lex_rank(x.position_map)
+def _keys(elements: Sequence[Automorphism], m: int, q: int) -> np.ndarray:
+    """The packed keys (sort_key) of ``elements`` as rows, whose order is
+    generate_group order and full-table row order.  ValueError for an element
+    of another space."""
+    if any(x.m != m or x.q != q for x in elements):
+        raise ValueError(f"automorphisms of different spaces, expected H({m},{q})")
+    return np.array([x.sort_key for x in elements], dtype=np.int32).reshape(len(elements), m * (q + 1))
+
+
+def _split(keys: np.ndarray, m: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(g, sigma): g[..., s, a] = g_s(a) and sigma[..., s] = sigma(s)."""
+    return keys[..., : m * q].reshape(keys.shape[:-1] + (m, q)), keys[..., m * q :]
+
+
+def _compose_keys(x: np.ndarray, y: np.ndarray, m: int, q: int) -> np.ndarray:
+    """Keys of 'x then y', as ``compose``, broadcast over the leading axes."""
+    x, y = np.broadcast_arrays(x, y)
+    (xg, xs), (yg, ys) = _split(x, m, q), _split(y, m, q)
+    g = np.take_along_axis(np.take_along_axis(yg, xs[..., None], axis=-2), xg, axis=-1)
+    return np.concatenate([g.reshape(x.shape[:-1] + (m * q,)), np.take_along_axis(ys, xs, axis=-1)], axis=-1)
+
+
+def _translation_keys(idxs: np.ndarray, sign: int, m: int, q: int) -> np.ndarray:
+    """Keys of v -> v + sign * c, digit by digit mod q, for each vertex index c in ``idxs``."""
+    g = (np.arange(q) + sign * _digits(m, q)[1][idxs][..., None]) % q
+    return np.concatenate([g.reshape(len(idxs), -1), np.broadcast_to(np.arange(m), (len(idxs), m))], axis=1)
+
+
+def _sorted_elements(keys: np.ndarray, m: int, q: int) -> tuple[Automorphism, ...]:
+    """The automorphisms behind distinct key rows, in key order (by value,
+    not by bytes), sharing one Perm per distinct image tuple."""
+    g, sigma = _split(keys[np.lexsort(keys.T[::-1])], m, q)
+    shared = []
+    for images in map(np.ascontiguousarray, (g.reshape(-1, q), sigma)):
+        rows = images.view(np.dtype((np.void, images[0].nbytes))).ravel()  # np.unique(axis=0) is 8x slower
+        _, first, idx = np.unique(rows, return_index=True, return_inverse=True)
+        distinct = [Perm(tuple(r)) for r in images[first].tolist()]
+        shared.append([distinct[i] for i in idx.reshape(-1).tolist()])
+    g_perms, s_perms = shared
+    return tuple(Automorphism(tuple(g_perms[e * m : (e + 1) * m]), s) for e, s in enumerate(s_perms))

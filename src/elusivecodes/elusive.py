@@ -112,15 +112,6 @@ def _stabiliser_flags(C: Code, nb: frozenset[Vertex], gens: Sequence[Automorphis
     )
 
 
-def _close_stabiliser(C: Code, nb: frozenset[Vertex], schreier, cap: int) -> tuple[Group, StabiliserFlags]:
-    """X_C = <schreier>, enumerated when its order is at most ``cap``, and its flags."""
-    if cap < 1:  # generate_group ignores the cap for an empty generating set
-        xc = Group(C.m, C.q, tuple(schreier))
-    else:
-        xc = generate_group(schreier, cap=cap, m=C.m, q=C.q)
-    return xc, _stabiliser_flags(C, nb, xc.generators)
-
-
 def verify_elusive(
     C: Code, gens: Sequence[Automorphism], *, enum_cap: int = XC_ENUM_CAP
 ) -> ElusiveReport:
@@ -159,7 +150,8 @@ def verify_elusive(
         images_intersection = None
 
     x_transitive_on_neighbours = bool(nb) and orbit(gens, min(nb)) == nb
-    xc, xc_flags = _close_stabiliser(C, nb, schreier, min(enum_cap, group_cap()) // r)
+    xc = generate_group(schreier, cap=min(enum_cap, group_cap()) // r, m=C.m, q=C.q)
+    xc_flags = _stabiliser_flags(C, nb, xc.generators)
 
     return ElusiveReport(
         is_elusive=fixes_neighbours and not fixes_code,
@@ -189,8 +181,9 @@ def code_stabiliser_analysis(C: Code, G: Group) -> tuple[Group, StabiliserFlags]
     nb = neighbour_set(C)
     if G.elements is None:
         _, schreier, _ = _code_orbit(C, G.generators, orbit_cap())
-        return _close_stabiliser(C, nb, schreier, XC_ENUM_CAP)
-    xc = setwise_stabiliser(G, C)
+        xc = generate_group(schreier, cap=XC_ENUM_CAP, m=C.m, q=C.q)
+    else:
+        xc = setwise_stabiliser(G, C)
     return xc, _stabiliser_flags(C, nb, xc.generators)
 
 

@@ -35,16 +35,18 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import _kernels, perms
+from . import _kernels
 from .autgroup import (
     Automorphism,
     Group,
+    _compose_keys,
     _digits,
+    _row_keys,
+    _sorted_elements,
+    _stab0_coord_perms,
+    _translation_keys,
     apply,
-    compose,
-    full_group_row,
     stab0_action_table,
-    stab0_group_element,
 )
 from .caps import ResourceCapError, check_table_bytes, group_cap, vertex_cap
 from .codes import Code, format_code, min_distance
@@ -218,35 +220,24 @@ class _SearchSpace:
         # adjacency rows: the m(q-1) neighbouring indices of each vertex, increasing
         self.adj = np.nonzero(self.dist == 1)[1].reshape(self.n, -1).astype(np.int32)
 
-    def translation(self, c: int, sign: int) -> Automorphism:
-        """The automorphism v -> v + sign * c, digit by digit mod q."""
-        q = self.q
-        shifts = vertex_from_index(c, self.m, q).entries
-        return Automorphism(
-            tuple(perms.Perm(tuple((a + sign * d) % q for a in range(q))) for d in shifts),
-            perms.identity(self.m),
-        )
-
     def stabiliser(self, idxs: Sequence[int]) -> Group:
         """The setwise stabiliser of Γ1(C) in Aut(H(m,q)), members in full-table row order.
 
         With n0 = min Γ1(C), every member maps n0 to some n in Γ1(C), so the
         members are the elements of the |Γ1(C)| cosets
-        {x : x(n0) = n} = {s_n h t_n0 : h in Stab(0)} that fix Γ1(C).
+        {x : x(n0) = n} = {s_n h t_n0 : h in Stab(0)} that fix Γ1(C), composed
+        as packed keys and sorted by key, which is full-table row order.
         """
+        m, q = self.m, self.q
         nb_mask, _ = self.masks(idxs)
         nb = np.nonzero(nb_mask)[0]
-        n0 = int(nb[0])
-        t_n0 = self.translation(n0, -1)
-        members = []
-        for n in nb.tolist():
-            coset = self.plus[n][self.stab0[:, self.minus[n0]]]
-            s_n = self.translation(n, 1)
-            for h in np.nonzero(_kernels.stabiliser_rows(coset, nb_mask))[0]:
-                h_elt = stab0_group_element(int(h), self.m, self.q)
-                members.append(compose(compose(t_n0, h_elt), s_n))
-        members.sort(key=full_group_row)
-        return Group(self.m, self.q, tuple(members), tuple(members))
+        # fixes[i, h]: row h of the coset {x : x(n0) = nb[i]} fixes Γ1(C)
+        fixes = [_kernels.stabiliser_rows(self.plus[n][self.stab0[:, self.minus[nb[0]]]], nb_mask) for n in nb]
+        cosets, rows = np.nonzero(np.array(fixes))
+        h = _row_keys(rows, m, _stab0_coord_perms(q))
+        t_h = _compose_keys(_translation_keys(nb[:1], -1, m, q), h, m, q)
+        members = _sorted_elements(_compose_keys(t_h, _translation_keys(nb[cosets], 1, m, q), m, q), m, q)
+        return Group(m, q, members, members)
 
     def code_of(self, idxs: Sequence[int]) -> Code:
         return Code(tuple(vertex_from_index(int(i), self.m, self.q) for i in idxs))

@@ -15,7 +15,6 @@ from elusivecodes.autgroup import (
     full_action_table,
     full_group_element,
     full_group_generators,
-    full_group_row,
     generate_group,
     identity_automorphism,
     inverse,
@@ -32,6 +31,7 @@ from elusivecodes.autgroup import (
 from elusivecodes.caps import ResourceCapError
 from elusivecodes.hamming import Vertex, all_vertices, distance, vertex_index
 from elusivecodes.perms import Perm
+from object_bfs import closure
 
 
 def _random_automorphism(rng, m, q):
@@ -112,6 +112,36 @@ def test_generate_group_sorted_and_closed():
             assert compose(a, b) in elems
 
 
+def _subgroup_h34_generators():
+    from test_codes import _subgroup_h34
+
+    return _subgroup_h34(34).generators
+
+
+@pytest.mark.parametrize(
+    "gens, m, q",
+    [
+        (lambda: full_group_generators(2, 3), 2, 3),
+        (lambda: full_group_generators(3, 2), 3, 2),
+        (lambda: full_group_generators(3, 3), 3, 3),
+        (lambda: wreath_generators(3, 2), 6, 3),
+        (lambda: diag_top_generators(4), 4, 4),
+        (_subgroup_h34_generators, 3, 4),
+        # images up to 256 need two bytes, so key order must be by value
+        (lambda: [Automorphism((perms.cycle(300, (0, 1, 256)),), perms.identity(1))], 1, 300),
+    ],
+    ids=["full-2-3", "full-3-2", "full-3-3", "wreath-3-2", "diag-top-4", "subgroup-h34", "3-cycle-h1-300"],
+)
+def test_generate_group_matches_object_bfs(gens, m, q):
+    gens = gens()
+    elements = closure(gens, m, q, cap=10**6)
+    assert generate_group(gens).elements == elements
+    # the cap boundary: the order itself enumerates, one less does not
+    assert generate_group(gens, cap=len(elements)).elements == elements
+    assert generate_group(gens, cap=len(elements) - 1).elements is None
+    assert closure(gens, m, q, cap=len(elements) - 1) is None
+
+
 def test_generate_group_cap_returns_generators_only():
     G = generate_group(full_group_generators(3, 3), cap=100)
     assert G.elements is None and G.order is None
@@ -133,6 +163,20 @@ def test_group_table_needs_elements():
 def test_generate_group_empty_gens():
     G = generate_group((), m=2, q=3)
     assert G.order == 1 and G.elements[0].is_identity()
+    # the trivial group honours the cap like any other closure
+    assert generate_group((), cap=0, m=2, q=3).elements is None
+    assert generate_group((), cap=1, m=2, q=3).elements == (identity_automorphism(2, 3),)
+
+
+def test_mixed_spaces_are_rejected_up_front():
+    # m(q+1) = 12 on both spaces, so their packed keys have one width
+    h33 = diag(perms.cycle(3, (0, 1, 2)), 3)
+    h42 = top(perms.cycle(4, (0, 1, 2, 3)), 2)
+    for gens in ([h33, h42], [h42, h33]):
+        with pytest.raises(ValueError, match="different spaces"):
+            generate_group(gens)
+    with pytest.raises(ValueError, match="different spaces"):
+        vertex_action_table([identity_automorphism(3, 3), h42], 3, 3)
 
 
 def test_diag_top_group_order():
@@ -335,10 +379,3 @@ def test_stab0_group_element_decodes_every_row(m, q):
     assert np.array_equal(vertex_action_table(elems, m, q), stab0)
     with pytest.raises(ValueError):
         stab0_group_element(stab0.shape[0], m, q)
-
-
-def test_full_group_row_inverts_full_group_element(full33):
-    assert [full_group_row(x) for x in full33.elements] == list(range(full33.order))
-    rng = random.Random(49)
-    for row in rng.sample(range(math.factorial(4) ** 3 * math.factorial(3)), 300):
-        assert full_group_row(full_group_element(row, 3, 4)) == row

@@ -14,7 +14,6 @@ from elusivecodes.perms import (
     identity,
     inverse,
     is_even,
-    lex_rank,
     parity,
     parse_perm,
     symmetric_group,
@@ -117,8 +116,3 @@ def test_parse_perm_rejects_garbage():
     for bad in ("", "(0 1", "(0 9)", "[0, 0, 1]", "fish"):
         with pytest.raises(ValueError):
             parse_perm(bad, 3)
-
-
-def test_lex_rank_is_the_position_in_symmetric_group():
-    for n in (1, 2, 3, 5):
-        assert [lex_rank(p) for p in symmetric_group(n)] == list(range(math.factorial(n)))
