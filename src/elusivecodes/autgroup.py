@@ -18,7 +18,7 @@ import numpy as np
 
 from . import perms
 from .caps import ResourceCapError, check_table_bytes, group_cap, orbit_cap
-from .hamming import Vertex, space_size
+from .hamming import Vertex, space_size, vertex_index
 from .perms import Perm
 
 __all__ = [
@@ -160,34 +160,52 @@ def wreath_embed(parts: Sequence[Automorphism], block_perm: Perm) -> Automorphis
     return Automorphism(tuple(coord), Perm(tuple(images)))
 
 
-@dataclass(frozen=True)
 class Group:
-    """A subgroup of Aut(H(m,q)) given by generators, with elements when enumerated."""
+    """A subgroup of Aut(H(m,q)): generators and, when enumerated, packed keys.
 
-    m: int
-    q: int
-    generators: tuple[Automorphism, ...]
-    elements: tuple[Automorphism, ...] | None = None
+    ``keys`` holds the packed keys (``Automorphism.sort_key`` rows) of every
+    element, sorted by value, which is generate_group order; it is None
+    when the group was not enumerated.  ``elements`` decodes the keys on
+    first use.  ``generators`` None means the group is given by its keys
+    alone and is generated by its elements.  Groups compare and hash by
+    identity: one subgroup has many generating sets, and the key array
+    has no value equality.
+    """
 
-    def __post_init__(self) -> None:
-        for g in self.generators:
-            if g.m != self.m or g.q != self.q:
+    def __init__(
+        self, m: int, q: int, generators: Sequence[Automorphism] | None, keys: np.ndarray | None = None
+    ) -> None:
+        if generators is None and keys is None:
+            raise ValueError("a group needs generators or keys")
+        self.m, self.q, self.keys = m, q, keys
+        self._generators = None if generators is None else tuple(generators)
+        for g in self._generators or ():
+            if g.m != m or g.q != q:
                 raise ValueError("generator acts on the wrong space")
+
+    @cached_property
+    def generators(self) -> tuple[Automorphism, ...]:
+        return self.elements if self._generators is None else self._generators
 
     @property
     def order(self) -> int | None:
-        return None if self.elements is None else len(self.elements)
+        return None if self.keys is None else len(self.keys)
+
+    @cached_property
+    def elements(self) -> tuple[Automorphism, ...] | None:
+        """The elements in key order, decoded from ``keys`` on first use."""
+        return None if self.keys is None else _sorted_elements(self.keys, self.m, self.q)
 
     def identity(self) -> Automorphism:
         return identity_automorphism(self.m, self.q)
 
     @cached_property
     def table(self) -> np.ndarray:
-        """vertex_action_table of the elements, rows in element order; built once."""
-        if self.elements is None:
+        """vertex_action_table of the elements, rows in key order; built once."""
+        if self.keys is None:
             raise ResourceCapError("acting through the table needs an enumerated group")
-        check_table_bytes(len(self.elements), space_size(self.m, self.q))
-        return vertex_action_table(self.elements, self.m, self.q)
+        check_table_bytes(len(self.keys), space_size(self.m, self.q))
+        return _key_table(self.keys, self.m, self.q)
 
 
 def generate_group(
@@ -195,10 +213,10 @@ def generate_group(
 ) -> Group:
     """Close ``gens`` under composition.
 
-    Returns a Group with ``elements`` sorted by canonical key when the
-    closure stays within ``cap`` and the group cap, whichever is smaller;
-    otherwise a generators-only Group with ``elements`` absent; breadth first
-    over packed keys.  ``m`` and ``q`` name the space of an empty generating set.
+    Returns a Group with its keys sorted by value when the closure stays
+    within ``cap`` and the group cap, whichever is smaller; otherwise a
+    generators-only Group with ``keys`` absent; breadth first over packed
+    keys.  ``m`` and ``q`` name the space of an empty generating set.
     """
     gens = tuple(gens)
     if gens:
@@ -207,56 +225,105 @@ def generate_group(
         raise ValueError("need m and q for an empty generating set")
     gen_keys = _keys(gens, m, q)
     cap = group_cap() if cap is None else min(cap, group_cap())
-    cands = _keys([identity_automorphism(m, q)], m, q)
+    layer = _keys([identity_automorphism(m, q)], m, q)
     seen: set[bytes] = set()
     layers = []
-    while len(cands):
-        fresh = []
-        for i, row in enumerate(cands.view(np.dtype((np.void, cands[0].nbytes))).ravel().tolist()):
-            if row not in seen:
-                seen.add(row)
-                if len(seen) > cap:
-                    return Group(m, q, gens, None)
-                fresh.append(i)
-        layers.append(cands[fresh])
-        cands = _compose_keys(layers[-1][:, None], gen_keys, m, q).reshape(-1, cands.shape[1])
-    return Group(m, q, gens, _sorted_elements(np.concatenate(layers), m, q))
+    batches = [layer]
+    while len(layer):
+        fresh = [layer[:0]]
+        for cands in batches:
+            fresh.append(_fresh_rows(cands, seen, cap))
+            if fresh[-1] is None:
+                return Group(m, q, gens)
+        layer = np.concatenate(fresh)
+        layers.append(layer)
+        # one generator at a time, so no candidate array spans every generator
+        batches = (_compose_keys(layer, g, m, q) for g in gen_keys)
+    return Group(m, q, gens, _sort_keys(np.concatenate(layers)))
 
 
 def orbit(gens: Iterable[Automorphism], seed, cap: int | None = None) -> set:
-    """Smallest gens-closed set containing ``seed``.
+    """Smallest gens-closed set containing ``seed``, walked through the
+    generators' vertex_action_table.
 
     ``seed`` may be a Vertex or a set/sequence of Vertex (a code); in the
-    set-valued case the orbit is a set of frozensets of Vertex.
+    set-valued case the orbit is a set of frozensets of Vertex.  A vertex
+    of another space than the generators raises apply()'s ValueError.
     """
     gens = tuple(gens)
     if cap is None:
         cap = orbit_cap()
+    start = frozenset([seed] if isinstance(seed, Vertex) else seed)
+    if not start or not all(isinstance(v, Vertex) for v in start):
+        raise ValueError("set-valued seed must be a nonempty set of Vertex")
+    m, q = (gens[0].m, gens[0].q) if gens else (min(start).m, min(start).q)
+    table = vertex_action_table(gens, m, q)
+    rows = np.sort(_vertex_indices(start, m, q))[None, :]
     if isinstance(seed, Vertex):
-        start = seed
-        act = apply
-    else:
-        start = frozenset(seed)
-        if not start or not all(isinstance(v, Vertex) for v in start):
-            raise ValueError("set-valued seed must be a nonempty set of Vertex")
+        return set(_vertices(np.flatnonzero(_orbit_mask(table, rows[0], cap)), m, q))
+    # a set is its sorted index row; its image under generator g is table[g, row], sorted
+    width = rows.shape[1]
+    seen: set[bytes] = set()
+    layers = []
+    while len(rows):
+        layers.append(_fresh_rows(rows, seen, cap))
+        if layers[-1] is None:
+            raise ResourceCapError(f"orbit exceeded cap {cap}")
+        rows = np.ascontiguousarray(np.sort(table[:, layers[-1]], axis=-1).reshape(-1, width))
+    out = np.concatenate(layers)
+    words = _vertices(out.ravel(), m, q)
+    return {frozenset(words[i : i + width]) for i in range(0, len(words), width)}
 
-        def act(x: Automorphism, s: frozenset) -> frozenset:
-            return frozenset(apply(x, v) for v in s)
 
-    out = {start}
-    frontier = [start]
-    while frontier:
-        new = []
-        for s in frontier:
-            for g in gens:
-                t = act(g, s)
-                if t not in out:
-                    out.add(t)
-                    if len(out) > cap:
-                        raise ResourceCapError(f"orbit exceeded cap {cap}")
-                    new.append(t)
-        frontier = new
-    return out
+def _orbit_mask(table: np.ndarray, start, cap: int | None = None) -> np.ndarray:
+    """Boolean mask of the vertices reachable from the indices ``start``
+    through the rows of ``table``, one row per generator.
+
+    Walks a frontier: gather table[:, frontier], keep what is not yet seen.
+    """
+    if cap is None:
+        cap = orbit_cap()
+    seen = np.zeros(table.shape[1], dtype=bool)
+    seen[start] = True
+    frontier = np.flatnonzero(seen)
+    while frontier.size:
+        fresh = np.zeros_like(seen)
+        fresh[table[:, frontier]] = True
+        fresh &= ~seen
+        seen |= fresh
+        if np.count_nonzero(seen) > cap:
+            raise ResourceCapError(f"orbit exceeded cap {cap}")
+        frontier = np.flatnonzero(fresh)
+    return seen
+
+
+def _fresh_rows(rows: np.ndarray, seen: set[bytes], cap: int) -> np.ndarray | None:
+    """The rows of the C-contiguous 2-D ``rows`` whose bytes are not in
+    ``seen``, first occurrences only, each added to ``seen``; None as soon
+    as ``seen`` holds more than ``cap``."""
+    keep = []
+    for i, row in enumerate(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()):
+        if row not in seen:
+            seen.add(row)
+            if len(seen) > cap:
+                return None
+            keep.append(i)
+    return rows[keep]
+
+
+def _vertex_indices(vertices: Iterable[Vertex], m: int, q: int) -> np.ndarray:
+    """Indices of ``vertices``; apply()'s ValueError for a vertex of another space."""
+    out = []
+    for v in vertices:
+        if v.m != m or v.q != q:
+            raise ValueError(f"automorphism of H({m},{q}) applied to vertex of H({v.m},{v.q})")
+        out.append(vertex_index(v))
+    return np.array(out, dtype=np.int32)
+
+
+def _vertices(idxs: np.ndarray, m: int, q: int) -> list[Vertex]:
+    """The vertices with indices ``idxs``, in order."""
+    return [Vertex(tuple(e), q) for e in _digits(m, q, idxs)[1].tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +415,11 @@ def read_group(path) -> Group:
     return Group(m, q, tuple(gens))
 
 
-def _digits(m: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """(powers, entries): place values q^(m-1-j) and entries[v, j], digit j of vertex v."""
+def _digits(m: int, q: int, idxs=None) -> tuple[np.ndarray, np.ndarray]:
+    """(powers, entries): place values q^(m-1-j) and entries[i, j], digit j
+    of vertex idxs[i]; of every vertex, in index order, by default."""
     powers = np.array([q ** (m - 1 - j) for j in range(m)], dtype=np.int64)
-    idx = np.arange(space_size(m, q), dtype=np.int64)
+    idx = np.arange(space_size(m, q), dtype=np.int64) if idxs is None else np.asarray(idxs, dtype=np.int64)
     return powers, (idx[:, None] // powers[None, :]) % q
 
 
@@ -361,10 +429,16 @@ def vertex_action_table(elements: Sequence[Automorphism], m: int, q: int) -> np.
     Vertices are keyed by their base-q index; see hamming.vertex_index.
     Raises ValueError for an element of another space.
     """
-    g, sigma = _split(_keys(elements, m, q), m, q)
+    return _key_table(_keys(elements, m, q), m, q)
+
+
+def _key_table(keys: np.ndarray, m: int, q: int) -> np.ndarray:
+    """vertex_action_table of the elements behind the packed ``keys``, a
+    broadcast over the keys that loops over the m positions."""
+    g, sigma = _split(keys, m, q)
     powers, entries = _digits(m, q)
     weight = powers.astype(np.int32)[sigma]  # weight[e, s] = q^(m-1-sigma_e(s))
-    table = np.zeros((len(elements), entries.shape[0]), dtype=np.int32)
+    table = np.zeros((len(keys), entries.shape[0]), dtype=np.int32)
     for s in range(m):
         # source position s holds digit g_s(v_s), which lands at position sigma(s)
         table += g[:, s, entries[:, s]] * weight[:, s, None]
@@ -458,23 +532,39 @@ def _split(keys: np.ndarray, m: int, q: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _compose_keys(x: np.ndarray, y: np.ndarray, m: int, q: int) -> np.ndarray:
-    """Keys of 'x then y', as ``compose``, broadcast over the leading axes."""
-    x, y = np.broadcast_arrays(x, y)
-    (xg, xs), (yg, ys) = _split(x, m, q), _split(y, m, q)
-    g = np.take_along_axis(np.take_along_axis(yg, xs[..., None], axis=-2), xg, axis=-1)
-    return np.concatenate([g.reshape(x.shape[:-1] + (m * q,)), np.take_along_axis(ys, xs, axis=-1)], axis=-1)
+    """Keys of 'x then y', as ``compose``, row by row; a single key on
+    either side pairs with every row of the other.
+
+    c'_s = y.c_{sigma_x(s)} o x.c_s and sigma' = y.sigma o sigma_x, read by
+    flat gathers from y's coordinate maps and position map.
+    """
+    x, y = np.atleast_2d(x), np.atleast_2d(y)
+    (xg, xs), yg, ys = _split(x, m, q), y[:, : m * q], y[:, m * q :]
+    if len(y) == 1:
+        g_row = s_row = 0  # every gather reads row 0 of y, and the indices stay int32
+    else:
+        rows = np.arange(len(y))[:, None]
+        g_row, s_row = rows * (m * q), rows * m
+    g = yg.ravel()[(xs * q + g_row)[..., None] + xg]
+    return np.concatenate([g.reshape(len(g), m * q), ys.ravel()[xs + s_row]], axis=1)
 
 
 def _translation_keys(idxs: np.ndarray, sign: int, m: int, q: int) -> np.ndarray:
     """Keys of v -> v + sign * c, digit by digit mod q, for each vertex index c in ``idxs``."""
-    g = (np.arange(q) + sign * _digits(m, q)[1][idxs][..., None]) % q
-    return np.concatenate([g.reshape(len(idxs), -1), np.broadcast_to(np.arange(m), (len(idxs), m))], axis=1)
+    g = (np.arange(q) + sign * _digits(m, q, idxs)[1][..., None]) % q
+    keys = np.concatenate([g.reshape(len(idxs), -1), np.broadcast_to(np.arange(m), (len(idxs), m))], axis=1)
+    return keys.astype(np.int32)
+
+
+def _sort_keys(keys: np.ndarray) -> np.ndarray:
+    """Key rows sorted by value (not by bytes): generate_group order."""
+    return keys[np.lexsort(keys.T[::-1])]
 
 
 def _sorted_elements(keys: np.ndarray, m: int, q: int) -> tuple[Automorphism, ...]:
-    """The automorphisms behind distinct key rows, in key order (by value,
-    not by bytes), sharing one Perm per distinct image tuple."""
-    g, sigma = _split(keys[np.lexsort(keys.T[::-1])], m, q)
+    """The automorphisms behind key rows, in row order, sharing one Perm per
+    distinct image tuple; a Group passes its keys, sorted by value."""
+    g, sigma = _split(keys, m, q)
     shared = []
     for images in map(np.ascontiguousarray, (g.reshape(-1, q), sigma)):
         rows = images.view(np.dtype((np.void, images[0].nbytes))).ravel()  # np.unique(axis=0) is 8x slower

@@ -14,8 +14,17 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _kernels
-from .autgroup import Automorphism, Group, apply, orbit
-from .hamming import Vertex, all_vertices, distance, neighbours, space_size, vertex_index
+from .autgroup import (
+    Automorphism,
+    Group,
+    _orbit_mask,
+    _sorted_elements,
+    _vertex_indices,
+    _vertices,
+    apply,
+    vertex_action_table,
+)
+from .hamming import Vertex, all_vertices, distance, neighbours, space_size
 
 __all__ = [
     "Code",
@@ -128,9 +137,8 @@ def apply_to_code(x: Automorphism, C: Code) -> Code:
 
 
 def fixes_setwise(x: Automorphism, S: Iterable[Vertex]) -> bool:
-    """True iff S^x = S."""
-    S = S.word_set if isinstance(S, Code) else frozenset(S)
-    return frozenset(apply(x, v) for v in S) == S
+    """True iff S^x = S; a vertex of another space raises apply()'s error."""
+    return bool(_kernels.stabiliser_rows(vertex_action_table([x], x.m, x.q), _mask(S, x.m, x.q))[0])
 
 
 def is_transitive(gens: Sequence[Automorphism], S: Iterable[Vertex]) -> bool:
@@ -142,29 +150,38 @@ def is_transitive(gens: Sequence[Automorphism], S: Iterable[Vertex]) -> bool:
     S = S.word_set if isinstance(S, Code) else frozenset(S)
     if not S:
         raise ValueError("transitivity on the empty set is ill-posed")
-    for g in gens:
-        if not fixes_setwise(g, S):
-            raise ValueError("a generator moves the set off itself")
-    if len(S) == 1:
-        return True
-    return orbit(gens, min(S)) == S
+    gens = tuple(gens)
+    m, q = (gens[0].m, gens[0].q) if gens else (min(S).m, min(S).q)
+    mask = _mask(S, m, q)
+    table = vertex_action_table(gens, m, q)
+    if not _kernels.stabiliser_rows(table, mask).all():
+        raise ValueError("a generator moves the set off itself")
+    return _transitive_on(table, mask)
 
 
-def _mask(S: Iterable[Vertex], G: Group) -> np.ndarray:
-    """uint8 indicator of S over the columns of G.table; a vertex of another space raises apply()'s error."""
-    mask = np.zeros(space_size(G.m, G.q), dtype=np.uint8)
-    for v in S:
-        if v.m != G.m or v.q != G.q:
-            raise ValueError(f"automorphism of H({G.m},{G.q}) applied to vertex of H({v.m},{v.q})")
-        mask[vertex_index(v)] = 1
+def _mask(S: Iterable[Vertex], m: int, q: int) -> np.ndarray:
+    """uint8 indicator of S over the vertex indices of H(m,q); a vertex of another space raises apply()'s error."""
+    mask = np.zeros(space_size(m, q), dtype=np.uint8)
+    mask[_vertex_indices(S, m, q)] = 1
     return mask
 
 
+def _transitive_on(table: np.ndarray, mask: np.ndarray) -> bool:
+    """True iff the rows of ``table``, generators fixing the nonempty set
+    ``mask``, carry its least vertex onto all of it."""
+    return bool((_orbit_mask(table, np.flatnonzero(mask)[:1]) == mask).all())
+
+
+def _code_at(idxs: np.ndarray, m: int, q: int) -> Code:
+    """The code whose words have the increasing indices ``idxs``."""
+    return Code(tuple(_vertices(idxs, m, q)))
+
+
 def setwise_stabiliser(G: Group, S: Iterable[Vertex]) -> Group:
-    """The subgroup {x in G : S^x = S}, in G's element order; read off G.table."""
-    rows = np.flatnonzero(_kernels.stabiliser_rows(G.table, _mask(S, G)))
-    kept = tuple(G.elements[i] for i in rows)
-    return Group(G.m, G.q, kept, kept)
+    """The subgroup {x in G : S^x = S}, in G's key order; read off G.table,
+    kept as keys."""
+    rows = np.flatnonzero(_kernels.stabiliser_rows(G.table, _mask(S, G.m, G.q)))
+    return Group(G.m, G.q, None, G.keys[rows])
 
 
 def are_equivalent(C: Code, D: Code, G: Group) -> Automorphism | None:
@@ -173,19 +190,19 @@ def are_equivalent(C: Code, D: Code, G: Group) -> Automorphism | None:
     if C.m != D.m or C.q != D.q or len(C) != len(D):
         return None
     # rows are permutations, so C^y lies inside D exactly when C^y = D
-    images = table[:, np.flatnonzero(_mask(C, G))]
-    hits = np.flatnonzero(_mask(D, G)[images].all(axis=1))
-    return G.elements[hits[0]] if hits.size else None
+    images = table[:, np.flatnonzero(_mask(C, G.m, G.q))]
+    hits = np.flatnonzero(_mask(D, G.m, G.q)[images].all(axis=1))
+    return _sorted_elements(G.keys[hits[:1]], G.m, G.q)[0] if hits.size else None
 
 
 def is_neighbour_transitive(gens: Sequence[Automorphism], C: Code) -> bool:
     """Gens fix C setwise and act transitively on both C and its neighbour set."""
-    if not all(fixes_setwise(g, C.word_set) for g in gens):
+    table = vertex_action_table(gens, C.m, C.q)
+    code_mask = _mask(C, C.m, C.q)
+    if not (_kernels.stabiliser_rows(table, code_mask).all() and _transitive_on(table, code_mask)):
         return False
-    nb = neighbour_set(C)
-    if orbit(gens, C.words[0]) != C.word_set:
-        return False
-    return not nb or orbit(gens, min(nb)) == nb
+    nb_mask = _mask(neighbour_set(C), C.m, C.q)
+    return not nb_mask.any() or _transitive_on(table, nb_mask)
 
 
 # ---------------------------------------------------------------------------

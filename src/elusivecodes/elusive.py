@@ -15,19 +15,21 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
+from . import _kernels
 from .autgroup import (
     Automorphism,
     Group,
-    apply,
     compose,
     format_automorphism,
     generate_group,
     identity_automorphism,
     inverse,
-    orbit,
+    vertex_action_table,
 )
 from .caps import ResourceCapError, group_cap, orbit_cap
-from .codes import Code, fixes_setwise, neighbour_set, setwise_stabiliser, write_code
+from .codes import Code, _code_at, _mask, _transitive_on, neighbour_set, setwise_stabiliser, write_code
 from .hamming import Vertex, neighbours
 
 __all__ = [
@@ -68,13 +70,13 @@ class StabiliserFlags:
     transitive_on_neighbours: bool
 
 
-def _code_orbit(C: Code, gens: Sequence[Automorphism], cap: int):
-    """BFS orbit of the word set of C.
+def _code_orbit(C: Code, gens: Sequence[Automorphism], table: np.ndarray, cap: int):
+    """BFS orbit of the word set of C; ``table`` is the generators' vertex_action_table.
 
-    Returns (image keys in discovery order, Schreier generators of the
-    stabiliser of C, first word moving C or None).
+    Returns (images as increasing index tuples in discovery order, Schreier
+    generators of the stabiliser of C, first word moving C or None).
     """
-    start = C.words
+    start = tuple(np.flatnonzero(_mask(C, C.m, C.q)).tolist())
     index = {start: 0}
     order = [start]
     transversal = [identity_automorphism(C.m, C.q)]
@@ -85,8 +87,8 @@ def _code_orbit(C: Code, gens: Sequence[Automorphism], cap: int):
     while at < len(order):
         i = at
         at += 1
-        for g in gens:
-            img = tuple(sorted(apply(g, w) for w in order[i]))
+        for g, row in zip(gens, table):
+            img = tuple(sorted(row[list(order[i])].tolist()))
             word = compose(transversal[i], g)
             j = index.get(img)
             if j is None:
@@ -105,10 +107,11 @@ def _code_orbit(C: Code, gens: Sequence[Automorphism], cap: int):
     return order, schreier, witness
 
 
-def _stabiliser_flags(C: Code, nb: frozenset[Vertex], gens: Sequence[Automorphism]) -> StabiliserFlags:
+def _stabiliser_flags(code_mask: np.ndarray, nb_mask: np.ndarray, table: np.ndarray) -> StabiliserFlags:
+    """Transitivity of the group generated by the rows of ``table`` on C and Γ1(C)."""
     return StabiliserFlags(
-        transitive_on_code=orbit(gens, C.words[0]) == C.word_set,
-        transitive_on_neighbours=bool(nb) and orbit(gens, min(nb)) == nb,
+        transitive_on_code=_transitive_on(table, code_mask),
+        transitive_on_neighbours=bool(nb_mask.any()) and _transitive_on(table, nb_mask),
     )
 
 
@@ -120,7 +123,7 @@ def verify_elusive(
     ``xc_order`` is |X_C|, found by closing the Schreier generators of X_C
     up to ``enum_cap // r``, that is, when |X| = r * |X_C| is at most
     ``enum_cap`` and the group cap; otherwise None.  The transitivity flags
-    need only the generators.
+    need only the generators, acting through their vertex_action_table.
     """
     gens = tuple(gens)
     if enum_cap < 1:
@@ -130,28 +133,30 @@ def verify_elusive(
     for g in gens:
         if g.m != C.m or g.q != C.q:
             raise ValueError("generator acts on the wrong space")
-    nb = neighbour_set(C)
+    m, q = C.m, C.q
+    code_mask, nb_mask = _mask(C, m, q), _mask(neighbour_set(C), m, q)
+    table = vertex_action_table(gens, m, q)
 
-    fixes_neighbours = all(fixes_setwise(g, nb) for g in gens)
-    images_keys, schreier, witness = _code_orbit(C, gens, orbit_cap())
+    fixes_neighbours = bool(_kernels.stabiliser_rows(table, nb_mask).all())
+    images_keys, schreier, witness = _code_orbit(C, gens, table, orbit_cap())
     r = len(images_keys)
     fixes_code = r == 1
-    images = tuple(Code(key) for key in sorted(images_keys))
+    image_idxs = np.array(sorted(images_keys))  # row k: the indices of images[k]
+    images = tuple(_code_at(row, m, q) for row in image_idxs)
 
     if r >= 2:
-        sets = [img.word_set for img in images]
-        images_pairwise_disjoint = all(
-            not (sets[a] & sets[b]) for a in range(r) for b in range(a + 1, r)
-        )
-        common = frozenset.intersection(*sets)
-        images_intersection = Code.from_words(common) if common else None
+        # each image is a set, so a vertex in every image is counted r times
+        counts = np.bincount(image_idxs.ravel(), minlength=len(code_mask))
+        images_pairwise_disjoint = bool(counts.max() <= 1)
+        common = np.flatnonzero(counts == r)
+        images_intersection = _code_at(common, m, q) if common.size else None
     else:
         images_pairwise_disjoint = True
         images_intersection = None
 
-    x_transitive_on_neighbours = bool(nb) and orbit(gens, min(nb)) == nb
-    xc = generate_group(schreier, cap=min(enum_cap, group_cap()) // r, m=C.m, q=C.q)
-    xc_flags = _stabiliser_flags(C, nb, xc.generators)
+    x_transitive_on_neighbours = bool(nb_mask.any()) and _transitive_on(table, nb_mask)
+    xc = generate_group(schreier, cap=min(enum_cap, group_cap()) // r, m=m, q=q)
+    xc_flags = _stabiliser_flags(code_mask, nb_mask, vertex_action_table(schreier, m, q))
 
     return ElusiveReport(
         is_elusive=fixes_neighbours and not fixes_code,
@@ -174,17 +179,20 @@ def code_stabiliser_analysis(C: Code, G: Group) -> tuple[Group, StabiliserFlags]
 
     Uses setwise_stabiliser when G is enumerated, otherwise Schreier
     generators from the orbit of C, closed when |X_C| is at most
-    ``XC_ENUM_CAP`` and the group cap.
+    ``XC_ENUM_CAP`` and the group cap.  The flags act through the table of
+    the Schreier generators, or of every element of the stabiliser.
     """
     if G.m != C.m or G.q != C.q:
         raise ValueError("group acts on the wrong space")
-    nb = neighbour_set(C)
-    if G.elements is None:
-        _, schreier, _ = _code_orbit(C, G.generators, orbit_cap())
-        xc = generate_group(schreier, cap=XC_ENUM_CAP, m=C.m, q=C.q)
+    m, q = C.m, C.q
+    if G.keys is None:
+        _, schreier, _ = _code_orbit(C, G.generators, vertex_action_table(G.generators, m, q), orbit_cap())
+        xc = generate_group(schreier, cap=XC_ENUM_CAP, m=m, q=q)
+        table = vertex_action_table(schreier, m, q)
     else:
         xc = setwise_stabiliser(G, C)
-    return xc, _stabiliser_flags(C, nb, xc.generators)
+        table = xc.table
+    return xc, _stabiliser_flags(_mask(C, m, q), _mask(neighbour_set(C), m, q), table)
 
 
 def neighbour_degree_map(C: Code) -> dict[Vertex, int]:

@@ -42,7 +42,7 @@ from .autgroup import (
     _compose_keys,
     _digits,
     _row_keys,
-    _sorted_elements,
+    _sort_keys,
     _stab0_coord_perms,
     _translation_keys,
     apply,
@@ -236,8 +236,7 @@ class _SearchSpace:
         cosets, rows = np.nonzero(np.array(fixes))
         h = _row_keys(rows, m, _stab0_coord_perms(q))
         t_h = _compose_keys(_translation_keys(nb[:1], -1, m, q), h, m, q)
-        members = _sorted_elements(_compose_keys(t_h, _translation_keys(nb[cosets], 1, m, q), m, q), m, q)
-        return Group(m, q, members, members)
+        return Group(m, q, None, _sort_keys(_compose_keys(t_h, _translation_keys(nb[cosets], 1, m, q), m, q)))
 
     def code_of(self, idxs: Sequence[int]) -> Code:
         return Code(tuple(vertex_from_index(int(i), self.m, self.q) for i in idxs))

@@ -4,9 +4,10 @@ import random
 import numpy as np
 import pytest
 
-from elusivecodes import perms
+from elusivecodes import autgroup, perms
 from elusivecodes.autgroup import (
     Automorphism,
+    Group,
     apply,
     compose,
     diag,
@@ -29,9 +30,12 @@ from elusivecodes.autgroup import (
     wreath_generators,
 )
 from elusivecodes.caps import ResourceCapError
+from elusivecodes.codes import neighbour_set, setwise_stabiliser
+from elusivecodes.constructions import rep_code
 from elusivecodes.hamming import Vertex, all_vertices, distance, vertex_index
 from elusivecodes.perms import Perm
 from object_bfs import closure
+from object_bfs import orbit as orbit_by_apply
 
 
 def _random_automorphism(rng, m, q):
@@ -269,6 +273,34 @@ def test_orbit_cap():
         orbit(gens, Vertex((0, 0, 0), 3), cap=5)
 
 
+@pytest.mark.parametrize(
+    "gens, m, q, sizes",
+    [
+        (lambda: full_group_generators(3, 3), 3, 3, (2, 3)),
+        (lambda: diag_top_generators(3), 3, 3, (2, 3)),
+        (lambda: full_group_generators(4, 3), 4, 3, (2,)),
+        (lambda: full_group_generators(3, 4), 3, 4, (2, 3)),
+        (_subgroup_h34_generators, 3, 4, (2, 3)),
+    ],
+    ids=["full-3-3", "diag-top-3", "full-4-3", "full-3-4", "subgroup-h34"],
+)
+def test_orbit_matches_object_bfs(gens, m, q, sizes):
+    gens = gens()
+    rng = random.Random(m * 10 + q)
+    verts = list(all_vertices(m, q))
+    seeds = rng.sample(verts, 3) + [frozenset(rng.sample(verts, k)) for k in sizes]
+    seeds.append(frozenset(Vertex((a,) * m, q) for a in range(q)))  # the repetition code
+    for seed in seeds:
+        want = orbit_by_apply(gens, seed, cap=10**6)
+        assert orbit(gens, seed) == want
+        # the cap boundary: the orbit's size passes, one less raises
+        assert orbit(gens, seed, cap=len(want)) == want
+        with pytest.raises(ResourceCapError):
+            orbit(gens, seed, cap=len(want) - 1)
+        # no generators: the seed alone
+        assert orbit((), seed) == {seed}
+
+
 def test_format_parse_roundtrip():
     rng = random.Random(46)
     for _ in range(50):
@@ -379,3 +411,52 @@ def test_stab0_group_element_decodes_every_row(m, q):
     assert np.array_equal(vertex_action_table(elems, m, q), stab0)
     with pytest.raises(ValueError):
         stab0_group_element(stab0.shape[0], m, q)
+
+
+def test_group_decodes_its_keys_only_when_asked(monkeypatch):
+    decoded = []
+    real = autgroup._sorted_elements
+
+    def counting(keys, m, q):
+        decoded.append(len(keys))
+        return real(keys, m, q)
+
+    monkeypatch.setattr(autgroup, "_sorted_elements", counting)
+    G = generate_group(full_group_generators(4, 3))
+    assert G.order == 31104 and G.table.shape == (31104, 81)
+    stab = setwise_stabiliser(G, neighbour_set(rep_code(4, 3)))
+    assert stab.order == 144 and stab.keys.shape == (144, 16)
+    assert decoded == []
+    assert G.elements == closure(full_group_generators(4, 3), 4, 3, cap=10**6)
+    assert decoded == [31104]
+    # a group given by keys alone is generated by its elements
+    assert stab.generators == stab.elements
+    assert decoded == [31104, 144]
+
+
+def test_groups_compare_by_identity():
+    # a deliberate choice: one subgroup has many generating sets, and a key
+    # array has no value equality, so a Group is equal only to itself
+    G = generate_group(full_group_generators(2, 3))
+    H = Group(G.m, G.q, G.generators, G.keys)
+    assert G == G and G != H
+    assert len({G, H, G}) == 2
+    assert np.array_equal(G.keys, H.keys) and G.elements == H.elements
+
+
+@pytest.mark.parametrize("m, q", [(3, 3), (9, 3), (1, 300)])
+def test_compose_keys_matches_compose(m, q):
+    # at H(1,300) images reach 299, past one byte
+    rng = random.Random(m * 1000 + q)
+    xs = [_random_automorphism(rng, m, q) for _ in range(12)]
+    ys = [_random_automorphism(rng, m, q) for _ in range(12)]
+    kx, ky = autgroup._keys(xs, m, q), autgroup._keys(ys, m, q)
+    # row by row, as _SearchSpace.stabiliser composes
+    want = autgroup._keys([compose(x, y) for x, y in zip(xs, ys)], m, q)
+    assert np.array_equal(autgroup._compose_keys(kx, ky, m, q), want)
+    # a single key on either side pairs with every row of the other
+    for j in range(3):
+        want = autgroup._keys([compose(x, ys[j]) for x in xs], m, q)
+        assert np.array_equal(autgroup._compose_keys(kx, ky[j], m, q), want)
+        want = autgroup._keys([compose(xs[j], y) for y in ys], m, q)
+        assert np.array_equal(autgroup._compose_keys(kx[j : j + 1], ky, m, q), want)

@@ -7,6 +7,7 @@ from elusivecodes import autgroup, perms
 from elusivecodes.autgroup import (
     Automorphism,
     Group,
+    apply,
     compose,
     diag,
     diag_top_generators,
@@ -40,6 +41,7 @@ from elusivecodes.constructions import rep_code
 from elusivecodes.elusive import StabiliserFlags, code_stabiliser_analysis
 from elusivecodes.hamming import Vertex, all_vertices, distance
 from elusivecodes.perms import Perm
+from object_bfs import orbit as orbit_by_apply
 
 
 def V(text, q=3):
@@ -222,7 +224,8 @@ def test_stabiliser_is_a_group(full33):
 # the table paths against the apply() definition
 
 def _stabiliser_by_apply(G, S):
-    return tuple(x for x in G.elements if fixes_setwise(x, S))
+    S = frozenset(S)
+    return tuple(x for x in G.elements if frozenset(apply(x, v) for v in S) == S)
 
 
 def _equivalence_by_apply(C, D, G):
@@ -233,8 +236,8 @@ def _analysis_by_apply(C, G):
     kept = _stabiliser_by_apply(G, C)
     nb = neighbour_set(C)
     return kept, StabiliserFlags(
-        transitive_on_code=orbit(kept, C.words[0]) == C.word_set,
-        transitive_on_neighbours=bool(nb) and orbit(kept, min(nb)) == nb,
+        transitive_on_code=orbit_by_apply(kept, C.words[0], 10**6) == C.word_set,
+        transitive_on_neighbours=bool(nb) and orbit_by_apply(kept, min(nb), 10**6) == nb,
     )
 
 
@@ -292,12 +295,12 @@ def test_table_paths_match_apply_subgroup_h34():
 
 def test_setwise_stabiliser_checks_table_bytes_first(full33, monkeypatch):
     # a fresh Group, so no table cached on the session fixture is reused
-    G = Group(full33.m, full33.q, full33.generators, full33.elements)
+    G = Group(full33.m, full33.q, full33.generators, full33.keys)
 
-    def refuse(elements, m, q):
+    def refuse(keys, m, q):
         raise AssertionError("the vertex-action table was built")
 
-    monkeypatch.setattr(autgroup, "vertex_action_table", refuse)
+    monkeypatch.setattr(autgroup, "_key_table", refuse)
     monkeypatch.setenv("ELUSIVECODES_MAX_TABLE_BYTES", "139967")  # 1296 * 27 * 4 - 1
     with pytest.raises(ResourceCapError):
         setwise_stabiliser(G, REP33)
@@ -311,3 +314,19 @@ def test_table_paths_keep_the_vertex_space_error(full33):
         setwise_stabiliser(full33, other)
     with pytest.raises(ValueError, match=r"automorphism of H\(3,3\) applied to vertex of H\(2,3\)"):
         are_equivalent(other, other, full33)
+
+
+def test_another_space_raises_the_apply_error():
+    # index arithmetic alone would not notice: (0,1,2) of H(3,4) has index 6,
+    # inside H(3,3), and (3,3,3) has index 63, past its 27 vertices
+    gens = diag_top_generators(3)
+    for v in (Vertex((0, 1, 2), 4), Vertex((3, 3, 3), 4)):
+        error = r"automorphism of H\(3,3\) applied to vertex of H\(3,4\)"
+        with pytest.raises(ValueError, match=error):
+            orbit(gens, v)
+        with pytest.raises(ValueError, match=error):
+            orbit(gens, {V("000"), v})
+        with pytest.raises(ValueError, match=error):
+            fixes_setwise(gens[0], {V("000"), v})
+        with pytest.raises(ValueError, match=error):
+            is_transitive(gens, {V("000"), v})
