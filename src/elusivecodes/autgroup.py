@@ -204,7 +204,6 @@ class Group:
         """vertex_action_table of the elements, rows in key order; built once."""
         if self.keys is None:
             raise ResourceCapError("acting through the table needs an enumerated group")
-        check_table_bytes(len(self.keys), space_size(self.m, self.q))
         return _key_table(self.keys, self.m, self.q)
 
 
@@ -243,12 +242,12 @@ def generate_group(
 
 
 def orbit(gens: Iterable[Automorphism], seed, cap: int | None = None) -> set:
-    """Smallest gens-closed set containing ``seed``, walked through the
-    generators' vertex_action_table.
+    """Smallest gens-closed set containing ``seed``, walked on vertex indices.
 
     ``seed`` may be a Vertex or a set/sequence of Vertex (a code); in the
     set-valued case the orbit is a set of frozensets of Vertex.  A vertex
     of another space than the generators raises apply()'s ValueError.
+    Only the vertices the walk reaches are imaged.
     """
     gens = tuple(gens)
     if cap is None:
@@ -257,11 +256,12 @@ def orbit(gens: Iterable[Automorphism], seed, cap: int | None = None) -> set:
     if not start or not all(isinstance(v, Vertex) for v in start):
         raise ValueError("set-valued seed must be a nonempty set of Vertex")
     m, q = (gens[0].m, gens[0].q) if gens else (min(start).m, min(start).q)
-    table = vertex_action_table(gens, m, q)
+    keys = _keys(gens, m, q)
     rows = np.sort(_vertex_indices(start, m, q))[None, :]
     if isinstance(seed, Vertex):
-        return set(_vertices(np.flatnonzero(_orbit_mask(table, rows[0], cap)), m, q))
-    # a set is its sorted index row; its image under generator g is table[g, row], sorted
+        return set(_vertices(_orbit_indices(keys, rows[0], m, q, cap), m, q))
+    # a set is its sorted index row; its image under generator g is row g
+    # of _key_table(keys, m, q, row), sorted
     width = rows.shape[1]
     seen: set[bytes] = set()
     layers = []
@@ -269,31 +269,30 @@ def orbit(gens: Iterable[Automorphism], seed, cap: int | None = None) -> set:
         layers.append(_fresh_rows(rows, seen, cap))
         if layers[-1] is None:
             raise ResourceCapError(f"orbit exceeded cap {cap}")
-        rows = np.ascontiguousarray(np.sort(table[:, layers[-1]], axis=-1).reshape(-1, width))
+        rows = np.sort(_key_table(keys, m, q, layers[-1].ravel()).reshape(-1, width), axis=1)
     out = np.concatenate(layers)
     words = _vertices(out.ravel(), m, q)
     return {frozenset(words[i : i + width]) for i in range(0, len(words), width)}
 
 
-def _orbit_mask(table: np.ndarray, start, cap: int | None = None) -> np.ndarray:
-    """Boolean mask of the vertices reachable from the indices ``start``
-    through the rows of ``table``, one row per generator.
+def _orbit_indices(keys: np.ndarray, start: np.ndarray, m: int, q: int, cap: int | None = None) -> np.ndarray:
+    """Sorted indices of the vertices reachable from the sorted indices
+    ``start`` through the elements behind ``keys``.
 
-    Walks a frontier: gather table[:, frontier], keep what is not yet seen.
+    Walks a frontier, imaging only the vertices it reaches: image the
+    frontier, keep what is not yet seen.  No array spans the space.
     """
     if cap is None:
         cap = orbit_cap()
-    seen = np.zeros(table.shape[1], dtype=bool)
-    seen[start] = True
-    frontier = np.flatnonzero(seen)
-    while frontier.size:
-        fresh = np.zeros_like(seen)
-        fresh[table[:, frontier]] = True
-        fresh &= ~seen
-        seen |= fresh
-        if np.count_nonzero(seen) > cap:
-            raise ResourceCapError(f"orbit exceeded cap {cap}")
-        frontier = np.flatnonzero(fresh)
+    seen = frontier = start
+    while frontier.size and len(seen) <= cap:
+        images = np.sort(_key_table(keys, m, q, frontier), axis=None)
+        known = seen[np.searchsorted(seen, images).clip(max=len(seen) - 1)] == images
+        fresh = images[~known]
+        frontier = fresh[np.diff(fresh, prepend=-1) != 0]  # one of each run of equal images
+        seen = np.sort(np.concatenate((seen, frontier)))
+    if len(seen) > cap:
+        raise ResourceCapError(f"orbit exceeded cap {cap}")
     return seen
 
 
@@ -312,13 +311,19 @@ def _fresh_rows(rows: np.ndarray, seen: set[bytes], cap: int) -> np.ndarray | No
 
 
 def _vertex_indices(vertices: Iterable[Vertex], m: int, q: int) -> np.ndarray:
-    """Indices of ``vertices``; apply()'s ValueError for a vertex of another space."""
+    """Indices of ``vertices``, in _key_table's dtype; apply()'s ValueError
+    for a vertex of another space."""
     out = []
     for v in vertices:
         if v.m != m or v.q != q:
             raise ValueError(f"automorphism of H({m},{q}) applied to vertex of H({v.m},{v.q})")
         out.append(vertex_index(v))
-    return np.array(out, dtype=np.int32)
+    return np.array(out, dtype=_index_dtype(m, q))
+
+
+def _index_dtype(m: int, q: int) -> type:
+    """int32 when every vertex index of H(m,q) fits in it, else int64."""
+    return np.int32 if space_size(m, q) <= 1 << 31 else np.int64
 
 
 def _vertices(idxs: np.ndarray, m: int, q: int) -> list[Vertex]:
@@ -427,18 +432,23 @@ def vertex_action_table(elements: Sequence[Automorphism], m: int, q: int) -> np.
     """Row e, column v: index of vertex v under elements[e].
 
     Vertices are keyed by their base-q index; see hamming.vertex_index.
-    Raises ValueError for an element of another space.
+    Raises ValueError for an element of another space, and ResourceCapError
+    for a table over the table-bytes cap.
     """
     return _key_table(_keys(elements, m, q), m, q)
 
 
-def _key_table(keys: np.ndarray, m: int, q: int) -> np.ndarray:
-    """vertex_action_table of the elements behind the packed ``keys``, a
-    broadcast over the keys that loops over the m positions."""
+def _key_table(keys: np.ndarray, m: int, q: int, idxs=None) -> np.ndarray:
+    """Row e, column i: index of vertex idxs[i] under the element behind
+    keys[e]; every vertex in index order by default, the
+    vertex_action_table.  A broadcast over the keys that loops over the m
+    positions, after checking the table's bytes against the cap.
+    """
+    check_table_bytes(len(keys), space_size(m, q) if idxs is None else len(idxs))
     g, sigma = _split(keys, m, q)
-    powers, entries = _digits(m, q)
-    weight = powers.astype(np.int32)[sigma]  # weight[e, s] = q^(m-1-sigma_e(s))
-    table = np.zeros((len(keys), entries.shape[0]), dtype=np.int32)
+    powers, entries = _digits(m, q, idxs)
+    weight = powers.astype(_index_dtype(m, q))[sigma]  # weight[e, s] = q^(m-1-sigma_e(s))
+    table = np.zeros((len(keys), entries.shape[0]), dtype=weight.dtype)
     for s in range(m):
         # source position s holds digit g_s(v_s), which lands at position sigma(s)
         table += g[:, s, entries[:, s]] * weight[:, s, None]
@@ -540,13 +550,9 @@ def _compose_keys(x: np.ndarray, y: np.ndarray, m: int, q: int) -> np.ndarray:
     """
     x, y = np.atleast_2d(x), np.atleast_2d(y)
     (xg, xs), yg, ys = _split(x, m, q), y[:, : m * q], y[:, m * q :]
-    if len(y) == 1:
-        g_row = s_row = 0  # every gather reads row 0 of y, and the indices stay int32
-    else:
-        rows = np.arange(len(y))[:, None]
-        g_row, s_row = rows * (m * q), rows * m
-    g = yg.ravel()[(xs * q + g_row)[..., None] + xg]
-    return np.concatenate([g.reshape(len(g), m * q), ys.ravel()[xs + s_row]], axis=1)
+    rows = np.arange(len(y), dtype=np.int32)[:, None]  # a single row of y broadcasts
+    g = yg.ravel()[(xs * q + rows * (m * q))[..., None] + xg]
+    return np.concatenate([g.reshape(len(g), m * q), ys.ravel()[xs + rows * m]], axis=1)
 
 
 def _translation_keys(idxs: np.ndarray, sign: int, m: int, q: int) -> np.ndarray:

@@ -17,14 +17,15 @@ from . import _kernels
 from .autgroup import (
     Automorphism,
     Group,
-    _orbit_mask,
+    _key_table,
+    _keys,
+    _orbit_indices,
     _sorted_elements,
     _vertex_indices,
     _vertices,
     apply,
-    vertex_action_table,
 )
-from .hamming import Vertex, all_vertices, distance, neighbours, space_size
+from .hamming import Vertex, all_vertices, distance, neighbours
 
 __all__ = [
     "Code",
@@ -138,7 +139,8 @@ def apply_to_code(x: Automorphism, C: Code) -> Code:
 
 def fixes_setwise(x: Automorphism, S: Iterable[Vertex]) -> bool:
     """True iff S^x = S; a vertex of another space raises apply()'s error."""
-    return bool(_kernels.stabiliser_rows(vertex_action_table([x], x.m, x.q), _mask(S, x.m, x.q))[0])
+    idx = _indices(S, x.m, x.q)
+    return bool(_is_set(_key_table(_keys([x], x.m, x.q), x.m, x.q, idx), idx)[0])
 
 
 def is_transitive(gens: Sequence[Automorphism], S: Iterable[Vertex]) -> bool:
@@ -152,24 +154,27 @@ def is_transitive(gens: Sequence[Automorphism], S: Iterable[Vertex]) -> bool:
         raise ValueError("transitivity on the empty set is ill-posed")
     gens = tuple(gens)
     m, q = (gens[0].m, gens[0].q) if gens else (min(S).m, min(S).q)
-    mask = _mask(S, m, q)
-    table = vertex_action_table(gens, m, q)
-    if not _kernels.stabiliser_rows(table, mask).all():
+    idx, keys = _indices(S, m, q), _keys(gens, m, q)
+    if not _is_set(_key_table(keys, m, q, idx), idx).all():
         raise ValueError("a generator moves the set off itself")
-    return _transitive_on(table, mask)
+    return _transitive_on(keys, idx, m, q)
 
 
-def _mask(S: Iterable[Vertex], m: int, q: int) -> np.ndarray:
-    """uint8 indicator of S over the vertex indices of H(m,q); a vertex of another space raises apply()'s error."""
-    mask = np.zeros(space_size(m, q), dtype=np.uint8)
-    mask[_vertex_indices(S, m, q)] = 1
-    return mask
+def _indices(S: Iterable[Vertex], m: int, q: int) -> np.ndarray:
+    """Sorted vertex indices of S; a vertex of another space raises apply()'s error."""
+    return np.sort(_vertex_indices(S, m, q))
 
 
-def _transitive_on(table: np.ndarray, mask: np.ndarray) -> bool:
-    """True iff the rows of ``table``, generators fixing the nonempty set
-    ``mask``, carry its least vertex onto all of it."""
-    return bool((_orbit_mask(table, np.flatnonzero(mask)[:1]) == mask).all())
+def _is_set(images: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Row selector: which rows of ``images``, the images of a vertex set
+    under one element each, are the set with the sorted indices ``idx``."""
+    return (np.sort(images, axis=1) == idx).all(axis=1)
+
+
+def _transitive_on(keys: np.ndarray, idx: np.ndarray, m: int, q: int) -> bool:
+    """True iff the elements behind ``keys`` carry the least of the sorted
+    indices ``idx`` onto exactly the set ``idx``."""
+    return bool(np.array_equal(_orbit_indices(keys, idx[:1], m, q), idx))
 
 
 def _code_at(idxs: np.ndarray, m: int, q: int) -> Code:
@@ -180,8 +185,8 @@ def _code_at(idxs: np.ndarray, m: int, q: int) -> Code:
 def setwise_stabiliser(G: Group, S: Iterable[Vertex]) -> Group:
     """The subgroup {x in G : S^x = S}, in G's key order; read off G.table,
     kept as keys."""
-    rows = np.flatnonzero(_kernels.stabiliser_rows(G.table, _mask(S, G.m, G.q)))
-    return Group(G.m, G.q, None, G.keys[rows])
+    idx = _indices(S, G.m, G.q)
+    return Group(G.m, G.q, None, G.keys[_is_set(G.table[:, idx], idx)])
 
 
 def are_equivalent(C: Code, D: Code, G: Group) -> Automorphism | None:
@@ -189,20 +194,18 @@ def are_equivalent(C: Code, D: Code, G: Group) -> Automorphism | None:
     table = G.table
     if C.m != D.m or C.q != D.q or len(C) != len(D):
         return None
-    # rows are permutations, so C^y lies inside D exactly when C^y = D
-    images = table[:, np.flatnonzero(_mask(C, G.m, G.q))]
-    hits = np.flatnonzero(_mask(D, G.m, G.q)[images].all(axis=1))
+    hits = np.flatnonzero(_is_set(table[:, _indices(C, G.m, G.q)], _indices(D, G.m, G.q)))
     return _sorted_elements(G.keys[hits[:1]], G.m, G.q)[0] if hits.size else None
 
 
 def is_neighbour_transitive(gens: Sequence[Automorphism], C: Code) -> bool:
     """Gens fix C setwise and act transitively on both C and its neighbour set."""
-    table = vertex_action_table(gens, C.m, C.q)
-    code_mask = _mask(C, C.m, C.q)
-    if not (_kernels.stabiliser_rows(table, code_mask).all() and _transitive_on(table, code_mask)):
+    m, q = C.m, C.q
+    keys, code = _keys(tuple(gens), m, q), _indices(C, m, q)
+    if not (_is_set(_key_table(keys, m, q, code), code).all() and _transitive_on(keys, code, m, q)):
         return False
-    nb_mask = _mask(neighbour_set(C), C.m, C.q)
-    return not nb_mask.any() or _transitive_on(table, nb_mask)
+    nb = _indices(neighbour_set(C), m, q)
+    return not nb.size or _transitive_on(keys, nb, m, q)
 
 
 # ---------------------------------------------------------------------------

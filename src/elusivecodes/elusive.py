@@ -17,19 +17,28 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _kernels
 from .autgroup import (
     Automorphism,
     Group,
+    _key_table,
+    _keys,
     compose,
     format_automorphism,
     generate_group,
     identity_automorphism,
     inverse,
-    vertex_action_table,
 )
 from .caps import ResourceCapError, group_cap, orbit_cap
-from .codes import Code, _code_at, _mask, _transitive_on, neighbour_set, setwise_stabiliser, write_code
+from .codes import (
+    Code,
+    _code_at,
+    _indices,
+    _is_set,
+    _transitive_on,
+    neighbour_set,
+    setwise_stabiliser,
+    write_code,
+)
 from .hamming import Vertex, neighbours
 
 __all__ = [
@@ -70,16 +79,19 @@ class StabiliserFlags:
     transitive_on_neighbours: bool
 
 
-def _code_orbit(C: Code, gens: Sequence[Automorphism], table: np.ndarray, cap: int):
-    """BFS orbit of the word set of C; ``table`` is the generators' vertex_action_table.
+def _code_orbit(C: Code, gens: Sequence[Automorphism], cap: int):
+    """BFS orbit of the word set of C, imaging each found set through the
+    generators' keys.
 
     Returns (images as increasing index tuples in discovery order, Schreier
     generators of the stabiliser of C, first word moving C or None).
     """
-    start = tuple(np.flatnonzero(_mask(C, C.m, C.q)).tolist())
+    m, q = C.m, C.q
+    keys = _keys(gens, m, q)
+    start = tuple(_indices(C, m, q).tolist())
     index = {start: 0}
     order = [start]
-    transversal = [identity_automorphism(C.m, C.q)]
+    transversal = [identity_automorphism(m, q)]
     schreier: list[Automorphism] = []
     seen_schreier: set[Automorphism] = set()
     witness = None
@@ -87,8 +99,8 @@ def _code_orbit(C: Code, gens: Sequence[Automorphism], table: np.ndarray, cap: i
     while at < len(order):
         i = at
         at += 1
-        for g, row in zip(gens, table):
-            img = tuple(sorted(row[list(order[i])].tolist()))
+        images = np.sort(_key_table(keys, m, q, order[i]), axis=1).tolist()
+        for g, img in zip(gens, map(tuple, images)):
             word = compose(transversal[i], g)
             j = index.get(img)
             if j is None:
@@ -107,11 +119,12 @@ def _code_orbit(C: Code, gens: Sequence[Automorphism], table: np.ndarray, cap: i
     return order, schreier, witness
 
 
-def _stabiliser_flags(code_mask: np.ndarray, nb_mask: np.ndarray, table: np.ndarray) -> StabiliserFlags:
-    """Transitivity of the group generated by the rows of ``table`` on C and Γ1(C)."""
+def _stabiliser_flags(keys: np.ndarray, code: np.ndarray, nb: np.ndarray, m: int, q: int) -> StabiliserFlags:
+    """Transitivity of the group generated by the elements behind ``keys``
+    on C and Γ1(C), given as sorted vertex indices."""
     return StabiliserFlags(
-        transitive_on_code=_transitive_on(table, code_mask),
-        transitive_on_neighbours=bool(nb_mask.any()) and _transitive_on(table, nb_mask),
+        transitive_on_code=_transitive_on(keys, code, m, q),
+        transitive_on_neighbours=bool(nb.size) and _transitive_on(keys, nb, m, q),
     )
 
 
@@ -123,7 +136,8 @@ def verify_elusive(
     ``xc_order`` is |X_C|, found by closing the Schreier generators of X_C
     up to ``enum_cap // r``, that is, when |X| = r * |X_C| is at most
     ``enum_cap`` and the group cap; otherwise None.  The transitivity flags
-    need only the generators, acting through their vertex_action_table.
+    need only the generators.  Only C, Γ1(C) and the vertices their images
+    and orbits reach are imaged, never the whole space.
     """
     gens = tuple(gens)
     if enum_cap < 1:
@@ -134,29 +148,29 @@ def verify_elusive(
         if g.m != C.m or g.q != C.q:
             raise ValueError("generator acts on the wrong space")
     m, q = C.m, C.q
-    code_mask, nb_mask = _mask(C, m, q), _mask(neighbour_set(C), m, q)
-    table = vertex_action_table(gens, m, q)
+    code, nb, keys = _indices(C, m, q), _indices(neighbour_set(C), m, q), _keys(gens, m, q)
 
-    fixes_neighbours = bool(_kernels.stabiliser_rows(table, nb_mask).all())
-    images_keys, schreier, witness = _code_orbit(C, gens, table, orbit_cap())
+    fixes_neighbours = bool(_is_set(_key_table(keys, m, q, nb), nb).all())
+    images_keys, schreier, witness = _code_orbit(C, gens, orbit_cap())
     r = len(images_keys)
     fixes_code = r == 1
     image_idxs = np.array(sorted(images_keys))  # row k: the indices of images[k]
     images = tuple(_code_at(row, m, q) for row in image_idxs)
 
     if r >= 2:
-        # each image is a set, so a vertex in every image is counted r times
-        counts = np.bincount(image_idxs.ravel(), minlength=len(code_mask))
-        images_pairwise_disjoint = bool(counts.max() <= 1)
-        common = np.flatnonzero(counts == r)
+        # each image is a set, so a vertex in every image is a run of r
+        # equal values in the sorted indices of all images
+        flat = np.sort(image_idxs.ravel())
+        images_pairwise_disjoint = bool((flat[1:] != flat[:-1]).all())
+        common = flat[r - 1 :][flat[r - 1 :] == flat[: len(flat) - r + 1]]
         images_intersection = _code_at(common, m, q) if common.size else None
     else:
         images_pairwise_disjoint = True
         images_intersection = None
 
-    x_transitive_on_neighbours = bool(nb_mask.any()) and _transitive_on(table, nb_mask)
+    x_transitive_on_neighbours = bool(nb.size) and _transitive_on(keys, nb, m, q)
     xc = generate_group(schreier, cap=min(enum_cap, group_cap()) // r, m=m, q=q)
-    xc_flags = _stabiliser_flags(code_mask, nb_mask, vertex_action_table(schreier, m, q))
+    xc_flags = _stabiliser_flags(_keys(schreier, m, q), code, nb, m, q)
 
     return ElusiveReport(
         is_elusive=fixes_neighbours and not fixes_code,
@@ -179,20 +193,21 @@ def code_stabiliser_analysis(C: Code, G: Group) -> tuple[Group, StabiliserFlags]
 
     Uses setwise_stabiliser when G is enumerated, otherwise Schreier
     generators from the orbit of C, closed when |X_C| is at most
-    ``XC_ENUM_CAP`` and the group cap.  The flags act through the table of
-    the Schreier generators, or of every element of the stabiliser.
+    ``XC_ENUM_CAP`` and the group cap.  The flags act on the vertex indices
+    of C and Γ1(C) through the keys of the Schreier generators, or of every
+    element of the stabiliser.
     """
     if G.m != C.m or G.q != C.q:
         raise ValueError("group acts on the wrong space")
     m, q = C.m, C.q
     if G.keys is None:
-        _, schreier, _ = _code_orbit(C, G.generators, vertex_action_table(G.generators, m, q), orbit_cap())
+        _, schreier, _ = _code_orbit(C, G.generators, orbit_cap())
         xc = generate_group(schreier, cap=XC_ENUM_CAP, m=m, q=q)
-        table = vertex_action_table(schreier, m, q)
+        keys = _keys(schreier, m, q)
     else:
         xc = setwise_stabiliser(G, C)
-        table = xc.table
-    return xc, _stabiliser_flags(_mask(C, m, q), _mask(neighbour_set(C), m, q), table)
+        keys = xc.keys
+    return xc, _stabiliser_flags(keys, _indices(C, m, q), _indices(neighbour_set(C), m, q), m, q)
 
 
 def neighbour_degree_map(C: Code) -> dict[Vertex, int]:

@@ -16,6 +16,7 @@ from elusivecodes.autgroup import (
     inverse,
     orbit,
     top,
+    vertex_action_table,
 )
 from elusivecodes.caps import ResourceCapError
 from elusivecodes.codes import (
@@ -297,10 +298,11 @@ def test_setwise_stabiliser_checks_table_bytes_first(full33, monkeypatch):
     # a fresh Group, so no table cached on the session fixture is reused
     G = Group(full33.m, full33.q, full33.generators, full33.keys)
 
-    def refuse(keys, m, q):
-        raise AssertionError("the vertex-action table was built")
+    def refuse(*args):
+        raise AssertionError("the vertex-action table was started")
 
-    monkeypatch.setattr(autgroup, "_key_table", refuse)
+    # _key_table checks the bytes before _digits builds its first array
+    monkeypatch.setattr(autgroup, "_digits", refuse)
     monkeypatch.setenv("ELUSIVECODES_MAX_TABLE_BYTES", "139967")  # 1296 * 27 * 4 - 1
     with pytest.raises(ResourceCapError):
         setwise_stabiliser(G, REP33)
@@ -330,3 +332,33 @@ def test_another_space_raises_the_apply_error():
             fixes_setwise(gens[0], {V("000"), v})
         with pytest.raises(ValueError, match=error):
             is_transitive(gens, {V("000"), v})
+
+
+def _rep_16_4_generators():
+    """<diag(S_4), top(S_16)>, which fixes rep(16,4) and is transitive on it and its neighbours."""
+    return [
+        diag(perms.transposition(4, 0, 1), 16),
+        diag(perms.cycle(4, (0, 1, 2, 3)), 16),
+        top(perms.transposition(16, 0, 1), 4),
+        top(perms.cycle(16, tuple(range(16))), 4),
+    ]
+
+
+def test_set_tests_and_orbits_image_only_what_they_reach(monkeypatch):
+    # H(16,4) has 2^32 vertices, past int32 indices: a table over the space
+    # would take 16 GiB, so under a 1 MiB table-bytes cap only the vertices
+    # a test or walk reaches can be imaged
+    monkeypatch.setenv("ELUSIVECODES_MAX_TABLE_BYTES", str(1 << 20))
+    C, gens = rep_code(16, 4), _rep_16_4_generators()
+    nb = neighbour_set(C)
+    assert len(nb) == 4 * 16 * 3
+    assert all(fixes_setwise(g, C) and fixes_setwise(g, nb) for g in gens)
+    assert not fixes_setwise(gens[0], {C.words[0], C.words[2]})
+    assert is_transitive(gens, C) and is_transitive(gens, nb)
+    assert is_neighbour_transitive(gens, C)
+    assert orbit(gens, C.words[-1]) == C.word_set
+    assert orbit(gens, min(nb)) == nb
+    assert orbit(gens, C.word_set) == {C.word_set}
+    assert orbit(gens, {C.words[0]}) == {frozenset([w]) for w in C.words}
+    with pytest.raises(ResourceCapError):
+        vertex_action_table(gens, 16, 4)

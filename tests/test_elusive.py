@@ -157,6 +157,11 @@ def test_not_elusive_when_neighbours_move():
     gens = [diag(perms.transposition(3, 0, 2), 3)]
     rep = verify_elusive(C, gens)
     assert not rep.fixes_neighbours and not rep.is_elusive
+    # in H(1,4), (0 2)(1 3) swaps the code {0,1} with its neighbours {2,3}:
+    # the orbit of 2 has as many members as the neighbour set, but is {0,2}
+    C = Code.from_words([Vertex((0,), 4), Vertex((1,), 4)])
+    rep = verify_elusive(C, [diag(perms.Perm((2, 3, 0, 1)), 1)])
+    assert not rep.fixes_neighbours and not rep.x_transitive_on_neighbours
 
 
 def test_verify_elusive_input_validation():
@@ -249,3 +254,32 @@ def test_write_report_with_images(tmp_path, alt3_report):
     img0 = read_code(f"{path}.image0")
     img1 = read_code(f"{path}.image1")
     assert (img0, img1) == alt3_report.images
+
+
+def test_verify_in_a_large_space_images_only_what_it_reaches(monkeypatch):
+    # H(16,4) has 2^32 vertices: a table over the space would take 16 GiB,
+    # so under a 1 MiB table-bytes cap only C, its neighbours and what
+    # their images and orbits reach can be imaged
+    monkeypatch.setenv("ELUSIVECODES_MAX_TABLE_BYTES", str(1 << 20))
+    rep = rep_code(16, 4)
+    gens = [
+        diag(perms.transposition(4, 0, 1), 16),
+        diag(perms.cycle(4, (0, 1, 2, 3)), 16),
+        top(perms.transposition(16, 0, 1), 4),
+        top(perms.cycle(16, tuple(range(16))), 4),
+    ]
+    report = verify_elusive(rep, gens, enum_cap=100)
+    assert report.fixes_code and report.fixes_neighbours and not report.is_elusive
+    assert report.image_count_r == 1 and report.xc_order is None
+    assert report.x_transitive_on_neighbours
+    assert report.xc_transitive_on_code and report.xc_transitive_on_neighbours
+
+    # the 4-cycle on every entry carries {0^16, 1^16} round four images,
+    # each meeting the next; only the identity fixes the code
+    C = Code.from_words([Vertex((0,) * 16, 4), Vertex((1,) * 16, 4)])
+    report = verify_elusive(C, [gens[1]])
+    assert (report.image_count_r, report.fixes_code, report.fixes_neighbours) == (4, False, False)
+    assert not report.images_pairwise_disjoint and report.images_intersection is None
+    assert report.images[0] == C and report.xc_order == 1
+    assert not (report.x_transitive_on_neighbours or report.xc_transitive_on_code)
+    assert not report.xc_transitive_on_neighbours
