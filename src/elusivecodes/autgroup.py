@@ -165,11 +165,12 @@ class Group:
 
     ``keys`` holds the packed keys (``Automorphism.sort_key`` rows) of every
     element, sorted by value, which is generate_group order; it is None
-    when the group was not enumerated.  ``elements`` decodes the keys on
-    first use.  ``generators`` None means the group is given by its keys
-    alone and is generated by its elements.  Groups compare and hash by
-    identity: one subgroup has many generating sets, and the key array
-    has no value equality.
+    when the group was not enumerated.  The keys are the whole group: it
+    acts by imaging only the vertices asked about (``_key_table``), and
+    ``elements`` decodes them on first use.  ``generators`` None means the
+    group is given by its keys alone and is generated by its elements.
+    Groups compare and hash by identity: one subgroup has many generating
+    sets, and the key array has no value equality.
     """
 
     def __init__(
@@ -195,16 +196,6 @@ class Group:
     def elements(self) -> tuple[Automorphism, ...] | None:
         """The elements in key order, decoded from ``keys`` on first use."""
         return None if self.keys is None else _sorted_elements(self.keys, self.m, self.q)
-
-    def identity(self) -> Automorphism:
-        return identity_automorphism(self.m, self.q)
-
-    @cached_property
-    def table(self) -> np.ndarray:
-        """vertex_action_table of the elements, rows in key order; built once."""
-        if self.keys is None:
-            raise ResourceCapError("acting through the table needs an enumerated group")
-        return _key_table(self.keys, self.m, self.q)
 
 
 def generate_group(
@@ -461,8 +452,10 @@ def _action_table(m: int, q: int, coord_perms: Sequence[Perm]) -> np.ndarray:
     position in ``coord_perms`` and in lexicographic S_m order.
 
     Source position s holds digit g_s(v_s), which lands at position
-    sigma(s), worth q^(m-1-sigma(s)).
+    sigma(s), worth q^(m-1-sigma(s)).  Checks the table's bytes against
+    the cap before allocating.
     """
+    check_table_bytes(len(coord_perms) ** m * math.factorial(m), space_size(m, q))
     powers, entries = _digits(m, q)
     sq = np.array([p.images for p in coord_perms], dtype=np.int32)  # (len(coord_perms), q)
     sm = np.array([p.images for p in perms.symmetric_group(m)], dtype=np.int64)  # (m!, m)
@@ -490,7 +483,6 @@ def full_action_table(m: int, q: int) -> np.ndarray:
     sigma), so row ((i_1 q! + i_2) q! + ... + i_m) m! + k is the element
     whose g_s is the i_s-th and whose sigma is the k-th permutation in
     lexicographic order; see full_group_element.
-    The caller checks the table's size against the caps first.
     """
     return _action_table(m, q, perms.symmetric_group(q))
 
@@ -502,8 +494,7 @@ def stab0_action_table(m: int, q: int) -> np.ndarray:
     are the rows of full_action_table(m, q) with ``table[:, 0] == 0``, in
     the same order, so row ((i_1 (q-1)! + i_2) ... + i_m) m! + k is the
     element with the same i_s and k as in the full table; see
-    stab0_group_element.  The caller checks the table's size against the
-    caps first.
+    stab0_group_element.
     """
     return _action_table(m, q, _stab0_coord_perms(q))
 

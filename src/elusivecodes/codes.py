@@ -2,7 +2,8 @@
 
 A Code stores its words sorted and duplicate-free.  Neighbour sets are
 built from codeword spheres (no ambient enumeration); the definitional
-gamma_r sweep enumerates the space and is cap-guarded.
+gamma_r sweep enumerates the space and is cap-guarded.  Set tests, orbits,
+stabilisers and equivalences image only the set under test, by packed key.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .autgroup import (
     _vertices,
     apply,
 )
+from .caps import ResourceCapError
 from .hamming import Vertex, all_vertices, distance, neighbours
 
 __all__ = [
@@ -183,18 +185,22 @@ def _code_at(idxs: np.ndarray, m: int, q: int) -> Code:
 
 
 def setwise_stabiliser(G: Group, S: Iterable[Vertex]) -> Group:
-    """The subgroup {x in G : S^x = S}, in G's key order; read off G.table,
-    kept as keys."""
+    """The subgroup {x in G : S^x = S}, in G's key order, kept as keys;
+    every element images only S."""
     idx = _indices(S, G.m, G.q)
-    return Group(G.m, G.q, None, G.keys[_is_set(G.table[:, idx], idx)])
+    if G.keys is None:
+        raise ResourceCapError("a setwise stabiliser needs an enumerated group")
+    return Group(G.m, G.q, None, G.keys[_is_set(_key_table(G.keys, G.m, G.q, idx), idx)])
 
 
 def are_equivalent(C: Code, D: Code, G: Group) -> Automorphism | None:
-    """The first y in G with C^y = D, or None; read off G.table."""
-    table = G.table
+    """The first y in G with C^y = D, or None; every element images only C."""
+    if G.keys is None:
+        raise ResourceCapError("an equivalence needs an enumerated group")
     if C.m != D.m or C.q != D.q or len(C) != len(D):
         return None
-    hits = np.flatnonzero(_is_set(table[:, _indices(C, G.m, G.q)], _indices(D, G.m, G.q)))
+    images = _key_table(G.keys, G.m, G.q, _indices(C, G.m, G.q))
+    hits = np.flatnonzero(_is_set(images, _indices(D, G.m, G.q)))
     return _sorted_elements(G.keys[hits[:1]], G.m, G.q)[0] if hits.size else None
 
 

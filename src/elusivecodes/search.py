@@ -48,9 +48,9 @@ from .autgroup import (
     apply,
     stab0_action_table,
 )
-from .caps import ResourceCapError, check_table_bytes, group_cap, vertex_cap
-from .codes import Code, format_code, min_distance
-from .hamming import Vertex, distance, space_size, sphere, vertex_from_index
+from .caps import ResourceCapError, group_cap, vertex_cap
+from .codes import Code, _code_at, format_code, min_distance
+from .hamming import Vertex, distance, space_size, sphere
 
 __all__ = [
     "PreSet",
@@ -211,7 +211,6 @@ class _SearchSpace:
         rows = math.factorial(q - 1) ** m * math.factorial(m)
         if rows > group_cap():
             raise ResourceCapError(f"Stab(0) in Aut(H({m},{q})) order {rows} over the group cap")
-        check_table_bytes(rows, self.n)
         self.stab0 = stab0_action_table(m, q)
         powers, entries = _digits(m, q)
         self.minus = (((entries[None, :, :] - entries[:, None, :]) % q) @ powers).astype(np.int32)
@@ -227,19 +226,19 @@ class _SearchSpace:
         members are the elements of the |Γ1(C)| cosets
         {x : x(n0) = n} = {s_n h t_n0 : h in Stab(0)} that fix Γ1(C), composed
         as packed keys and sorted by key, which is full-table row order.
+        Only the columns of Γ1(C) are read: a bijection that maps Γ1(C) into
+        Γ1(C) maps it onto Γ1(C).
         """
         m, q = self.m, self.q
         nb_mask, _ = self.masks(idxs)
         nb = np.nonzero(nb_mask)[0]
-        # fixes[i, h]: row h of the coset {x : x(n0) = nb[i]} fixes Γ1(C)
-        fixes = [_kernels.stabiliser_rows(self.plus[n][self.stab0[:, self.minus[nb[0]]]], nb_mask) for n in nb]
+        imgs = self.stab0[:, self.minus[nb[0], nb]]  # h(n - n0) for n in Γ1(C)
+        # fixes[i, h]: row h of the coset {x : x(n0) = nb[i]} maps Γ1(C) into Γ1(C)
+        fixes = [nb_mask[self.plus[n]][imgs].all(axis=1) for n in nb]
         cosets, rows = np.nonzero(np.array(fixes))
         h = _row_keys(rows, m, _stab0_coord_perms(q))
         t_h = _compose_keys(_translation_keys(nb[:1], -1, m, q), h, m, q)
         return Group(m, q, None, _sort_keys(_compose_keys(t_h, _translation_keys(nb[cosets], 1, m, q), m, q)))
-
-    def code_of(self, idxs: Sequence[int]) -> Code:
-        return Code(tuple(vertex_from_index(int(i), self.m, self.q) for i in idxs))
 
     def masks(self, idxs: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         code_mask = np.zeros(self.n, dtype=np.uint8)
@@ -313,7 +312,7 @@ def enumerate_codes(
     space, tasks = _prepare(m, q, delta)
     for task in tasks:
         for code, _ in _walk(space, *task, max_size):
-            yield space.code_of(code)
+            yield _code_at(code, m, q)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +401,7 @@ def search_elusive(
     hit = next((r[2] for r in results if r[2] is not None), None)
     if hit is None:
         return cert("NoneExhaustive", examined, max_seen)
-    return cert("Found", examined, max_seen, (space.code_of(hit), space.stabiliser(hit)))
+    return cert("Found", examined, max_seen, (_code_at(hit, m, q), space.stabiliser(hit)))
 
 
 def format_certificate(cert: SearchCertificate, *, wall_time: bool = True) -> str:

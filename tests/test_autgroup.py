@@ -30,7 +30,7 @@ from elusivecodes.autgroup import (
     wreath_generators,
 )
 from elusivecodes.caps import ResourceCapError
-from elusivecodes.codes import neighbour_set, setwise_stabiliser
+from elusivecodes.codes import are_equivalent, neighbour_set, setwise_stabiliser
 from elusivecodes.constructions import rep_code
 from elusivecodes.hamming import Vertex, all_vertices, distance, vertex_index
 from elusivecodes.perms import Perm
@@ -158,10 +158,14 @@ def test_generate_group_explicit_cap_respects_group_cap(monkeypatch):
     assert generate_group(full_group_generators(3, 3), cap=10_000).elements is None
 
 
-def test_group_table_needs_elements():
+def test_stabiliser_and_equivalence_need_elements():
+    # both act element by element, so a generators-only group is refused
     G = generate_group(full_group_generators(3, 3), cap=1)
+    rep = rep_code(3, 3)
     with pytest.raises(ResourceCapError):
-        G.table
+        setwise_stabiliser(G, rep)
+    with pytest.raises(ResourceCapError):
+        are_equivalent(rep, rep, G)
 
 
 def test_generate_group_empty_gens():
@@ -423,7 +427,7 @@ def test_group_decodes_its_keys_only_when_asked(monkeypatch):
 
     monkeypatch.setattr(autgroup, "_sorted_elements", counting)
     G = generate_group(full_group_generators(4, 3))
-    assert G.order == 31104 and G.table.shape == (31104, 81)
+    assert G.order == 31104
     stab = setwise_stabiliser(G, neighbour_set(rep_code(4, 3)))
     assert stab.order == 144 and stab.keys.shape == (144, 16)
     assert decoded == []

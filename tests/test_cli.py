@@ -244,13 +244,14 @@ def test_search_aborted_is_exit_three():
 
 
 def test_search_over_table_bytes_cap_is_exit_three(monkeypatch, capsys):
-    # in process, so the 3.82 GB Stab(0) table of H(5,4) can be refused if ever reached
-    from elusivecodes import search
+    # in process, so the 3.82 GB Stab(0) table of H(5,4) can be refused if ever
+    # started: the table builder checks its bytes before _digits builds its first array
+    from elusivecodes import autgroup
 
     def refuse(m, q):
-        raise AssertionError(f"stab0_action_table({m}, {q}) was built")
+        raise AssertionError(f"the action table of H({m},{q}) was started")
 
-    monkeypatch.setattr(search, "stab0_action_table", refuse)
+    monkeypatch.setattr(autgroup, "_digits", refuse)
     monkeypatch.delenv("ELUSIVECODES_MAX_GROUP", raising=False)
     monkeypatch.delenv("ELUSIVECODES_MAX_TABLE_BYTES", raising=False)
     assert main(["search", "--m", "5", "--q", "4", "--delta", "4"]) == 3

@@ -6,7 +6,6 @@ import pytest
 from elusivecodes import autgroup, perms
 from elusivecodes.autgroup import (
     Automorphism,
-    Group,
     apply,
     compose,
     diag,
@@ -295,19 +294,36 @@ def test_table_paths_match_apply_subgroup_h34():
 
 
 def test_setwise_stabiliser_checks_table_bytes_first(full33, monkeypatch):
-    # a fresh Group, so no table cached on the session fixture is reused
-    G = Group(full33.m, full33.q, full33.generators, full33.keys)
+    real = autgroup._digits
 
     def refuse(*args):
-        raise AssertionError("the vertex-action table was started")
+        raise AssertionError("the images of the set were started")
 
-    # _key_table checks the bytes before _digits builds its first array
+    # _key_table checks the bytes of REP33's images before _digits builds
+    # its first array
     monkeypatch.setattr(autgroup, "_digits", refuse)
-    monkeypatch.setenv("ELUSIVECODES_MAX_TABLE_BYTES", "139967")  # 1296 * 27 * 4 - 1
+    monkeypatch.setenv("ELUSIVECODES_MAX_TABLE_BYTES", "15551")  # 1296 * 3 * 4 - 1
     with pytest.raises(ResourceCapError):
-        setwise_stabiliser(G, REP33)
+        setwise_stabiliser(full33, REP33)
     with pytest.raises(ResourceCapError):
-        are_equivalent(REP33, REP33, G)
+        are_equivalent(REP33, REP33, full33)
+    monkeypatch.setattr(autgroup, "_digits", real)
+    monkeypatch.setenv("ELUSIVECODES_MAX_TABLE_BYTES", "15552")
+    assert setwise_stabiliser(full33, REP33).order == 36  # S_3 x S_3
+    assert are_equivalent(REP33, REP33, full33) is not None
+
+
+def test_stabilisers_and_equivalence_image_only_the_set(monkeypatch):
+    # a cap one byte under the group's table over all of H(4,3): the
+    # stabilisers and the equivalence image only the set under test
+    G = generate_group(full_group_generators(4, 3))
+    rep = rep_code(4, 3)
+    monkeypatch.setenv("ELUSIVECODES_MAX_TABLE_BYTES", str(31104 * 81 * 4 - 1))
+    assert setwise_stabiliser(G, neighbour_set(rep)).order == 144
+    assert are_equivalent(rep, rep, G) is not None
+    xc, flags = code_stabiliser_analysis(rep, G)
+    assert xc.order == 144
+    assert flags == StabiliserFlags(transitive_on_code=True, transitive_on_neighbours=True)
 
 
 def test_table_paths_keep_the_vertex_space_error(full33):

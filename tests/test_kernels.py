@@ -160,7 +160,7 @@ def test_first_mover_matches_dense_oracle_at_every_scannable_code(m, q, delta, m
 def test_mover_prune_settles_without_the_table():
     # U(C) = {u not in Γ1(C) : S1(u) ⊆ Γ1(C)}, by definition on Vertex objects;
     # where U(C) ⊆ C the scan must answer -1 without reading the table
-    from elusivecodes.codes import neighbour_set
+    from elusivecodes.codes import _code_at, neighbour_set
     from elusivecodes.hamming import sphere, vertex_index
 
     space, tasks = search._prepare(4, 3, 3)
@@ -170,7 +170,7 @@ def test_mover_prune_settles_without_the_table():
             if cur_min != 3:
                 continue
             scans += 1
-            C = space.code_of(code)
+            C = _code_at(code, 4, 3)
             nb = neighbour_set(C)
             U = {u for u in all_vertices(4, 3) if u not in nb and sphere(u, 1) <= nb}
             if not U <= C.word_set:

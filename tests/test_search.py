@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from elusivecodes import search as search_module
+from elusivecodes import autgroup
 from elusivecodes._kernels import stabiliser_rows
 from elusivecodes.autgroup import apply, diag_top_generators, full_action_table, full_group_element
 from elusivecodes.caps import ResourceCapError
@@ -313,7 +313,9 @@ def test_found_stabiliser_is_the_full_setwise_stabiliser(full33):
     assert stab.generators == stab.elements == X.elements
 
 
-@pytest.mark.parametrize("m, q, delta, order", [(3, 3, 2, 6), (5, 2, 2, 12)])
+@pytest.mark.parametrize(
+    "m, q, delta, order", [(3, 3, 2, 6), (5, 2, 2, 12), (2, 4, 2, 48), (2, 4, 1, 72)]
+)
 def test_found_stabiliser_matches_the_full_table_rows(m, q, delta, order):
     # the full table's rows fixing Γ1(C), decoded in row order
     code, stab = search_elusive(m, q, delta).found_pair
@@ -411,10 +413,11 @@ def test_search_aborts_over_cap(monkeypatch):
 
 
 def _refuse_stab0_table(monkeypatch):
+    # the table builder checks its bytes before _digits builds its first array
     def refuse(m, q):
-        raise AssertionError(f"stab0_action_table({m}, {q}) was built")
+        raise AssertionError(f"the action table of H({m},{q}) was started")
 
-    monkeypatch.setattr(search_module, "stab0_action_table", refuse)
+    monkeypatch.setattr(autgroup, "_digits", refuse)
 
 
 def test_search_aborts_over_table_bytes_cap(monkeypatch):
