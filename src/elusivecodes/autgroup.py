@@ -215,21 +215,11 @@ def generate_group(
         raise ValueError("need m and q for an empty generating set")
     gen_keys = _keys(gens, m, q)
     cap = group_cap() if cap is None else min(cap, group_cap())
-    layer = _keys([identity_automorphism(m, q)], m, q)
-    seen: set[bytes] = set()
-    layers = []
-    batches = [layer]
-    while len(layer):
-        fresh = [layer[:0]]
-        for cands in batches:
-            fresh.append(_fresh_rows(cands, seen, cap))
-            if fresh[-1] is None:
-                return Group(m, q, gens)
-        layer = np.concatenate(fresh)
-        layers.append(layer)
-        # one generator at a time, so no candidate array spans every generator
-        batches = (_compose_keys(layer, g, m, q) for g in gen_keys)
-    return Group(m, q, gens, _sort_keys(np.concatenate(layers)))
+    # the orbit of the identity under right multiplication by the generators,
+    # one generator per batch, so no candidate array spans every generator
+    keys = _closure(_keys([identity_automorphism(m, q)], m, q),
+                    lambda layer: (_compose_keys(layer, g, m, q) for g in gen_keys), cap)
+    return Group(m, q, gens) if keys is None else Group(m, q, gens, _sort_keys(keys))
 
 
 def orbit(gens: Iterable[Automorphism], seed, cap: int | None = None) -> set:
@@ -238,59 +228,61 @@ def orbit(gens: Iterable[Automorphism], seed, cap: int | None = None) -> set:
     ``seed`` may be a Vertex or a set/sequence of Vertex (a code); in the
     set-valued case the orbit is a set of frozensets of Vertex.  A vertex
     of another space than the generators raises apply()'s ValueError.
-    Only the vertices the walk reaches are imaged.
+    A vertex orbit is the orbit of a one-vertex set.
     """
     gens = tuple(gens)
-    if cap is None:
-        cap = orbit_cap()
     start = frozenset([seed] if isinstance(seed, Vertex) else seed)
     if not start or not all(isinstance(v, Vertex) for v in start):
         raise ValueError("set-valued seed must be a nonempty set of Vertex")
     m, q = (gens[0].m, gens[0].q) if gens else (min(start).m, min(start).q)
-    keys = _keys(gens, m, q)
-    rows = np.sort(_vertex_indices(start, m, q))[None, :]
+    rows = _set_orbit(_keys(gens, m, q), _indices(start, m, q), m, q, cap)
+    words = _vertices(rows.ravel(), m, q)
     if isinstance(seed, Vertex):
-        return set(_vertices(_orbit_indices(keys, rows[0], m, q, cap), m, q))
-    # a set is its sorted index row; its image under generator g is row g
-    # of _key_table(keys, m, q, row), sorted
-    width = rows.shape[1]
-    seen: set[bytes] = set()
-    layers = []
-    while len(rows):
-        layers.append(_fresh_rows(rows, seen, cap))
-        if layers[-1] is None:
-            raise ResourceCapError(f"orbit exceeded cap {cap}")
-        rows = np.sort(_key_table(keys, m, q, layers[-1].ravel()).reshape(-1, width), axis=1)
-    out = np.concatenate(layers)
-    words = _vertices(out.ravel(), m, q)
-    return {frozenset(words[i : i + width]) for i in range(0, len(words), width)}
+        return set(words)
+    return {frozenset(words[i : i + len(start)]) for i in range(0, len(words), len(start))}
 
 
-def _orbit_indices(keys: np.ndarray, start: np.ndarray, m: int, q: int, cap: int | None = None) -> np.ndarray:
-    """Sorted indices of the vertices reachable from the sorted indices
-    ``start`` through the elements behind ``keys``.
-
-    Walks a frontier, imaging only the vertices it reaches: image the
-    frontier, keep what is not yet seen.  No array spans the space.
-    """
-    if cap is None:
-        cap = orbit_cap()
-    seen = frontier = start
-    while frontier.size and len(seen) <= cap:
-        images = np.sort(_key_table(keys, m, q, frontier), axis=None)
-        known = seen[np.searchsorted(seen, images).clip(max=len(seen) - 1)] == images
-        fresh = images[~known]
-        frontier = fresh[np.diff(fresh, prepend=-1) != 0]  # one of each run of equal images
-        seen = np.sort(np.concatenate((seen, frontier)))
-    if len(seen) > cap:
+def _set_orbit(keys: np.ndarray, idx: np.ndarray, m: int, q: int, cap: int | None = None) -> np.ndarray:
+    """Orbit of the vertex set with the sorted indices ``idx`` under the
+    elements behind ``keys``, as sorted index rows in discovery order;
+    ResourceCapError over ``cap``, the orbit cap by default."""
+    # a whole layer at once: set i under keys[e] is row e * len(layer) + i
+    def step(layer):
+        return [np.sort(_key_table(keys, m, q, layer.ravel()).reshape(-1, len(idx)), axis=1)]
+    cap = orbit_cap() if cap is None else cap
+    rows = _closure(idx[None, :], step, cap)
+    if rows is None:
         raise ResourceCapError(f"orbit exceeded cap {cap}")
-    return seen
+    return rows
 
 
-def _fresh_rows(rows: np.ndarray, seen: set[bytes], cap: int) -> np.ndarray | None:
-    """The rows of the C-contiguous 2-D ``rows`` whose bytes are not in
-    ``seen``, first occurrences only, each added to ``seen``; None as soon
-    as ``seen`` holds more than ``cap``."""
+def _closure(start: np.ndarray, step, cap: int) -> np.ndarray | None:
+    """Every row reachable from the 2-D integer rows ``start`` through
+    ``step``, once each in breadth-first order; None as soon as more than
+    ``cap`` are found.  ``step(layer)`` yields, batch by batch, the candidate
+    rows the newest layer leads to; see _fresh_rows for what is new."""
+    seen = [start[:0, 0]] if start.shape[1] == 1 else set()
+    layer, layers, batches = start, [], [start]
+    while len(layer):
+        fresh = [start[:0]]
+        for rows in batches:
+            fresh.append(_fresh_rows(rows, seen, cap))
+            if fresh[-1] is None:
+                return None
+        layers.append(layer := np.concatenate(fresh))
+        batches = step(layer)
+    return np.concatenate(layers)
+
+
+def _fresh_rows(rows: np.ndarray, seen: set[bytes] | list[np.ndarray], cap: int) -> np.ndarray | None:
+    """The rows of the C-contiguous 2-D ``rows`` not in ``seen``, once each
+    in first-occurrence order, each added to ``seen``; None as soon as
+    ``seen`` holds more than ``cap``.  ``seen`` is the set of row bytes, or
+    for 1-wide rows a list holding the sorted array of their values, with
+    no Python object per row; fresh 1-wide rows come out sorted."""
+    if isinstance(seen, list):
+        seen[0] = np.sort(np.concatenate((seen[0], new := _new_values(rows, seen[0]))))
+        return None if len(seen[0]) > cap else new[:, None]
     keep = []
     for i, row in enumerate(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()):
         if row not in seen:
@@ -301,19 +293,31 @@ def _fresh_rows(rows: np.ndarray, seen: set[bytes], cap: int) -> np.ndarray | No
     return rows[keep]
 
 
-def _vertex_indices(vertices: Iterable[Vertex], m: int, q: int) -> np.ndarray:
-    """Indices of ``vertices``, in _key_table's dtype; apply()'s ValueError
-    for a vertex of another space."""
+def _new_values(values: np.ndarray, known: np.ndarray) -> np.ndarray:
+    """Sorted distinct entries of ``values`` missing from the sorted distinct
+    ``known``, by sorts and searches: np.isin and np.unique cost ~20 us a
+    call, paid per layer of a walk, and np.unique's first imports numpy.ma."""
+    v = np.sort(values, axis=None)
+    v = np.concatenate((v[:1], v[1:][v[1:] != v[:-1]]))
+    return v[known.take(np.searchsorted(known, v), mode="clip") != v] if len(known) else v
+
+
+def _indices(vertices: Iterable[Vertex], m: int, q: int) -> np.ndarray:
+    """Sorted indices of ``vertices``, in _key_table's dtype; apply()'s
+    ValueError for a vertex of another space."""
     out = []
     for v in vertices:
         if v.m != m or v.q != q:
             raise ValueError(f"automorphism of H({m},{q}) applied to vertex of H({v.m},{v.q})")
         out.append(vertex_index(v))
-    return np.array(out, dtype=_index_dtype(m, q))
+    return np.sort(np.array(out, dtype=_index_dtype(m, q)))
 
 
 def _index_dtype(m: int, q: int) -> type:
-    """int32 when every vertex index of H(m,q) fits in it, else int64."""
+    """int32 when every vertex index of H(m,q) fits in it, else int64;
+    ValueError for a space with more than 2^63 vertices."""
+    if space_size(m, q) > 1 << 63:
+        raise ValueError(f"H({m},{q}) has more than 2^63 vertices, too many to index")
     return np.int32 if space_size(m, q) <= 1 << 31 else np.int64
 
 

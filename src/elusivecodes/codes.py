@@ -1,9 +1,10 @@
 """Codes: vertex sets with metric invariants, orbits, stabilisers, equivalence.
 
 A Code stores its words sorted and duplicate-free.  Neighbour sets are
-built from codeword spheres (no ambient enumeration); the definitional
-gamma_r sweep enumerates the space and is cap-guarded.  Set tests, orbits,
-stabilisers and equivalences image only the set under test, by packed key.
+built from the codewords' index digits (no ambient enumeration); the
+definitional gamma_r sweep enumerates the space and is cap-guarded.  Set
+tests, orbits, stabilisers and equivalences image only the set under test,
+by packed key.
 """
 
 from __future__ import annotations
@@ -18,11 +19,14 @@ from . import _kernels
 from .autgroup import (
     Automorphism,
     Group,
+    _digits,
+    _index_dtype,
+    _indices,
     _key_table,
     _keys,
-    _orbit_indices,
+    _new_values,
+    _set_orbit,
     _sorted_elements,
-    _vertex_indices,
     _vertices,
     apply,
 )
@@ -112,16 +116,20 @@ def covering_radius(C: Code) -> int:
 
 
 def neighbour_set(C: Code) -> frozenset[Vertex]:
-    """Vertices at distance exactly 1 from the code.
+    """Vertices at distance exactly 1 from the code: the union of the
+    codeword spheres of radius 1 minus the code, which covers every
+    candidate even when two codewords are adjacent."""
+    return frozenset(v for w in C.words for v in neighbours(w)) - C.word_set
 
-    Computed as the union of codeword spheres minus the code, which is
-    the definition whenever no two codewords are adjacent and stays
-    correct in general because codeword spheres cover every candidate.
-    """
-    out: set[Vertex] = set()
-    for w in C.words:
-        out.update(neighbours(w))
-    return frozenset(out - C.word_set)
+
+def _neighbour_indices(idx: np.ndarray, m: int, q: int) -> np.ndarray:
+    """Sorted indices of Γ1 of the code with the sorted indices ``idx``, in
+    _key_table's dtype: digit j of index i moved by s = 1..q-1 is
+    i + ((d_j + s) mod q - d_j) q^(m-1-j)."""
+    powers, digits = _digits(m, q, idx)
+    digits = digits[..., None]
+    nb = idx[:, None, None] + ((digits + np.arange(1, q)) % q - digits) * powers[:, None]
+    return _new_values(nb, idx).astype(_index_dtype(m, q))
 
 
 def gamma_r(C: Code, r: int) -> frozenset[Vertex]:
@@ -162,11 +170,6 @@ def is_transitive(gens: Sequence[Automorphism], S: Iterable[Vertex]) -> bool:
     return _transitive_on(keys, idx, m, q)
 
 
-def _indices(S: Iterable[Vertex], m: int, q: int) -> np.ndarray:
-    """Sorted vertex indices of S; a vertex of another space raises apply()'s error."""
-    return np.sort(_vertex_indices(S, m, q))
-
-
 def _is_set(images: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Row selector: which rows of ``images``, the images of a vertex set
     under one element each, are the set with the sorted indices ``idx``."""
@@ -176,7 +179,7 @@ def _is_set(images: np.ndarray, idx: np.ndarray) -> np.ndarray:
 def _transitive_on(keys: np.ndarray, idx: np.ndarray, m: int, q: int) -> bool:
     """True iff the elements behind ``keys`` carry the least of the sorted
     indices ``idx`` onto exactly the set ``idx``."""
-    return bool(np.array_equal(_orbit_indices(keys, idx[:1], m, q), idx))
+    return bool(np.array_equal(np.sort(_set_orbit(keys, idx[:1], m, q), axis=None), idx))
 
 
 def _code_at(idxs: np.ndarray, m: int, q: int) -> Code:
@@ -210,7 +213,7 @@ def is_neighbour_transitive(gens: Sequence[Automorphism], C: Code) -> bool:
     keys, code = _keys(tuple(gens), m, q), _indices(C, m, q)
     if not (_is_set(_key_table(keys, m, q, code), code).all() and _transitive_on(keys, code, m, q)):
         return False
-    nb = _indices(neighbour_set(C), m, q)
+    nb = _neighbour_indices(code, m, q)
     return not nb.size or _transitive_on(keys, nb, m, q)
 
 

@@ -12,7 +12,7 @@ images; the exact order ``xc_order`` closes X_C alone, up to
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -34,6 +34,7 @@ from .codes import (
     _code_at,
     _indices,
     _is_set,
+    _neighbour_indices,
     _transitive_on,
     neighbour_set,
     setwise_stabiliser,
@@ -148,7 +149,8 @@ def verify_elusive(
         if g.m != C.m or g.q != C.q:
             raise ValueError("generator acts on the wrong space")
     m, q = C.m, C.q
-    code, nb, keys = _indices(C, m, q), _indices(neighbour_set(C), m, q), _keys(gens, m, q)
+    code, keys = _indices(C, m, q), _keys(gens, m, q)
+    nb = _neighbour_indices(code, m, q)
 
     fixes_neighbours = bool(_is_set(_key_table(keys, m, q, nb), nb).all())
     images_keys, schreier, witness = _code_orbit(C, gens, orbit_cap())
@@ -207,7 +209,8 @@ def code_stabiliser_analysis(C: Code, G: Group) -> tuple[Group, StabiliserFlags]
     else:
         xc = setwise_stabiliser(G, C)
         keys = xc.keys
-    return xc, _stabiliser_flags(keys, _indices(C, m, q), _indices(neighbour_set(C), m, q), m, q)
+    code = _indices(C, m, q)
+    return xc, _stabiliser_flags(keys, code, _neighbour_indices(code, m, q), m, q)
 
 
 def neighbour_degree_map(C: Code) -> dict[Vertex, int]:
@@ -239,21 +242,9 @@ def _fmt_value(value) -> str:
 
 
 def format_report(report: ElusiveReport) -> str:
-    keys = [
-        "fixes_code",
-        "fixes_neighbours",
-        "image_count_r",
-        "images_intersection",
-        "images_pairwise_disjoint",
-        "is_elusive",
-        "witness_mover",
-        "x_transitive_on_neighbours",
-        "xc_order",
-        "xc_transitive_on_code",
-        "xc_transitive_on_neighbours",
-    ]
-    lines = [f"{k}={_fmt_value(getattr(report, k))}" for k in keys]
-    return "\n".join(lines) + "\n"
+    """Every field but the images, one ``key=value`` line each, keys sorted."""
+    keys = sorted(f.name for f in fields(ElusiveReport) if f.name != "images")
+    return "".join(f"{k}={_fmt_value(getattr(report, k))}\n" for k in keys)
 
 
 def write_report(path, report: ElusiveReport) -> None:

@@ -1,6 +1,6 @@
 """Breadth-first search over Automorphism and Vertex objects: the test
-oracles for generate_group, which closes over packed keys, and for orbit,
-which walks the generators' vertex_action_table.
+oracles for generate_group and orbit, which walk one closure over packed
+keys and over sorted vertex-index rows.
 
 Each follows the definition: act with every generator on everything found
 so far until nothing new appears.

@@ -30,8 +30,9 @@ from elusivecodes.autgroup import (
     wreath_generators,
 )
 from elusivecodes.caps import ResourceCapError
-from elusivecodes.codes import are_equivalent, neighbour_set, setwise_stabiliser
+from elusivecodes.codes import Code, are_equivalent, fixes_setwise, neighbour_set, setwise_stabiliser
 from elusivecodes.constructions import rep_code
+from elusivecodes.elusive import verify_elusive
 from elusivecodes.hamming import Vertex, all_vertices, distance, vertex_index
 from elusivecodes.perms import Perm
 from object_bfs import closure
@@ -275,6 +276,21 @@ def test_orbit_cap():
     gens = full_group_generators(3, 3)
     with pytest.raises(ResourceCapError):
         orbit(gens, Vertex((0, 0, 0), 3), cap=5)
+
+
+def test_spaces_past_2_63_vertices_are_refused():
+    # every vertex index of H(63,2) fits in int64, not every one of H(64,2)
+    shift = top(perms.cycle(63, tuple(range(63))), 2)
+    assert len(orbit([shift], Vertex((1,) + (0,) * 62, 2))) == 63
+    shift = top(perms.cycle(64, tuple(range(64))), 2)
+    v, w = Vertex((1,) + (0,) * 63, 2), Vertex((1,) * 64, 2)
+    for call in (
+        lambda: orbit([shift], v),
+        lambda: fixes_setwise(shift, [v, w]),
+        lambda: verify_elusive(Code.from_words([v, w]), [shift]),
+    ):
+        with pytest.raises(ValueError, match=r"2\^63"):
+            call()
 
 
 @pytest.mark.parametrize(

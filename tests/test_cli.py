@@ -197,6 +197,17 @@ def test_verify_full_group_not_elusive(tmp_path):
     assert "fixes_neighbours=false" in res.stdout
 
 
+def test_verify_past_2_63_vertices_is_usage_error(tmp_path):
+    # H(32,4) has 2^64 vertices, so its vertex indices do not fit in int64
+    code = tmp_path / "rep32-4.txt"
+    main(["construct", "rep", "32", "4", "-o", str(code)])
+    res = run_cli("verify", str(code), "--group", "full")
+    assert res.returncode == 2
+    assert "2^63" in res.stderr and "Traceback" not in res.stderr
+    res = run_cli("neighbours", str(code), "-o", str(tmp_path / "nb.txt"))  # Γ1 needs no vertex index
+    assert res.returncode == 0 and "384 vertices" in res.stdout  # 4 words, 32 * 3 each
+
+
 # ---------------------------------------------------------------------------
 # search
 

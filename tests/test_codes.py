@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from elusivecodes import autgroup, perms
@@ -20,6 +21,8 @@ from elusivecodes.autgroup import (
 from elusivecodes.caps import ResourceCapError
 from elusivecodes.codes import (
     Code,
+    _indices,
+    _neighbour_indices,
     apply_to_code,
     are_equivalent,
     covering_radius,
@@ -39,7 +42,7 @@ from elusivecodes.codes import (
 )
 from elusivecodes.constructions import rep_code
 from elusivecodes.elusive import StabiliserFlags, code_stabiliser_analysis
-from elusivecodes.hamming import Vertex, all_vertices, distance
+from elusivecodes.hamming import Vertex, all_vertices, distance, sphere, vertex_index
 from elusivecodes.perms import Perm
 from object_bfs import orbit as orbit_by_apply
 
@@ -93,6 +96,35 @@ def test_covering_radius():
     assert covering_radius(REP33) == 2
     assert covering_radius(Code.from_words([V("000")])) == 3
     assert covering_radius(Code.from_words(all_vertices(3, 3))) == 0
+
+
+def test_neighbour_indices_match_sphere_union():
+    # Γ1(C) by definition: the radius-1 spheres of the codewords, minus C;
+    # the indices share the code's dtype, which is _key_table's
+    rng = random.Random(19)
+    cases = [
+        REP33,
+        rep_code(16, 4),  # 2^32 vertices: int64 indices
+        Code.from_words([V("000"), V("001"), V("222")]),  # minimum distance 1
+    ]
+    for m, q in [(1, 4), (3, 3), (2, 5), (4, 2)]:
+        verts = list(all_vertices(m, q))
+        cases += [Code.from_words(rng.sample(verts, rng.randrange(1, 5))) for _ in range(10)]
+    for C in cases:
+        idx = _indices(C, C.m, C.q)
+        nb = _neighbour_indices(idx, C.m, C.q)
+        want = set().union(*(sphere(w, 1) for w in C.words)) - C.word_set
+        assert nb.tolist() == sorted(vertex_index(v) for v in want)
+        assert nb.dtype == idx.dtype
+        assert neighbour_set(C) == want
+    assert _indices(rep_code(16, 4), 16, 4).dtype == np.int64
+
+
+def test_neighbour_set_needs_no_vertex_index():
+    # H(64,2) has 2^64 vertices, past every index dtype, yet Γ1 is still a set of vertices
+    C = rep_code(64, 2)
+    assert len(neighbour_set(C)) == 128
+    assert all(min(distance(v, w) for w in C.words) == 1 for v in neighbour_set(C))
 
 
 def test_neighbour_set_is_gamma_one():
