@@ -245,11 +245,11 @@ def orbit(gens: Iterable[Automorphism], seed, cap: int | None = None) -> set:
 def _set_orbit(keys: np.ndarray, idx: np.ndarray, m: int, q: int, cap: int | None = None) -> np.ndarray:
     """Orbit of the vertex set with the sorted indices ``idx`` under the
     elements behind ``keys``, as sorted index rows in discovery order;
-    ResourceCapError over ``cap``, the orbit cap by default."""
+    ResourceCapError over ``cap`` or the orbit cap, whichever is smaller."""
     # a whole layer at once: set i under keys[e] is row e * len(layer) + i
     def step(layer):
         return [np.sort(_key_table(keys, m, q, layer.ravel()).reshape(-1, len(idx)), axis=1)]
-    cap = orbit_cap() if cap is None else cap
+    cap = orbit_cap() if cap is None else min(cap, orbit_cap())
     rows = _closure(idx[None, :], step, cap)
     if rows is None:
         raise ResourceCapError(f"orbit exceeded cap {cap}")

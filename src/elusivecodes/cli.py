@@ -77,7 +77,10 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--q", type=int, required=True)
     s.add_argument("--delta", type=int, required=True)
     s.add_argument("--no-parity-filter", action="store_true")
-    s.add_argument("--threads", type=int, default=1)
+    s.add_argument(
+        "--threads", type=int, default=1,
+        help="accepted for compatibility; must be at least 1 and has no effect, the walk is serial",
+    )
     s.add_argument("--max-size", type=int, default=None)
     s.add_argument("-o", "--output")
 

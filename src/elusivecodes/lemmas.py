@@ -1,5 +1,9 @@
 """Executable lemma batteries behind the ``lemmas`` CLI subcommand.
 
+The distance-2 geometry of H(m,q) and the pre-codeword partition
+structure around a moved codeword live here too, beside the ``neigh``
+and ``partition`` batteries that check them.
+
 Each suite returns (name, ok, detail) triples; a battery passes when
 every triple is ok.  Everything here is exhaustive at desk scale except
 the explicitly seeded random spot checks in the action suite.
@@ -8,7 +12,9 @@ the explicitly seeded random spot checks in the action suite.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from itertools import product as _iproduct
+from typing import Sequence
 
 import numpy as np
 
@@ -16,6 +22,7 @@ from . import _kernels
 from . import constructions as cons
 from . import perms
 from .autgroup import (
+    Automorphism,
     apply,
     compose,
     diag,
@@ -30,12 +37,151 @@ from .autgroup import (
     wreath_embed,
     wreath_generators,
 )
-from .codes import neighbour_set
+from .codes import Code, min_distance, neighbour_set
 from .elusive import verify_elusive
 from .hamming import Vertex, all_vertices, distance, neighbours, sphere
-from .search import _prepare, _walk, check_partition_lemma, common_neighbours, fourth_vertex
+from .search import _canonical_codes, _SearchSpace
 
-__all__ = ["suite_same", "suite_act", "suite_partition", "suite_neigh", "SUITES"]
+__all__ = [
+    "PreSet",
+    "PartitionCheck",
+    "common_neighbours",
+    "fourth_vertex",
+    "pre_codewords",
+    "check_partition_lemma",
+    "suite_same",
+    "suite_act",
+    "suite_partition",
+    "suite_neigh",
+    "SUITES",
+]
+
+
+# ---------------------------------------------------------------------------
+# the distance-2 geometry behind the pruning lemmas
+
+def common_neighbours(a: Vertex, b: Vertex) -> frozenset[Vertex]:
+    """The two shared neighbours of a pair at distance 2."""
+    if distance(a, b) != 2:
+        raise ValueError("common neighbours are only taken at distance exactly 2")
+    i, j = (k for k in range(a.m) if a.entries[k] != b.entries[k])
+    return frozenset((a.replace(i, b.entries[i]), a.replace(j, b.entries[j])))
+
+
+def fourth_vertex(a: Vertex, mu: Vertex, nu: Vertex) -> Vertex:
+    """The unique b with common_neighbours(a, b) == {mu, nu}.
+
+    mu and nu must be neighbours of a at mutual distance 2; b takes
+    mu's change and nu's change simultaneously.
+    """
+    if distance(a, mu) != 1 or distance(a, nu) != 1 or distance(mu, nu) != 2:
+        raise ValueError("need two neighbours of a at mutual distance 2")
+    (i,) = (k for k in range(a.m) if a.entries[k] != mu.entries[k])
+    (j,) = (k for k in range(a.m) if a.entries[k] != nu.entries[k])
+    return a.replace(i, mu.entries[i]).replace(j, nu.entries[j])
+
+
+@dataclass(frozen=True)
+class PreSet:
+    """Vertices at distance 2 from ``base`` that the mover sends back into the code."""
+
+    base: Vertex
+    mover: Automorphism
+    members: frozenset[Vertex]
+
+
+def pre_codewords(C: Code, x: Automorphism, alpha: Vertex) -> PreSet:
+    """All pi with d(alpha, pi) = 2 and pi^x in C.
+
+    Only defined when alpha is a codeword that x moves out of the code,
+    and the code has minimum distance at least 3.
+    """
+    if alpha not in C:
+        raise ValueError("alpha must be a codeword")
+    if apply(x, alpha) in C:
+        raise ValueError("x must move alpha out of the code")
+    if min_distance(C) < 3:
+        raise ValueError("pre-codewords need minimum distance >= 3")
+    members = frozenset(pi for pi in sphere(alpha, 2) if apply(x, pi) in C)
+    return PreSet(alpha, x, members)
+
+
+@dataclass(frozen=True)
+class PartitionCheck:
+    """Outcome of the three partition clauses around one (codeword, mover) pair."""
+
+    passed: bool
+    base_partition_ok: bool  # parts Γ1(alpha)∩Γ1(pi) tile Γ1(alpha)
+    pre_partition_ok: bool  # for each pi: parts Γ1(pi)∩Γ1(beta) tile Γ1(pi)
+    entry_separation_ok: bool  # other pre-codewords change some third entry
+    part_sizes_two: bool
+    part_count: int
+    expected_part_count: float
+
+
+def _is_partition(parts: Sequence[frozenset[Vertex]], whole: frozenset[Vertex]) -> bool:
+    seen: set[Vertex] = set()
+    for part in parts:
+        if not part or (part & seen):
+            return False
+        seen.update(part)
+    return seen == whole
+
+
+def check_partition_lemma(C: Code, x: Automorphism, alpha: Vertex) -> PartitionCheck:
+    """Check the pre-codeword partition structure at one codeword.
+
+    Verifies that the common-neighbour parts of the pre-codewords tile
+    the neighbourhood of alpha, that codeword parts tile each
+    pre-codeword's neighbourhood, and that distinct pre-codewords
+    disagree with alpha in distinct entry pairs; all parts must have
+    size 2.
+    """
+    pre = pre_codewords(C, x, alpha)
+    sphere1_alpha = frozenset(sphere(alpha, 1))
+    members = sorted(pre.members)
+
+    base_parts = [sphere1_alpha & frozenset(sphere(pi, 1)) for pi in members]
+    base_partition_ok = _is_partition(base_parts, sphere1_alpha)
+    sizes_ok = all(len(p) == 2 for p in base_parts)
+
+    pre_partition_ok = True
+    for pi in members:
+        sphere1_pi = frozenset(sphere(pi, 1))
+        codewords_at_2 = [beta for beta in C.words if distance(pi, beta) == 2]
+        parts = [sphere1_pi & frozenset(sphere(beta, 1)) for beta in codewords_at_2]
+        if not _is_partition(parts, sphere1_pi):
+            pre_partition_ok = False
+        if not all(len(p) == 2 for p in parts):
+            sizes_ok = False
+
+    entry_separation_ok = True
+    for pi in members:
+        changed = {k for k in range(alpha.m) if alpha.entries[k] != pi.entries[k]}
+        for other in members:
+            if other == pi:
+                continue
+            part = sphere1_alpha & frozenset(sphere(other, 1))
+            if not any(
+                next(k for k in range(alpha.m) if alpha.entries[k] != v.entries[k]) not in changed
+                for v in part
+            ):
+                entry_separation_ok = False
+
+    expected = alpha.m * (alpha.q - 1) / 2
+    return PartitionCheck(
+        passed=base_partition_ok and pre_partition_ok and entry_separation_ok and sizes_ok,
+        base_partition_ok=base_partition_ok,
+        pre_partition_ok=pre_partition_ok,
+        entry_separation_ok=entry_separation_ok,
+        part_sizes_two=sizes_ok,
+        part_count=len(base_parts),
+        expected_part_count=expected,
+    )
+
+
+# ---------------------------------------------------------------------------
+# the batteries
 
 Check = tuple[str, bool, str]
 
@@ -141,12 +287,12 @@ def _mu_equivariance_holds() -> bool:
 def _coset_kernels_agree(m: int, q: int, delta: int) -> tuple[bool, bool]:
     """(canonicity, mover) verdicts of the coset kernels against the full
     table, at every node the walk tests and every code it could scan."""
-    space, tasks = _prepare(m, q, delta)
+    space = _SearchSpace(m, q, delta)
     full = full_action_table(m, q)
-    canonical = [found for task in tasks for found in _walk(space, *task, None)]
-    nodes = [task[0] for task in tasks] + [
+    canonical = list(_canonical_codes(space))
+    nodes = [
         code + [v]
-        for code, _ in canonical
+        for code, _ in [([0], m)] + canonical
         for v in range(code[-1] + 1, space.n)
         if space.dist[v, code].min() >= delta
     ]

@@ -11,7 +11,9 @@ branch only while the sorted index sequence is the lexicographic
 minimum over the full automorphism orbit.  Removing the largest element
 of a lex-minimal set leaves a lex-minimal set, so every canonical code
 is reached from the canonical singleton {0} and pruning non-canonical
-nodes loses nothing.
+nodes loses nothing.  ``_canonical_codes`` is that walk: one serial
+depth-first traversal from {0}, which enumeration and the search both
+iterate.
 
 Every node therefore contains vertex 0, and the search acts only through
 the table of Stab(0) = S_{q-1} wr S_m, the stabiliser of vertex 0, and
@@ -20,16 +22,15 @@ that send a codeword to 0, the mover test scans only the cosets the U(C)
 prune leaves (often none), and a Found stabiliser is collected from the
 |Γ1(C)| cosets that send min Γ1(C) into Γ1(C); see ``_kernels``.
 
-The traversal always runs to exhaustion (no early exit), which makes
-the certificate counts independent of the worker count; "Found" is the
-first hit in deterministic branch order.
+The traversal always runs to exhaustion (no early exit), so the
+certificate counts every canonical code; "Found" is the first hit in
+depth-first order.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -37,7 +38,6 @@ import numpy as np
 
 from . import _kernels
 from .autgroup import (
-    Automorphism,
     Group,
     _compose_keys,
     _digits,
@@ -45,149 +45,19 @@ from .autgroup import (
     _sort_keys,
     _stab0_coord_perms,
     _translation_keys,
-    apply,
     stab0_action_table,
 )
 from .caps import ResourceCapError, group_cap, vertex_cap
-from .codes import Code, _code_at, format_code, min_distance
-from .hamming import Vertex, distance, space_size, sphere
+from .codes import Code, _code_at, format_code
+from .hamming import space_size
 
 __all__ = [
-    "PreSet",
-    "PartitionCheck",
     "SearchCertificate",
-    "common_neighbours",
-    "fourth_vertex",
-    "pre_codewords",
-    "check_partition_lemma",
     "enumerate_codes",
     "search_elusive",
     "format_certificate",
     "write_certificate",
 ]
-
-
-# ---------------------------------------------------------------------------
-# the distance-2 geometry behind the pruning lemmas
-
-def common_neighbours(a: Vertex, b: Vertex) -> frozenset[Vertex]:
-    """The two shared neighbours of a pair at distance 2."""
-    if distance(a, b) != 2:
-        raise ValueError("common neighbours are only taken at distance exactly 2")
-    i, j = (k for k in range(a.m) if a.entries[k] != b.entries[k])
-    return frozenset((a.replace(i, b.entries[i]), a.replace(j, b.entries[j])))
-
-
-def fourth_vertex(a: Vertex, mu: Vertex, nu: Vertex) -> Vertex:
-    """The unique b with common_neighbours(a, b) == {mu, nu}.
-
-    mu and nu must be neighbours of a at mutual distance 2; b takes
-    mu's change and nu's change simultaneously.
-    """
-    if distance(a, mu) != 1 or distance(a, nu) != 1 or distance(mu, nu) != 2:
-        raise ValueError("need two neighbours of a at mutual distance 2")
-    (i,) = (k for k in range(a.m) if a.entries[k] != mu.entries[k])
-    (j,) = (k for k in range(a.m) if a.entries[k] != nu.entries[k])
-    return a.replace(i, mu.entries[i]).replace(j, nu.entries[j])
-
-
-@dataclass(frozen=True)
-class PreSet:
-    """Vertices at distance 2 from ``base`` that the mover sends back into the code."""
-
-    base: Vertex
-    mover: Automorphism
-    members: frozenset[Vertex]
-
-
-def pre_codewords(C: Code, x: Automorphism, alpha: Vertex) -> PreSet:
-    """All pi with d(alpha, pi) = 2 and pi^x in C.
-
-    Only defined when alpha is a codeword that x moves out of the code,
-    and the code has minimum distance at least 3.
-    """
-    if alpha not in C:
-        raise ValueError("alpha must be a codeword")
-    if apply(x, alpha) in C:
-        raise ValueError("x must move alpha out of the code")
-    if min_distance(C) < 3:
-        raise ValueError("pre-codewords need minimum distance >= 3")
-    members = frozenset(pi for pi in sphere(alpha, 2) if apply(x, pi) in C)
-    return PreSet(alpha, x, members)
-
-
-@dataclass(frozen=True)
-class PartitionCheck:
-    """Outcome of the three partition clauses around one (codeword, mover) pair."""
-
-    passed: bool
-    base_partition_ok: bool  # parts Γ1(alpha)∩Γ1(pi) tile Γ1(alpha)
-    pre_partition_ok: bool  # for each pi: parts Γ1(pi)∩Γ1(beta) tile Γ1(pi)
-    entry_separation_ok: bool  # other pre-codewords change some third entry
-    part_sizes_two: bool
-    part_count: int
-    expected_part_count: float
-
-
-def _is_partition(parts: Sequence[frozenset[Vertex]], whole: frozenset[Vertex]) -> bool:
-    seen: set[Vertex] = set()
-    for part in parts:
-        if not part or (part & seen):
-            return False
-        seen.update(part)
-    return seen == whole
-
-
-def check_partition_lemma(C: Code, x: Automorphism, alpha: Vertex) -> PartitionCheck:
-    """Check the pre-codeword partition structure at one codeword.
-
-    Verifies that the common-neighbour parts of the pre-codewords tile
-    the neighbourhood of alpha, that codeword parts tile each
-    pre-codeword's neighbourhood, and that distinct pre-codewords
-    disagree with alpha in distinct entry pairs; all parts must have
-    size 2.
-    """
-    pre = pre_codewords(C, x, alpha)
-    sphere1_alpha = frozenset(sphere(alpha, 1))
-    members = sorted(pre.members)
-
-    base_parts = [sphere1_alpha & frozenset(sphere(pi, 1)) for pi in members]
-    base_partition_ok = _is_partition(base_parts, sphere1_alpha)
-    sizes_ok = all(len(p) == 2 for p in base_parts)
-
-    pre_partition_ok = True
-    for pi in members:
-        sphere1_pi = frozenset(sphere(pi, 1))
-        codewords_at_2 = [beta for beta in C.words if distance(pi, beta) == 2]
-        parts = [sphere1_pi & frozenset(sphere(beta, 1)) for beta in codewords_at_2]
-        if not _is_partition(parts, sphere1_pi):
-            pre_partition_ok = False
-        if not all(len(p) == 2 for p in parts):
-            sizes_ok = False
-
-    entry_separation_ok = True
-    for pi in members:
-        changed = {k for k in range(alpha.m) if alpha.entries[k] != pi.entries[k]}
-        for other in members:
-            if other == pi:
-                continue
-            part = sphere1_alpha & frozenset(sphere(other, 1))
-            if not any(
-                next(k for k in range(alpha.m) if alpha.entries[k] != v.entries[k]) not in changed
-                for v in part
-            ):
-                entry_separation_ok = False
-
-    expected = alpha.m * (alpha.q - 1) / 2
-    return PartitionCheck(
-        passed=base_partition_ok and pre_partition_ok and entry_separation_ok and sizes_ok,
-        base_partition_ok=base_partition_ok,
-        pre_partition_ok=pre_partition_ok,
-        entry_separation_ok=entry_separation_ok,
-        part_sizes_two=sizes_ok,
-        part_count=len(base_parts),
-        expected_part_count=expected,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -201,13 +71,18 @@ class _SearchSpace:
     stabiliser of vertex 0, built in closed form, and reaches each coset
     {x : x(c) = u} = {s_u h t_c : h in Stab(0)} through the translation
     arrays ``minus[c]`` (v -> v - c) and ``plus[u]`` (v -> v + u), digit by
-    digit mod q.  Raises ResourceCapError when the order of Stab(0) or the
-    bytes of its table are over their caps, before the table is allocated.
+    digit mod q.  Raises ValueError when delta > m, and ResourceCapError when
+    the space, the order of Stab(0) or the bytes of its table are over their
+    caps, before the table is allocated.
     """
 
     def __init__(self, m: int, q: int, delta: int):
+        if delta > m:
+            raise ValueError(f"need 1 <= delta <= m, got delta={delta}, m={m}")
         self.m, self.q, self.delta = m, q, delta
         self.n = space_size(m, q)
+        if self.n > vertex_cap():
+            raise ResourceCapError(f"H({m},{q}) too large to enumerate")
         rows = math.factorial(q - 1) ** m * math.factorial(m)
         if rows > group_cap():
             raise ResourceCapError(f"Stab(0) in Aut(H({m},{q})) order {rows} over the group cap")
@@ -259,48 +134,28 @@ def _check_parameters(m: int, q: int, delta: int, max_size: int | None, threads:
         raise ValueError(f"threads must be at least 1, got {threads}")
 
 
-_Task = tuple[list[int], np.ndarray, int]  # (code, candidates above its maximum, its min distance)
+def _canonical_codes(space: _SearchSpace, max_size: int | None = None) -> Iterator[tuple[list[int], int]]:
+    """Depth first from {0}: every canonical code of at least two words, with
+    its minimum distance, each code before its children.  The children of C
+    are C + [v] for each v > max C at distance >= delta from every codeword;
+    {0} itself, with minimum distance m, is neither tested nor yielded."""
 
+    def children(code: list[int], arr: np.ndarray, cand: np.ndarray, cur_min: int):
+        if max_size is not None and len(code) >= max_size:
+            return
+        for pos in range(cand.size):
+            v = int(cand[pos])
+            child = code + [v]
+            child_arr = np.array(child, dtype=np.int32)
+            if not _kernels.is_canonical(space.stab0, child_arr, space.minus):
+                continue
+            child_min = min(cur_min, int(space.dist[v, arr].min()))
+            yield child, child_min
+            rest = cand[pos + 1 :]
+            yield from children(child, child_arr, rest[space.dist[v, rest] >= space.delta], child_min)
 
-def _prepare(m: int, q: int, delta: int) -> tuple[_SearchSpace, list[_Task]]:
-    """The search arrays and the root tasks, one per canonical pair {0, v}.
-
-    Raises ResourceCapError when the space, the group or its table is over
-    its cap.
-    """
-    if delta > m:
-        raise ValueError(f"need 1 <= delta <= m, got delta={delta}, m={m}")
-    if space_size(m, q) > vertex_cap():
-        raise ResourceCapError(f"H({m},{q}) too large to enumerate")
-    space = _SearchSpace(m, q, delta)
-
-    idx = np.arange(space.n, dtype=np.int32)
-    roots = idx[(idx > 0) & (space.dist[0, idx] >= delta)]
-    tasks = []
-    for pos in range(roots.size):
-        v = int(roots[pos])
-        rest = roots[pos + 1 :]
-        tasks.append(([0, v], rest[space.dist[v, rest] >= delta], int(space.dist[0, v])))
-    return space, tasks
-
-
-def _walk(
-    space: _SearchSpace, code: list[int], cand: np.ndarray, cur_min: int, max_size: int | None
-) -> Iterator[tuple[list[int], int]]:
-    """Depth first from ``code``: every canonical code in its subtree, with
-    its minimum distance."""
-    arr = np.array(code, dtype=np.int32)
-    if not _kernels.is_canonical(space.stab0, arr, space.minus):
-        return
-    yield code, cur_min
-    if max_size is not None and len(code) >= max_size:
-        return
-    for pos in range(cand.size):
-        v = int(cand[pos])
-        rest = cand[pos + 1 :]
-        new_cand = rest[space.dist[v, rest] >= space.delta]
-        new_min = min(cur_min, int(space.dist[v, arr].min()))
-        yield from _walk(space, code + [v], new_cand, new_min, max_size)
+    first = np.nonzero(space.dist[0] >= space.delta)[0].astype(np.int32)
+    yield from children([0], np.zeros(1, dtype=np.int32), first, space.m)
 
 
 def enumerate_codes(
@@ -309,10 +164,8 @@ def enumerate_codes(
     """One representative per equivalence class of codes with |C| >= 2 and
     pairwise distance >= delta, in canonical depth-first order."""
     _check_parameters(m, q, delta, max_size)
-    space, tasks = _prepare(m, q, delta)
-    for task in tasks:
-        for code, _ in _walk(space, *task, max_size):
-            yield _code_at(code, m, q)
+    for code, _ in _canonical_codes(_SearchSpace(m, q, delta), max_size):
+        yield _code_at(code, m, q)
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +197,9 @@ def search_elusive(
 
     Every enumerated code with minimum distance exactly delta is tested
     against the setwise stabiliser of its neighbour set in the full
-    automorphism group.  The traversal is always complete, so the counts
-    are identical for any thread count; Found reports the first hit in
-    branch order together with that full stabiliser.
+    automorphism group.  The traversal is always complete; Found reports
+    the first hit in depth-first order together with that full stabiliser.
+    The walk is serial: ``threads`` must be at least 1 and has no effect.
     """
     start = time.perf_counter()
     _check_parameters(m, q, delta, max_size, threads)
@@ -371,34 +224,19 @@ def search_elusive(
     if delta > m:
         return cert("NoneExhaustive")
     try:
-        space, tasks = _prepare(m, q, delta)
+        space = _SearchSpace(m, q, delta)
     except ResourceCapError:
         return cert("Aborted")
 
-    def run_task(task: _Task) -> tuple[int, int, list[int] | None]:
-        examined = max_seen = 0
-        hit = None
-        for code, cur_min in _walk(space, *task, max_size):
-            examined += 1
-            max_seen = max(max_seen, len(code))
-            if hit is None and cur_min == delta:
-                nb_mask, code_mask = space.masks(code)
-                mover = _kernels.first_mover(
-                    space.stab0, nb_mask, code_mask, space.minus, space.plus, space.adj
-                )
-                if mover >= 0:
-                    hit = code
-        return examined, max_seen, hit
-
-    if threads == 1:
-        results = [run_task(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_task, tasks))
-
-    examined = sum(r[0] for r in results)
-    max_seen = max((r[1] for r in results), default=0)
-    hit = next((r[2] for r in results if r[2] is not None), None)
+    examined = max_seen = 0
+    hit = None
+    for code, cur_min in _canonical_codes(space, max_size):
+        examined += 1
+        max_seen = max(max_seen, len(code))
+        if hit is None and cur_min == delta:
+            nb_mask, code_mask = space.masks(code)
+            if _kernels.first_mover(space.stab0, nb_mask, code_mask, space.minus, space.plus, space.adj) >= 0:
+                hit = code
     if hit is None:
         return cert("NoneExhaustive", examined, max_seen)
     return cert("Found", examined, max_seen, (_code_at(hit, m, q), space.stabiliser(hit)))

@@ -278,6 +278,18 @@ def test_orbit_cap():
         orbit(gens, Vertex((0, 0, 0), 3), cap=5)
 
 
+def test_orbit_explicit_cap_respects_orbit_cap(monkeypatch):
+    # an explicit cap above ELUSIVECODES_MAX_ORBIT must not lift the guard
+    monkeypatch.setenv("ELUSIVECODES_MAX_ORBIT", "5")
+    gens = full_group_generators(3, 3)
+    with pytest.raises(ResourceCapError):
+        orbit(gens, Vertex((0, 0, 0), 3), cap=100)
+    with pytest.raises(ResourceCapError):
+        orbit(gens, {Vertex((0, 0, 0), 3), Vertex((1, 1, 1), 3)}, cap=100)
+    monkeypatch.setenv("ELUSIVECODES_MAX_ORBIT", "27")
+    assert len(orbit(gens, Vertex((0, 0, 0), 3), cap=100)) == 27
+
+
 def test_spaces_past_2_63_vertices_are_refused():
     # every vertex index of H(63,2) fits in int64, not every one of H(64,2)
     shift = top(perms.cycle(63, tuple(range(63))), 2)

@@ -141,19 +141,18 @@ def test_first_mover_matches_dense_oracle_at_every_scannable_code(m, q, delta, m
     # every canonical code with minimum distance exactly delta, also past the
     # first hit, where a search stops scanning; at delta = 1 the U(C) prune
     # does not hold and must not be applied
-    space, tasks = search._prepare(m, q, delta)
+    space = search._SearchSpace(m, q, delta)
     full = full_action_table(m, q)
     scanned = 0
-    for task in tasks:
-        for code, cur_min in search._walk(space, *task, max_size):
-            if cur_min != delta:
-                continue
-            nb_mask, code_mask = space.masks(code)
-            got = _kernels.first_mover(
-                space.stab0, nb_mask, code_mask, space.minus, space.plus, space.adj
-            )
-            assert (got >= 0) == (first_mover(full, nb_mask, code_mask) >= 0), code
-            scanned += 1
+    for code, cur_min in search._canonical_codes(space, max_size):
+        if cur_min != delta:
+            continue
+        nb_mask, code_mask = space.masks(code)
+        got = _kernels.first_mover(
+            space.stab0, nb_mask, code_mask, space.minus, space.plus, space.adj
+        )
+        assert (got >= 0) == (first_mover(full, nb_mask, code_mask) >= 0), code
+        scanned += 1
     assert scanned > 0
 
 
@@ -163,22 +162,21 @@ def test_mover_prune_settles_without_the_table():
     from elusivecodes.codes import _code_at, neighbour_set
     from elusivecodes.hamming import sphere, vertex_index
 
-    space, tasks = search._prepare(4, 3, 3)
+    space = search._SearchSpace(4, 3, 3)
     settled = scans = 0
-    for task in tasks:
-        for code, cur_min in search._walk(space, *task, None):
-            if cur_min != 3:
-                continue
-            scans += 1
-            C = _code_at(code, 4, 3)
-            nb = neighbour_set(C)
-            U = {u for u in all_vertices(4, 3) if u not in nb and sphere(u, 1) <= nb}
-            if not U <= C.word_set:
-                continue
-            settled += 1
-            nb_mask, code_mask = space.masks(code)
-            assert {vertex_index(w) for w in nb} == set(np.nonzero(nb_mask)[0].tolist())
-            assert _kernels.first_mover(
-                None, nb_mask, code_mask, space.minus, space.plus, space.adj
-            ) == -1
+    for code, cur_min in search._canonical_codes(space):
+        if cur_min != 3:
+            continue
+        scans += 1
+        C = _code_at(code, 4, 3)
+        nb = neighbour_set(C)
+        U = {u for u in all_vertices(4, 3) if u not in nb and sphere(u, 1) <= nb}
+        if not U <= C.word_set:
+            continue
+        settled += 1
+        nb_mask, code_mask = space.masks(code)
+        assert {vertex_index(w) for w in nb} == set(np.nonzero(nb_mask)[0].tolist())
+        assert _kernels.first_mover(
+            None, nb_mask, code_mask, space.minus, space.plus, space.adj
+        ) == -1
     assert (settled, scans) == (19, 22)

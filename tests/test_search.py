@@ -21,16 +21,8 @@ from elusivecodes.codes import (
 from elusivecodes.constructions import alt_code, rep_code
 from elusivecodes.elusive import verify_elusive
 from elusivecodes.hamming import Vertex, all_vertices, distance, sphere, vertex_index
-from elusivecodes.search import (
-    check_partition_lemma,
-    common_neighbours,
-    enumerate_codes,
-    format_certificate,
-    fourth_vertex,
-    pre_codewords,
-    search_elusive,
-    write_certificate,
-)
+from elusivecodes.lemmas import check_partition_lemma, common_neighbours, fourth_vertex, pre_codewords
+from elusivecodes.search import enumerate_codes, format_certificate, search_elusive, write_certificate
 
 CERTIFICATES = Path(__file__).resolve().parent.parent / "certificates"
 
@@ -392,7 +384,7 @@ def test_threads_below_one_rejected():
 
 @pytest.mark.parametrize(
     "m, q, delta, max_size, count",
-    [(3, 3, 2, None, 37), (4, 3, 3, None, 24), (4, 3, 3, 3, 7)],
+    [(3, 3, 2, None, 37), (4, 3, 3, None, 24), (4, 3, 3, 3, 7), (5, 2, 2, None, 286), (4, 3, 2, 5, 488)],
 )
 def test_search_and_enumeration_share_the_traversal(m, q, delta, max_size, count):
     codes = list(enumerate_codes(m, q, delta, max_size=max_size))
