@@ -16,6 +16,7 @@ import numpy as np
 __all__ = [
     "BACKEND",
     "is_canonical",
+    "canonical_children",
     "first_mover",
     "stabiliser_rows",
     "min_distance_words",
@@ -37,21 +38,125 @@ def is_canonical(table: np.ndarray, code: np.ndarray, minus: np.ndarray) -> bool
     h = g t_c^-1 fixes 0, so g = h t_c lies in the coset Stab(0) t_c.  Only
     the |C| cosets {h t_c : h in Stab(0)} need scanning: row h of coset c
     images C as table[h, minus[c, C]].
-
-    No image is sorted.  For sets D != C of one size, D < C iff the least
-    element a of D \ C lies below every element of C \ D, that is iff every
-    codeword below a is in D.  The images below a are all codewords, so
-    that holds iff they are as many as the codewords below a.
     """
-    n = table.shape[1]
-    imgs = table[:, minus[code][:, code]]  # imgs[h, i, j] = h(code[j] - code[i])
-    not_code = np.arange(n, dtype=np.int32)
-    not_code[code] = n
-    least_out = not_code[imgs].min(axis=2)  # a for each image; n where the image is C
-    codewords_below = np.searchsorted(code, np.arange(n + 1))
-    images_below = (imgs < least_out[..., None]).sum(axis=2)
-    smaller = (images_below == codewords_below[least_out]) & (least_out < n)
-    return not smaller.any()
+    imgs = table.T.take(minus[code[None, :], code[:, None]], axis=0)  # imgs[j, i, h] = h(code[j] - code[i])
+    return not _smaller_image(imgs, code[:-1], code[-1], table.shape[1]).any()
+
+
+def _smaller_image(imgs: np.ndarray, code: np.ndarray, top: np.ndarray | int, n: int) -> np.ndarray:
+    r"""Where the image imgs[:, r] of len(code) + 1 distinct vertices of
+    0..n-1, read as a set, is lexicographically smaller than the sorted set
+    D = code + [top], with ``top`` above max(code) and broadcast over r.
+
+    No image is sorted.  For sets I != D of one size, I < D iff the least
+    element a of I \ D lies below every element of D \ I, that is iff every
+    element of D below a is in I.  The images below a all lie in D, so
+    that holds iff they are as many as the elements of D below a.
+    """
+    not_in_d = np.arange(n, dtype=np.int32)
+    not_in_d[code] = n
+    out = not_in_d.take(imgs)
+    out[imgs == top] = n
+    least_out = out.min(axis=0)  # a for each image; n where the image is D
+    images_below = (imgs < least_out).sum(axis=0)
+    return (images_below == np.searchsorted(code, least_out) + (top < least_out)) & (least_out < n)
+
+
+_BITS = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+
+
+def _first_missing(imgs: np.ndarray, code: np.ndarray, n: int) -> np.ndarray:
+    """For each image imgs[:, r] of len(code) distinct vertices, the index in
+    ``code`` of the least codeword it misses, len(code) where it is ``code``.
+
+    Codeword code[p] stands for bit p of a 63-bit word.  The vertices of an
+    image are distinct, so the sum of their bits is the set of codewords
+    the image holds, and the least codeword missing is its count of
+    trailing ones, read off the lowest zero bit.
+    """
+    k = code.size
+    first = 0
+    for lo in range(0, k, 63):
+        bit = np.zeros(n, dtype=np.uint64)
+        bit[code[lo : lo + 63]] = _BITS[: min(63, k - lo)]
+        held = bit.take(imgs).sum(axis=0)
+        ones = np.searchsorted(_BITS, ~held & (held + np.uint64(1)))
+        first = np.where(first == lo, lo + ones, first)  # only where every earlier word is full
+    return first
+
+
+def canonical_children(
+    table: np.ndarray, code: np.ndarray, cand: np.ndarray, minus: np.ndarray
+) -> np.ndarray:
+    r"""Boolean array over ``cand``: entry i is is_canonical(code + [cand[i]]).
+
+    ``code`` must be canonical, sorted with ``code[0] == 0``, and every
+    candidate must lie above max(code); ``table`` and ``minus`` are as for
+    is_canonical.
+
+    By coset canonicity the child D = C + [v] needs the |C| old cosets
+    {h t_c : c in C} and its new coset {h t_v}.  One gather over the old
+    cosets serves every candidate at once (the batch lemma); each
+    survivor is then rescanned only on its new coset and its tied rows.
+    A lone candidate has nothing to share and goes to is_canonical.
+
+    Batch lemma: let g lie in an old coset and let b = min(C \ g(C)).
+      - If g(C) = C, then g(D) = C + [g(v)] with g(v) not in C, which is
+        below D iff g(v) < v.
+      - Otherwise C is canonical, so g(C) > C and the least element of
+        the symmetric difference of g(C) and C is b, in C; below b the
+        two sets agree, and v > max C >= b.  If g(v) < b, then g(v) is
+        not in g(C), so it is no codeword below b, and it is the least
+        element of the symmetric difference of g(D) and D, lying in g(D):
+        g(D) < D.  If g(v) > b, that least element is b, lying in D:
+        g(D) > D.  Only a tied row, g(v) = b, leaves the order open.
+    So v is rejected when some old-coset row g has g(v) < b, or g(v) < v
+    where g(C) = C, and a survivor is canonical iff neither its tied rows
+    nor the rows h t_v of its new coset map D below D (_smaller_image).
+
+    The table is read vertex-major.  The old cosets are gathered a few at
+    a time, at most max(|Stab(0)| q^m, 2^20) table cells per chunk, and
+    the survivors in chunks of about the same memory.
+    """
+    rows, n = table.shape
+    k = code.size
+    keep = np.ones(cand.size, dtype=bool)
+    if cand.size == 1:
+        keep[0] = is_canonical(table, np.append(code, cand), minus)
+    if cand.size < 2:
+        return keep
+    by_vertex = table.T  # contiguous: the tables are built vertex-major
+    cols = np.concatenate([code, cand])
+    code_n = np.append(code, n)
+    cap = max(rows * n, 1 << 20)
+    bs = []
+    step = max(1, cap // (rows * cols.size))
+    for lo in range(0, k, step):
+        # imgs[j, i, h] = h(cols[j] - code[lo + i]), row h of the coset of code[lo + i]
+        imgs = by_vertex.take(minus[code[None, lo : lo + step], cols[:, None]], axis=0)
+        b = code_n[_first_missing(imgs[:k], code, n)]  # n where g(C) = C
+        moved = imgs[k:]  # g(v) for each candidate v
+        fixed = b == n
+        below_b = (moved < np.where(fixed, 0, b)).any(axis=(1, 2))
+        keep[below_b | (moved[:, fixed] < cand[:, None]).any(axis=1)] = False
+        bs.append(b)
+    b = np.concatenate(bs)  # b[c, h] for the row h t_code[c]
+    survivors = np.flatnonzero(keep)
+    # a survivor gathers 2|C| + 1 cells per row, and its test makes about
+    # four times as many in temporaries
+    step = max(1, cap // (4 * rows * (2 * k + 1)))
+    for lo in range(0, survivors.size, step):
+        s = survivors[lo : lo + step]
+        v = cand[s]
+        c, t, h = np.nonzero(by_vertex.take(minus[code[:, None], v], axis=0) == b[:, None])  # the tied rows of each v
+        # the images of C under the rows of the new cosets, then of the tied rows
+        new = by_vertex.take(minus[v, code[:, None]], axis=0).reshape(k, -1)
+        imgs = np.concatenate([new, by_vertex[minus[code[c], code[:, None]], h]], axis=1)
+        moved = np.zeros(imgs.shape[1], dtype=imgs.dtype)  # h t_v maps v to 0
+        moved[s.size * rows :] = b[c, h]
+        owner = np.concatenate([np.repeat(np.arange(s.size), rows), t])
+        keep[s[owner[_smaller_image(np.vstack([imgs, moved]), code, v[owner], n)]]] = False
+    return keep
 
 
 def stabiliser_rows(table: np.ndarray, mask: np.ndarray) -> np.ndarray:

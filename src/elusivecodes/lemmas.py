@@ -284,24 +284,26 @@ def _mu_equivariance_holds() -> bool:
     return True
 
 
-def _coset_kernels_agree(m: int, q: int, delta: int) -> tuple[bool, bool]:
-    """(canonicity, mover) verdicts of the coset kernels against the full
-    table, at every node the walk tests and every code it could scan."""
+def _coset_kernels_agree(m: int, q: int, delta: int) -> tuple[bool, bool, bool]:
+    """(canonicity, batch, mover) verdicts of the coset kernels against the
+    full table: is_canonical and canonical_children on every child of every
+    node the walk tests, first_mover on every code it could scan."""
     space = _SearchSpace(m, q, delta)
     full = full_action_table(m, q)
     canonical = list(_canonical_codes(space))
-    nodes = [
-        code + [v]
-        for code, _ in [([0], m)] + canonical
-        for v in range(code[-1] + 1, space.n)
-        if space.dist[v, code].min() >= delta
-    ]
-    canon_ok = True
-    for code in nodes:
-        imgs = np.sort(full[:, code], axis=1)
-        least = imgs[np.lexsort(imgs.T[::-1])[0]]  # the lexicographically least image
-        got = _kernels.is_canonical(space.stab0, np.array(code), space.minus)
-        canon_ok &= got == np.array_equal(least, code)
+    canon_ok = batch_ok = True
+    for code in [[0]] + [code for code, _ in canonical]:
+        cand = np.array(
+            [v for v in range(code[-1] + 1, space.n) if space.dist[v, code].min() >= delta], dtype=np.int32
+        )
+        batch = _kernels.canonical_children(space.stab0, np.array(code, dtype=np.int32), cand, space.minus)
+        for v, in_batch in zip(cand.tolist(), batch):
+            child = code + [v]
+            imgs = np.sort(full[:, child], axis=1)
+            least = imgs[np.lexsort(imgs.T[::-1])[0]]  # the lexicographically least image
+            want = np.array_equal(least, child)
+            canon_ok &= _kernels.is_canonical(space.stab0, np.array(child), space.minus) == want
+            batch_ok &= bool(in_batch) == want
     mover_ok = True
     for code in (code for code, cur_min in canonical if cur_min == delta):
         nb_mask, code_mask = space.masks(code)
@@ -309,7 +311,7 @@ def _coset_kernels_agree(m: int, q: int, delta: int) -> tuple[bool, bool]:
         moved = bool((code_mask[fixing] != code_mask).any())
         got = _kernels.first_mover(space.stab0, nb_mask, code_mask, space.minus, space.plus, space.adj)
         mover_ok &= (got >= 0) == moved
-    return canon_ok, mover_ok
+    return canon_ok, batch_ok, mover_ok
 
 
 def suite_act(seed: int = 0) -> list[Check]:
@@ -341,14 +343,21 @@ def suite_act(seed: int = 0) -> list[Check]:
     out.append(
         _check(
             "coset-canonicity-h33",
-            all(canon for canon, _ in agree),
+            all(canon for canon, _, _ in agree),
             "coset canonicity differs from the full-table scan",
         )
     )
     out.append(
         _check(
+            "batch-children-h33",
+            all(batch for _, batch, _ in agree),
+            "batch canonicity of a node's children differs from the full-table scan",
+        )
+    )
+    out.append(
+        _check(
             "mover-prune-h33",
-            all(mover for _, mover in agree),
+            all(mover for _, _, mover in agree),
             "pruned coset mover scan differs from the full-table scan",
         )
     )

@@ -17,10 +17,13 @@ iterate.
 
 Every node therefore contains vertex 0, and the search acts only through
 the table of Stab(0) = S_{q-1} wr S_m, the stabiliser of vertex 0, and
-its cosets {x : x(c) = u}.  The canonicity test scans the |C| cosets
-that send a codeword to 0, the mover test scans only the cosets the U(C)
-prune leaves (often none), and a Found stabiliser is collected from the
-|Γ1(C)| cosets that send min Γ1(C) into Γ1(C); see ``_kernels``.
+its cosets {x : x(c) = u}.  All children of a node are decided in one
+batch: one gather over the |C| cosets that send a codeword to 0 rejects
+most candidates by the batch lemma, and each survivor is rescanned only
+on its own new coset and its tied rows.  The mover test scans only the
+cosets the U(C) prune leaves (often none), and a Found stabiliser is
+collected from the |Γ1(C)| cosets that send min Γ1(C) into Γ1(C); see
+``_kernels``.
 
 The traversal always runs to exhaustion (no early exit), so the
 certificate counts every canonical code; "Found" is the first hit in
@@ -141,14 +144,12 @@ def _canonical_codes(space: _SearchSpace, max_size: int | None = None) -> Iterat
     {0} itself, with minimum distance m, is neither tested nor yielded."""
 
     def children(code: list[int], arr: np.ndarray, cand: np.ndarray, cur_min: int):
-        if max_size is not None and len(code) >= max_size:
+        if not cand.size or (max_size is not None and len(code) >= max_size):
             return
-        for pos in range(cand.size):
+        for pos in np.flatnonzero(_kernels.canonical_children(space.stab0, arr, cand, space.minus)).tolist():
             v = int(cand[pos])
             child = code + [v]
             child_arr = np.array(child, dtype=np.int32)
-            if not _kernels.is_canonical(space.stab0, child_arr, space.minus):
-                continue
             child_min = min(cur_min, int(space.dist[v, arr].min()))
             yield child, child_min
             rest = cand[pos + 1 :]

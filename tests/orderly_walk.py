@@ -1,0 +1,38 @@
+"""The orderly walk one child at a time: the test oracle for
+search._canonical_codes, which decides all of a node's children in one
+batch through _kernels.canonical_children.
+
+Each child C + [v] is kept iff _kernels.is_canonical accepts it, with no
+batch lemma and no shared gather.
+"""
+
+from __future__ import annotations
+
+from typing import Iterator
+
+import numpy as np
+
+from elusivecodes import _kernels
+
+
+def canonical_codes(space, max_size: int | None = None) -> Iterator[tuple[list[int], int]]:
+    """Depth first from {0}: every canonical code of at least two words with
+    its minimum distance, each code before its children, in the order of
+    search._canonical_codes."""
+
+    def children(code: list[int], arr: np.ndarray, cand: np.ndarray, cur_min: int):
+        if max_size is not None and len(code) >= max_size:
+            return
+        for pos in range(cand.size):
+            v = int(cand[pos])
+            child = code + [v]
+            child_arr = np.array(child, dtype=np.int32)
+            if not _kernels.is_canonical(space.stab0, child_arr, space.minus):
+                continue
+            child_min = min(cur_min, int(space.dist[v, arr].min()))
+            yield child, child_min
+            rest = cand[pos + 1 :]
+            yield from children(child, child_arr, rest[space.dist[v, rest] >= space.delta], child_min)
+
+    first = np.nonzero(space.dist[0] >= space.delta)[0].astype(np.int32)
+    yield from children([0], np.zeros(1, dtype=np.int32), first, space.m)

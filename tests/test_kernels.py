@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+import orderly_walk
 from dense_kernels import first_mover, is_canonical
 from elusivecodes import _kernels, search
 from elusivecodes._kernels import min_distance_words, stabiliser_rows
@@ -97,6 +98,46 @@ def test_np_min_distance_against_python_oracle():
         assert min_distance_words(words) == want
 
 
+def _checked_children(full, verdicts):
+    """canonical_children, with every verdict checked against the dense
+    kernel on the child itself and counted in ``verdicts``."""
+    batch = _kernels.canonical_children
+
+    def checked(table, code, cand, minus):
+        got = batch(table, code, cand, minus)
+        assert got.shape == cand.shape
+        for v, ok in zip(cand, got):
+            assert ok == is_canonical(full, np.append(code, v)), (code, v)
+            verdicts[bool(ok)] += 1
+        return got
+
+    return checked
+
+
+@pytest.mark.parametrize(
+    "m, q, delta, max_size",
+    [
+        (3, 3, 1, 5),
+        (2, 4, 1, 5),
+        (3, 3, 2, None),
+        (3, 3, 3, None),
+        (4, 3, 3, None),
+        (4, 3, 2, 4),
+        (3, 4, 3, None),
+        (5, 2, 2, None),
+    ],
+)
+def test_canonical_children_match_dense_oracle_at_every_node(m, q, delta, max_size, monkeypatch):
+    # every child the batch accepts or rejects, against the dense kernel over
+    # the full table; the walk itself against one that tests each child alone
+    space = search._SearchSpace(m, q, delta)
+    want = list(orderly_walk.canonical_codes(space, max_size))
+    verdicts = {True: 0, False: 0}
+    monkeypatch.setattr(_kernels, "canonical_children", _checked_children(full_action_table(m, q), verdicts))
+    assert list(search._canonical_codes(space, max_size)) == want
+    assert verdicts[True] == len(want) and verdicts[False] > 0
+
+
 @pytest.mark.parametrize(
     "m, q, delta, kwargs",
     [
@@ -109,17 +150,12 @@ def test_np_min_distance_against_python_oracle():
     ],
 )
 def test_coset_kernels_match_dense_oracle_on_every_call(m, q, delta, kwargs, monkeypatch):
-    # every canonicity test and mover scan of a real search, checked
-    # against the dense kernel over the full table
+    # every batch of children and every mover scan of a real search, checked
+    # against the dense kernels over the full table
     full = full_action_table(m, q)
-    calls = {"canonical": 0, "mover": 0}
-    coset_canonical, coset_mover = _kernels.is_canonical, _kernels.first_mover
-
-    def checked_canonical(table, code, minus):
-        got = coset_canonical(table, code, minus)
-        assert got == is_canonical(full, code), code
-        calls["canonical"] += 1
-        return got
+    verdicts = {True: 0, False: 0}
+    calls = {"mover": 0}
+    coset_mover = _kernels.first_mover
 
     def checked_mover(table, nb_mask, code_mask, *arrays):
         got = coset_mover(table, nb_mask, code_mask, *arrays)
@@ -127,10 +163,10 @@ def test_coset_kernels_match_dense_oracle_on_every_call(m, q, delta, kwargs, mon
         calls["mover"] += 1
         return got
 
-    monkeypatch.setattr(_kernels, "is_canonical", checked_canonical)
+    monkeypatch.setattr(_kernels, "canonical_children", _checked_children(full, verdicts))
     monkeypatch.setattr(_kernels, "first_mover", checked_mover)
     search.search_elusive(m, q, delta, **kwargs)
-    assert calls["canonical"] > 0 and calls["mover"] > 0
+    assert verdicts[True] > 0 and calls["mover"] > 0
 
 
 @pytest.mark.parametrize(
@@ -180,3 +216,32 @@ def test_mover_prune_settles_without_the_table():
             None, nb_mask, code_mask, space.minus, space.plus, space.adj
         ) == -1
     assert (settled, scans) == (19, 22)
+
+
+def test_first_missing_across_bit_words():
+    # codes of up to 130 words span three 63-bit words; images hold a prefix
+    # of the code, so the least missing codeword lands in every word
+    rng = np.random.default_rng(7)
+    n = 300
+    for k in (1, 5, 62, 63, 64, 126, 127, 130):
+        code = np.sort(rng.choice(n, size=k, replace=False)).astype(np.int32)
+        others = np.setdiff1d(np.arange(n), code)
+        imgs, want = [], []
+        for held in sorted({0, 1, k // 2, k - 1, k, *rng.integers(0, k + 1, size=6).tolist()}):
+            img = np.concatenate([code[:held], rng.choice(others, size=k - held, replace=False)])
+            imgs.append(rng.permutation(img))
+            want.append(held)
+        got = _kernels._first_missing(np.array(imgs, dtype=np.int32).T, code, n)
+        assert got.tolist() == want, k
+
+
+@pytest.mark.parametrize("k", [63, 64, 70])
+def test_canonical_children_of_a_code_past_one_bit_word(k):
+    # {0, ..., k-1} is the least k-set, so canonical; its children in H(4,3)
+    # against the dense kernel
+    space = search._SearchSpace(4, 3, 1)
+    full = full_action_table(4, 3)
+    code = np.arange(k, dtype=np.int32)
+    cand = np.arange(k, space.n, dtype=np.int32)
+    got = _kernels.canonical_children(space.stab0, code, cand, space.minus)
+    assert got.tolist() == [is_canonical(full, np.append(code, v)) for v in cand]

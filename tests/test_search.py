@@ -328,6 +328,29 @@ def test_search_h433_exhaustive_negative():
     assert cert.filters_applied == ("parity",)
 
 
+@pytest.mark.parametrize(
+    "m, q, delta, kwargs",
+    [
+        (4, 3, 3, {}),
+        (4, 3, 4, {}),
+        (3, 4, 3, {"parity_filter": False}),
+        (5, 2, 3, {"parity_filter": False}),
+        (5, 2, 4, {}),
+        (5, 2, 5, {}),
+        (3, 5, 3, {}),
+        (7, 2, 4, {}),
+    ],
+)
+def test_no_elusive_pair_when_q_does_not_divide_m(m, q, delta, kwargs):
+    # the spectral lemma: at delta >= 3, A 1_C = 1_{Γ1(C)} for the adjacency
+    # matrix A of H(m,q), whose eigenvalues (q-1)m - qi are all nonzero when
+    # q does not divide m; so every x fixing Γ1(C) fixes C
+    assert m % q != 0 and delta >= 3
+    cert = search_elusive(m, q, delta, **kwargs)
+    assert cert.outcome == "NoneExhaustive"
+    assert cert.canonical_codes_examined > 0
+
+
 def test_search_h233_small_found():
     cert = search_elusive(2, 3, 2)
     assert cert.outcome == "Found"
