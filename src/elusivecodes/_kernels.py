@@ -17,6 +17,7 @@ __all__ = [
     "BACKEND",
     "is_canonical",
     "canonical_children",
+    "fixer_cosets",
     "first_mover",
     "stabiliser_rows",
     "min_distance_words",
@@ -164,47 +165,58 @@ def stabiliser_rows(table: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return (mask[table] == mask[None, :]).all(axis=1)
 
 
-def first_mover(
-    table: np.ndarray,
-    nb_mask: np.ndarray,
-    code_mask: np.ndarray,
-    minus: np.ndarray,
-    plus: np.ndarray,
-    adj: np.ndarray,
-) -> int:
-    r"""-1 iff no element of Aut(H(m,q)) fixes nb_mask setwise while moving
-    code_mask; otherwise the row h of the first such element s_u h t_c,
-    scanning the cosets (c, u) in increasing order.
+def fixer_cosets(code, adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    r"""(nb_mask, us, spread): nb_mask marks Γ1(C), and each automorphism
+    fixing Γ1(C) setwise is s_u h, h in Stab(0) then v -> v + u, with u in
+    ``us``: first ``spread`` vertices outside C, increasing, then the
+    codewords.  ``code`` is C as vertex indices, with 0 in C, and ``adj``
+    holds the neighbour rows.
 
-    ``table`` is the action table of Stab(0), ``minus[c]`` and ``plus[u]``
-    the rows of v -> v - c and v -> v + u, ``adj`` the neighbour rows, and
-    nb_mask is Γ1(C), the vertices at distance 1 from the code C.
-
-    U(C) prune: let U(C) = {u not in Γ1(C) : S1(u) ⊆ Γ1(C)} and let C have
-    minimum distance >= 2.  Take x fixing Γ1(C) setwise and c in C.  Then
-    c is not in Γ1(C), so neither is x(c); and S1(c) ⊆ Γ1(C), so
-    S1(x(c)) = x(S1(c)) ⊆ Γ1(C).  So x maps C into U(C), and if x also
-    moves C it sends some codeword into U(C) \ C.  Hence U(C) ⊆ C means
-    no mover exists.  Otherwise every mover lies in a coset
-    {x : x(c) = u} = {s_u h t_c : h in Stab(0)} with c in C and u in
-    U(C) \ C; every element there moves C, and being a bijection it fixes
-    Γ1(C) setwise iff it maps Γ1(C) into Γ1(C).  At minimum distance 1,
-    S1(c) may meet C, so u runs over every vertex outside C and Γ1(C).
+    Lemma: a fixer x maps C into W, the set ``us`` lists: the complement of
+    Γ1(C) or, at minimum distance >= 2, U(C) = {u not in Γ1(C) : S1(u) ⊆
+    Γ1(C)}.  As a bijection, x fixes the complement of Γ1(C), which holds
+    C; at minimum distance >= 2, S1(c) ⊆ Γ1(C) for each codeword c, so
+    S1(x(c)) = x(S1(c)) ⊆ Γ1(C) (the U(C) prune), while at minimum distance
+    1 S1(c) may meet C.  So u = x(0) is in W, and s_u^-1 x fixes 0.
     """
-    code = np.nonzero(code_mask)[0]
-    nb = np.nonzero(nb_mask)[0]
-    targets = (nb_mask == 0) & (code_mask == 0)
+    code = np.asarray(code)
+    code_mask = np.zeros(adj.shape[0], dtype=bool)
+    code_mask[code] = True
+    nb_mask = np.zeros_like(code_mask)
+    nb_mask[adj[code]] = True
+    nb_mask[code] = False
+    off = ~nb_mask & ~code_mask
     if not code_mask[adj[code]].any():  # minimum distance >= 2: the U(C) prune
-        targets &= nb_mask[adj].all(axis=1)
-    targets = np.nonzero(targets)[0]
-    if not targets.size:
+        off &= nb_mask[adj].all(axis=1)
+    off = np.flatnonzero(off)
+    return nb_mask, np.concatenate([off, code]).astype(np.int32), off.size
+
+
+def first_mover(table: np.ndarray, code, plus: np.ndarray, adj: np.ndarray) -> int:
+    r"""-1 iff no element of Aut(H(m,q)) fixes Γ1(C) setwise while moving
+    C, else the row h of the first such s_u h in the order of fixer_cosets'
+    ``us``.  ``table`` is the action table of Stab(0), ``plus[u]`` the row
+    of v -> v + u, and ``code`` and ``adj`` are as for fixer_cosets.
+
+    When W = C (spread == 0), every fixer maps C onto C and the table is not
+    read.  A fixer s_u h with u outside C moves C, sending 0 off C; one with
+    u in C moves C iff it sends a codeword off C.  A bijection fixes Γ1(C)
+    iff it maps Γ1(C) into Γ1(C), so only the columns of Γ1(C) and C are read.
+    """
+    nb_mask, us, spread = fixer_cosets(code, adj)
+    if not spread:
         return -1
-    for c in code:
-        imgs = table[:, minus[c, nb]]  # h(n - c) for n in Γ1(C)
-        for u in targets:
-            hits = np.nonzero(nb_mask[plus[u]][imgs].all(axis=1))[0]
-            if hits.size:
-                return int(hits[0])
+    imgs = table.T.take(np.flatnonzero(nb_mask), axis=0)  # h(n) for n in Γ1(C)
+    on_code = table.T.take(us[spread:], axis=0)  # h(c) for c in C
+    code_mask = np.zeros_like(nb_mask)
+    code_mask[us[spread:]] = True
+    for i, u in enumerate(us.tolist()):
+        hits = nb_mask[plus[u]].take(imgs).all(axis=0)
+        if i >= spread:
+            hits &= ~code_mask[plus[u]].take(on_code).all(axis=0)
+        hits = np.flatnonzero(hits)
+        if hits.size:
+            return int(hits[0])
     return -1
 
 

@@ -23,6 +23,7 @@ from . import constructions as cons
 from . import perms
 from .autgroup import (
     Automorphism,
+    _row_keys,
     apply,
     compose,
     diag,
@@ -37,7 +38,7 @@ from .autgroup import (
     wreath_embed,
     wreath_generators,
 )
-from .codes import Code, min_distance, neighbour_set
+from .codes import Code, _neighbour_indices, min_distance, neighbour_set
 from .elusive import verify_elusive
 from .hamming import Vertex, all_vertices, distance, neighbours, sphere
 from .search import _canonical_codes, _SearchSpace
@@ -284,10 +285,12 @@ def _mu_equivariance_holds() -> bool:
     return True
 
 
-def _coset_kernels_agree(m: int, q: int, delta: int) -> tuple[bool, bool, bool]:
-    """(canonicity, batch, mover) verdicts of the coset kernels against the
-    full table: is_canonical and canonical_children on every child of every
-    node the walk tests, first_mover on every code it could scan."""
+def _coset_kernels_agree(m: int, q: int, delta: int) -> tuple[bool, bool, bool, bool]:
+    """(canonicity, batch, mover, fixers) verdicts of the coset kernels
+    against the full table: is_canonical and canonical_children on every
+    child of every node the walk tests; at every code it could scan,
+    first_mover, and every full-table row fixing Γ1(C) sending 0 into the
+    cosets fixer_cosets lists, the Found stabiliser being those rows."""
     space = _SearchSpace(m, q, delta)
     full = full_action_table(m, q)
     canonical = list(_canonical_codes(space))
@@ -304,14 +307,21 @@ def _coset_kernels_agree(m: int, q: int, delta: int) -> tuple[bool, bool, bool]:
             want = np.array_equal(least, child)
             canon_ok &= _kernels.is_canonical(space.stab0, np.array(child), space.minus) == want
             batch_ok &= bool(in_batch) == want
-    mover_ok = True
+    mover_ok = fixers_ok = True
     for code in (code for code, cur_min in canonical if cur_min == delta):
-        nb_mask, code_mask = space.masks(code)
-        fixing = full[_kernels.stabiliser_rows(full, nb_mask)]
-        moved = bool((code_mask[fixing] != code_mask).any())
-        got = _kernels.first_mover(space.stab0, nb_mask, code_mask, space.minus, space.plus, space.adj)
+        nb_mask = np.zeros(space.n, dtype=bool)
+        nb_mask[_neighbour_indices(np.array(code), m, q)] = True
+        code_mask = np.zeros(space.n, dtype=bool)
+        code_mask[code] = True
+        rows = np.flatnonzero(_kernels.stabiliser_rows(full, nb_mask))
+        moved = bool((code_mask[full[rows]] != code_mask).any())
+        got = _kernels.first_mover(space.stab0, code, space.plus, space.adj)
         mover_ok &= (got >= 0) == moved
-    return canon_ok, batch_ok, mover_ok
+        _, us, _ = _kernels.fixer_cosets(code, space.adj)
+        fixers_ok &= bool(np.isin(full[rows, 0], us).all()) and np.array_equal(
+            space.stabiliser(code).keys, _row_keys(rows, m, perms.symmetric_group(q))
+        )
+    return canon_ok, batch_ok, mover_ok, fixers_ok
 
 
 def suite_act(seed: int = 0) -> list[Check]:
@@ -343,22 +353,29 @@ def suite_act(seed: int = 0) -> list[Check]:
     out.append(
         _check(
             "coset-canonicity-h33",
-            all(canon for canon, _, _ in agree),
+            all(canon for canon, _, _, _ in agree),
             "coset canonicity differs from the full-table scan",
         )
     )
     out.append(
         _check(
             "batch-children-h33",
-            all(batch for _, batch, _ in agree),
+            all(batch for _, batch, _, _ in agree),
             "batch canonicity of a node's children differs from the full-table scan",
         )
     )
     out.append(
         _check(
             "mover-prune-h33",
-            all(mover for _, _, mover in agree),
+            all(mover for _, _, mover, _ in agree),
             "pruned coset mover scan differs from the full-table scan",
+        )
+    )
+    out.append(
+        _check(
+            "fixer-cosets-h33",
+            all(fixers for _, _, _, fixers in agree),
+            "a fixer of Γ1(C) lies outside the listed cosets, or the Found stabiliser differs from its rows",
         )
     )
     rng = random.Random(seed)

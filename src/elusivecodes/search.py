@@ -20,10 +20,10 @@ the table of Stab(0) = S_{q-1} wr S_m, the stabiliser of vertex 0, and
 its cosets {x : x(c) = u}.  All children of a node are decided in one
 batch: one gather over the |C| cosets that send a codeword to 0 rejects
 most candidates by the batch lemma, and each survivor is rescanned only
-on its own new coset and its tied rows.  The mover test scans only the
-cosets the U(C) prune leaves (often none), and a Found stabiliser is
-collected from the |Γ1(C)| cosets that send min Γ1(C) into Γ1(C); see
-``_kernels``.
+on its own new coset and its tied rows.  The mover test and a Found
+stabiliser read the same cosets {x : x(0) = u}, one per u to which a
+fixer of Γ1(C) can send 0; the U(C) prune often leaves only u in C,
+which settles the mover test unread.  See ``_kernels.fixer_cosets``.
 
 The traversal always runs to exhaustion (no early exit), so the
 certificate counts every canonical code; "Found" is the first hit in
@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -97,35 +97,21 @@ class _SearchSpace:
         # adjacency rows: the m(q-1) neighbouring indices of each vertex, increasing
         self.adj = np.nonzero(self.dist == 1)[1].reshape(self.n, -1).astype(np.int32)
 
-    def stabiliser(self, idxs: Sequence[int]) -> Group:
+    def stabiliser(self, code: list[int]) -> Group:
         """The setwise stabiliser of Γ1(C) in Aut(H(m,q)), members in full-table row order.
 
-        With n0 = min Γ1(C), every member maps n0 to some n in Γ1(C), so the
-        members are the elements of the |Γ1(C)| cosets
-        {x : x(n0) = n} = {s_n h t_n0 : h in Stab(0)} that fix Γ1(C), composed
-        as packed keys and sorted by key, which is full-table row order.
-        Only the columns of Γ1(C) are read: a bijection that maps Γ1(C) into
-        Γ1(C) maps it onto Γ1(C).
+        Its members are the elements s_u h, in the cosets that
+        _kernels.fixer_cosets lists (the ones the mover test scans), that
+        map Γ1(C) into Γ1(C); being bijections, they fix it.  Each is packed
+        as the key of "h then s_u", and the keys are sorted, which is
+        full-table row order.
         """
         m, q = self.m, self.q
-        nb_mask, _ = self.masks(idxs)
-        nb = np.nonzero(nb_mask)[0]
-        imgs = self.stab0[:, self.minus[nb[0], nb]]  # h(n - n0) for n in Γ1(C)
-        # fixes[i, h]: row h of the coset {x : x(n0) = nb[i]} maps Γ1(C) into Γ1(C)
-        fixes = [nb_mask[self.plus[n]][imgs].all(axis=1) for n in nb]
-        cosets, rows = np.nonzero(np.array(fixes))
+        nb_mask, us, _ = _kernels.fixer_cosets(code, self.adj)
+        imgs = self.stab0.T.take(np.flatnonzero(nb_mask), axis=0)  # h(n) for n in Γ1(C)
+        cosets, rows = np.nonzero([nb_mask[self.plus[u]].take(imgs).all(axis=0) for u in us.tolist()])
         h = _row_keys(rows, m, _stab0_coord_perms(q))
-        t_h = _compose_keys(_translation_keys(nb[:1], -1, m, q), h, m, q)
-        return Group(m, q, None, _sort_keys(_compose_keys(t_h, _translation_keys(nb[cosets], 1, m, q), m, q)))
-
-    def masks(self, idxs: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        code_mask = np.zeros(self.n, dtype=np.uint8)
-        arr = np.asarray(idxs, dtype=np.int32)
-        code_mask[arr] = 1
-        nb_mask = np.zeros(self.n, dtype=np.uint8)
-        nb_mask[self.adj[arr].ravel()] = 1
-        nb_mask[arr] = 0
-        return nb_mask, code_mask
+        return Group(m, q, None, _sort_keys(_compose_keys(h, _translation_keys(us[cosets], 1, m, q), m, q)))
 
 
 def _check_parameters(m: int, q: int, delta: int, max_size: int | None, threads: int = 1) -> None:
@@ -235,8 +221,7 @@ def search_elusive(
         examined += 1
         max_seen = max(max_seen, len(code))
         if hit is None and cur_min == delta:
-            nb_mask, code_mask = space.masks(code)
-            if _kernels.first_mover(space.stab0, nb_mask, code_mask, space.minus, space.plus, space.adj) >= 0:
+            if _kernels.first_mover(space.stab0, code, space.plus, space.adj) >= 0:
                 hit = code
     if hit is None:
         return cert("NoneExhaustive", examined, max_seen)

@@ -3,6 +3,8 @@
 perfbench/tracing.py wraps each (module, name) in its TRACED list and
 treats generator functions as spans over the whole iteration, so a
 rename or a change of kind in the library silently breaks a traced run.
+Its counter hooks read the arguments and results of the functions they
+wrap, so a changed signature or result breaks a traced run too.
 perfbench/jobs.py calls library functions with keywords, so a dropped
 parameter breaks every run of the benchmark at the parent and the child
 alike.  This test only reads perfbench/.
@@ -16,26 +18,41 @@ from pathlib import Path
 from types import ModuleType
 
 import elusivecodes
-from elusivecodes import search
+from elusivecodes import autgroup, constructions, elusive, search
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
 
 
-def _traced():
+def _tracing():
     # compiled from source, so no bytecode cache is written under perfbench/
     namespace = {"__name__": "perfbench_tracing"}
     exec(compile(TRACING.read_text(encoding="utf-8"), str(TRACING), "exec"), namespace)
-    return namespace["TRACED"]
+    return namespace
 
 
 def test_every_traced_name_is_a_library_function():
-    traced = _traced()
+    traced = _tracing()["TRACED"]
     assert traced
     for _, module, name, _ in traced:
         fn = getattr(module, name, None)
         assert inspect.isfunction(fn), f"{module.__name__}.{name}"
         assert fn.__module__ == module.__name__, f"{module.__name__}.{name}"
+
+
+def test_the_tracer_counter_hooks_read_the_library_calls():
+    tracer = _tracing()["Tracer"]()
+    tracer.install()
+    try:
+        search.search_elusive(3, 3, 3)
+        list(search.enumerate_codes(3, 3, 2))
+        elusive.verify_elusive(constructions.alt_code(3), autgroup.diag_top_generators(3))
+    finally:
+        tracer.uninstall()
+    layers = tracer.per_layer()
+    assert layers["kernels.first_mover.hits"] == 1
+    assert layers["search.search_elusive.codes_examined"] == 2
+    assert layers["search.enumerate_codes.codes"] == 37
 
 
 def test_enumerate_codes_is_still_a_generator_function():

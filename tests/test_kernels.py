@@ -8,8 +8,10 @@ import orderly_walk
 from dense_kernels import first_mover, is_canonical
 from elusivecodes import _kernels, search
 from elusivecodes._kernels import min_distance_words, stabiliser_rows
-from elusivecodes.autgroup import full_action_table, vertex_action_table
-from elusivecodes.hamming import all_vertices, distance, vertex_from_index
+from elusivecodes.autgroup import _row_keys, full_action_table, vertex_action_table
+from elusivecodes.codes import _neighbour_indices
+from elusivecodes.hamming import all_vertices, distance, space_size, vertex_from_index
+from elusivecodes.perms import symmetric_group
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +23,12 @@ def _mask(indices, n=27):
     mask = np.zeros(n, dtype=bool)
     mask[list(indices)] = True
     return mask
+
+
+def _oracle_masks(code, m, q):
+    # Γ1(C) and C for the dense oracle, built apart from the search's kernels
+    n = space_size(m, q)
+    return _mask(_neighbour_indices(np.asarray(code), m, q), n), _mask(code, n)
 
 
 def _random_cases(rng, count, max_size=6, n=27):
@@ -157,9 +165,9 @@ def test_coset_kernels_match_dense_oracle_on_every_call(m, q, delta, kwargs, mon
     calls = {"mover": 0}
     coset_mover = _kernels.first_mover
 
-    def checked_mover(table, nb_mask, code_mask, *arrays):
-        got = coset_mover(table, nb_mask, code_mask, *arrays)
-        assert (got >= 0) == (first_mover(full, nb_mask, code_mask) >= 0), np.nonzero(code_mask)
+    def checked_mover(table, code, plus, adj):
+        got = coset_mover(table, code, plus, adj)
+        assert (got >= 0) == (first_mover(full, *_oracle_masks(code, m, q)) >= 0), code
         calls["mover"] += 1
         return got
 
@@ -171,23 +179,36 @@ def test_coset_kernels_match_dense_oracle_on_every_call(m, q, delta, kwargs, mon
 
 @pytest.mark.parametrize(
     "m, q, delta, max_size",
-    [(2, 3, 1, None), (3, 2, 1, 6), (3, 3, 1, 4), (2, 4, 1, 5), (4, 3, 3, None), (6, 2, 3, None)],
+    [
+        (2, 3, 1, None),
+        (3, 2, 1, 6),
+        (3, 3, 1, 4),
+        (2, 4, 1, 5),
+        (3, 3, 2, None),
+        (4, 3, 3, None),
+        (5, 2, 2, None),
+        (6, 2, 3, None),
+    ],
 )
 def test_first_mover_matches_dense_oracle_at_every_scannable_code(m, q, delta, max_size):
     # every canonical code with minimum distance exactly delta, also past the
-    # first hit, where a search stops scanning; at delta = 1 the U(C) prune
-    # does not hold and must not be applied
+    # first hit, where a search stops scanning: the mover verdict, every
+    # full-table row fixing Γ1(C) sending 0 into a coset fixer_cosets lists,
+    # and the Found stabiliser equal to those rows; at delta = 1 the U(C)
+    # prune does not hold and must not be applied
     space = search._SearchSpace(m, q, delta)
     full = full_action_table(m, q)
     scanned = 0
     for code, cur_min in search._canonical_codes(space, max_size):
         if cur_min != delta:
             continue
-        nb_mask, code_mask = space.masks(code)
-        got = _kernels.first_mover(
-            space.stab0, nb_mask, code_mask, space.minus, space.plus, space.adj
-        )
+        nb_mask, code_mask = _oracle_masks(code, m, q)
+        got = _kernels.first_mover(space.stab0, code, space.plus, space.adj)
         assert (got >= 0) == (first_mover(full, nb_mask, code_mask) >= 0), code
+        rows = np.flatnonzero(stabiliser_rows(full, nb_mask))
+        cosets_nb, us, _ = _kernels.fixer_cosets(code, space.adj)
+        assert np.array_equal(cosets_nb, nb_mask) and np.isin(full[rows, 0], us).all(), code
+        assert np.array_equal(space.stabiliser(code).keys, _row_keys(rows, m, symmetric_group(q))), code
         scanned += 1
     assert scanned > 0
 
@@ -210,11 +231,9 @@ def test_mover_prune_settles_without_the_table():
         if not U <= C.word_set:
             continue
         settled += 1
-        nb_mask, code_mask = space.masks(code)
-        assert {vertex_index(w) for w in nb} == set(np.nonzero(nb_mask)[0].tolist())
-        assert _kernels.first_mover(
-            None, nb_mask, code_mask, space.minus, space.plus, space.adj
-        ) == -1
+        nb_mask, _, _ = _kernels.fixer_cosets(code, space.adj)
+        assert {vertex_index(w) for w in nb} == set(np.flatnonzero(nb_mask).tolist())
+        assert _kernels.first_mover(None, code, space.plus, space.adj) == -1
     assert (settled, scans) == (19, 22)
 
 
