@@ -201,25 +201,146 @@ class Group:
 def generate_group(
     gens: Iterable[Automorphism], cap: int | None = None, *, m: int | None = None, q: int | None = None
 ) -> Group:
-    """Close ``gens`` under composition.
+    """The group generated by ``gens``, from its stabiliser chain.
 
-    Returns a Group with its keys sorted by value when the closure stays
+    Returns a Group with its keys sorted by value when the order stays
     within ``cap`` and the group cap, whichever is smaller; otherwise a
-    generators-only Group with ``keys`` absent; breadth first over packed
-    keys.  ``m`` and ``q`` name the space of an empty generating set.
+    generators-only Group with ``keys`` absent.  ``m`` and ``q`` name the
+    space of an empty generating set.
+
+    The order |G| is the product of the chain's orbit lengths, read before
+    any element is listed (see _stabiliser_chain).  Every g in G is one
+    product u_{k-1} ... u_1 u_0 ("u_{k-1} first") with u_i from
+    transversal i: g u_0^-1 fixes b_0 for the u_0 with u_0(b_0) = g(b_0),
+    so it lies in the stabiliser of b_0, which the levels below describe,
+    and so on down the chain; the images of b_0, b_1, ... recover the
+    choices, so distinct choices give distinct elements.  So the |G|
+    products list G once each; they are imaged back to keys, one to one
+    because the action on points is faithful, and sorted.
     """
     gens = tuple(gens)
     if gens:
         m, q = gens[0].m, gens[0].q
     elif m is None or q is None:
         raise ValueError("need m and q for an empty generating set")
-    gen_keys = _keys(gens, m, q)
+    chain = _stabiliser_chain(_keys(gens, m, q), m, q)
     cap = group_cap() if cap is None else min(cap, group_cap())
-    # the orbit of the identity under right multiplication by the generators,
-    # one generator per batch, so no candidate array spans every generator
-    keys = _closure(_keys([identity_automorphism(m, q)], m, q),
-                    lambda layer: (_compose_keys(layer, g, m, q) for g in gen_keys), cap)
-    return Group(m, q, gens) if keys is None else Group(m, q, gens, _sort_keys(keys))
+    if math.prod(map(len, chain)) > cap:
+        return Group(m, q, gens)
+    return Group(m, q, gens, _sort_keys(_transversal_product(chain, m, q)))
+
+
+def _group_order(keys: np.ndarray, m: int, q: int) -> int:
+    """Order of the group generated by the elements behind ``keys``,
+    with no element listed."""
+    return math.prod(map(len, _stabiliser_chain(keys, m, q)))
+
+
+def _points(keys: np.ndarray, m: int, q: int) -> np.ndarray:
+    """Point rows of key rows: column s*q + a holds the point sigma(s)*q + g_s(a).
+
+    An automorphism sends the entry a at position s to the entry g_s(a) at
+    position sigma(s), so it permutes the m*q points (s, a).  The action is
+    faithful: a point row that fixes every (s, 0) has sigma = 1, and then
+    fixing every (s, a) means every g_s = 1.  Point rows compose as
+    ``compose`` does, "x then y" being the row x gathered through y.
+    """
+    g, sigma = _split(keys, m, q)
+    return (sigma[..., None] * q + g).reshape(len(keys), m * q)
+
+
+def _stabiliser_chain(keys: np.ndarray, m: int, q: int) -> list[list[tuple[int, ...]]]:
+    """Transversals of a stabiliser chain of the group G generated by the
+    elements behind ``keys``, acting on the m*q points of _points.
+
+    Products read left to right, as ``compose``: "x y" is x then y.  Level
+    i has a base point b_i and strong generators S_i, each fixing
+    b_0, ..., b_{i-1}; its transversal holds, for each point p of the orbit
+    of b_i under <S_i>, one element u_p of <S_i> with u_p(b_i) = p.  Sims'
+    method, deterministic: level i is complete when every Schreier
+    generator u_p s u_{s(p)}^-1, for p in the orbit and s in S_i, sifts
+    through the levels below it to the identity; a residue that does not
+    is a new strong generator of every level down to where it stopped,
+    which then is completed first.  By Schreier's lemma those generators
+    generate the stabiliser of b_i in <S_i>, so once every level is
+    complete <S_{i+1}> is that stabiliser, and |G| is the product of the
+    orbit lengths (orbit-stabiliser, level by level).  Transversal entries
+    and strong generators are only ever added, so a Schreier generator
+    that sifted once stays sifted: each is sifted once per level.  Points
+    are plain tuples: the degree is m*q, at most a few dozen here.
+    """
+    n = m * q
+    ident = tuple(range(n))
+    # per level: [base point, strong generators, {p: (u, u^-1)}, tested (p, s) pairs]
+    levels: list[list] = []
+
+    def then(x, y):
+        return tuple(map(y.__getitem__, x))
+
+    def inverse_of(x):
+        inv = [0] * n
+        for i, xi in enumerate(x):
+            inv[xi] = i
+        return tuple(inv)
+
+    def sift(h, start):
+        for i in range(start, len(levels)):
+            u = levels[i][2].get(h[levels[i][0]])
+            if u is None:
+                return h, i
+            h = then(h, u[1])
+        return h, len(levels)
+
+    def add(h, top, bottom):
+        if bottom == len(levels):
+            b = next(p for p in range(n) if h[p] != p)
+            levels.append([b, [], {b: (ident, ident)}, set()])
+        for i in range(top, bottom + 1):
+            levels[i][1].append(h)
+
+    for h in map(tuple, _points(keys, m, q).tolist()):
+        if h != ident:
+            add(h, 0, sift(h, 0)[1])
+    i = len(levels) - 1
+    while i >= 0:
+        _, strong, trans, tested = levels[i]
+        orbit = list(trans)
+        for p in orbit:  # grows as new points are reached
+            for s in strong:
+                if s[p] not in trans:
+                    u = then(trans[p][0], s)
+                    trans[s[p]] = (u, inverse_of(u))
+                    orbit.append(s[p])
+        nxt = i - 1
+        for p, k in [(p, k) for p in orbit for k in range(len(strong)) if (p, k) not in tested]:
+            tested.add((p, k))
+            s = strong[k]
+            h, j = sift(then(then(trans[p][0], s), trans[s[p]][1]), i + 1)
+            if h != ident:
+                add(h, i + 1, j)
+                nxt = j
+                break
+        i = nxt
+    return [[u for u, _ in level[2].values()] for level in levels]
+
+
+def _transversal_product(chain: list[list[tuple[int, ...]]], m: int, q: int) -> np.ndarray:
+    """Keys of every product u_{k-1} ... u_0 ("u_{k-1} first") of one
+    element of each transversal of ``chain``, unsorted.
+
+    One broadcast gather per level, deepest first, in int32; checks the
+    bytes of the key array against the table-bytes cap before allocating.
+    """
+    n = m * q
+    check_table_bytes(math.prod(map(len, chain)), m * (q + 1))
+    points = np.arange(n, dtype=np.int32)[None, :]
+    for level in reversed(chain):
+        # row (t, r): point row r, then transversal element t
+        points = np.array(level, dtype=np.int32)[:, points].reshape(-1, n)
+    keys = np.empty((len(points), m * (q + 1)), dtype=np.int32)
+    np.remainder(points, q, out=keys[:, :n])
+    np.floor_divide(points[:, ::q], q, out=keys[:, n:])
+    return keys
 
 
 def orbit(gens: Iterable[Automorphism], seed, cap: int | None = None) -> set:
@@ -248,7 +369,7 @@ def _set_orbit(keys: np.ndarray, idx: np.ndarray, m: int, q: int, cap: int | Non
     ResourceCapError over ``cap`` or the orbit cap, whichever is smaller."""
     # a whole layer at once: set i under keys[e] is row e * len(layer) + i
     def step(layer):
-        return [np.sort(_key_table(keys, m, q, layer.ravel()).reshape(-1, len(idx)), axis=1)]
+        return np.sort(_key_table(keys, m, q, layer.ravel()).reshape(-1, len(idx)), axis=1)
     cap = orbit_cap() if cap is None else min(cap, orbit_cap())
     rows = _closure(idx[None, :], step, cap)
     if rows is None:
@@ -259,19 +380,15 @@ def _set_orbit(keys: np.ndarray, idx: np.ndarray, m: int, q: int, cap: int | Non
 def _closure(start: np.ndarray, step, cap: int) -> np.ndarray | None:
     """Every row reachable from the 2-D integer rows ``start`` through
     ``step``, once each in breadth-first order; None as soon as more than
-    ``cap`` are found.  ``step(layer)`` yields, batch by batch, the candidate
-    rows the newest layer leads to; see _fresh_rows for what is new."""
+    ``cap`` are found.  ``step(layer)`` returns the candidate rows the
+    newest layer leads to; see _fresh_rows for what is new.  It walks
+    vertex orbits and set orbits; generate_group lists a group from its
+    stabiliser chain."""
     seen = [start[:0, 0]] if start.shape[1] == 1 else set()
-    layer, layers, batches = start, [], [start]
-    while len(layer):
-        fresh = [start[:0]]
-        for rows in batches:
-            fresh.append(_fresh_rows(rows, seen, cap))
-            if fresh[-1] is None:
-                return None
-        layers.append(layer := np.concatenate(fresh))
-        batches = step(layer)
-    return np.concatenate(layers)
+    layers = [_fresh_rows(start, seen, cap)]
+    while layers[-1] is not None and len(layers[-1]):
+        layers.append(_fresh_rows(step(layers[-1]), seen, cap))
+    return None if layers[-1] is None else np.concatenate(layers)
 
 
 def _fresh_rows(rows: np.ndarray, seen: set[bytes] | list[np.ndarray], cap: int) -> np.ndarray | None:
@@ -279,7 +396,9 @@ def _fresh_rows(rows: np.ndarray, seen: set[bytes] | list[np.ndarray], cap: int)
     in first-occurrence order, each added to ``seen``; None as soon as
     ``seen`` holds more than ``cap``.  ``seen`` is the set of row bytes, or
     for 1-wide rows a list holding the sorted array of their values, with
-    no Python object per row; fresh 1-wide rows come out sorted."""
+    no Python object per row; fresh 1-wide rows come out sorted.  The
+    wide-row branch serves only ``orbit()`` of a set of two or more
+    vertices."""
     if isinstance(seen, list):
         seen[0] = np.sort(np.concatenate((seen[0], new := _new_values(rows, seen[0]))))
         return None if len(seen[0]) > cap else new[:, None]

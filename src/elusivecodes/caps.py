@@ -49,7 +49,7 @@ def vertex_cap() -> int:
 
 
 def group_cap() -> int:
-    """Max group order any closure computation may materialise."""
+    """Max group order any routine may list element by element."""
     return _read("ELUSIVECODES_MAX_GROUP", _DEFAULT_GROUP_CAP)
 
 
@@ -59,7 +59,8 @@ def orbit_cap() -> int:
 
 
 def table_bytes_cap() -> int:
-    """Max bytes of any vertex-action table, a search's or a group's."""
+    """Max bytes of any vertex-action table, a search's or a group's, and of
+    the keys generate_group lists."""
     return _read("ELUSIVECODES_MAX_TABLE_BYTES", _DEFAULT_TABLE_BYTES_CAP)
 
 

@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--expect", choices=["elusive", "not-elusive"])
     v.add_argument(
         "--enum-cap", type=int, default=XC_ENUM_CAP,
-        help="cap on |X| for an exact |X_C|: X_C is closed up to this // r",
+        help="cap on |X| for an exact |X_C|: reported when |X_C| <= this // r",
     )
 
     s = sub.add_parser("search", help="exhaustive elusive-pair search at (m, q, delta)")

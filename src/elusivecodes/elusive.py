@@ -5,8 +5,9 @@ but moves C itself.  Verification works from generators alone: if every
 generator fixes the neighbour set, so does the generated group, and a
 group element moving C is exhibited explicitly.  The stabiliser X_C of C
 is reached through Schreier generators of the action on the r code
-images; the exact order ``xc_order`` closes X_C alone, up to
-``enum_cap // r``, since |X| = r * |X_C|.
+images; the exact order ``xc_order`` is the product of the orbit lengths
+of their stabiliser chain, with no element of X_C listed, reported when
+|X| = r * |X_C| is within ``enum_cap`` and the group cap.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 from .autgroup import (
     Automorphism,
     Group,
+    _group_order,
     _key_table,
     _keys,
     compose,
@@ -53,8 +55,8 @@ __all__ = [
     "write_report",
 ]
 
-# verify_elusive closes X_C up to this // r, so it bounds |X| = r * |X_C|;
-# code_stabiliser_analysis closes a generators-only X_C up to this
+# verify_elusive reports |X_C| up to this // r, so it bounds |X| = r * |X_C|;
+# code_stabiliser_analysis lists a generators-only X_C up to this
 XC_ENUM_CAP = 50_000
 
 
@@ -134,11 +136,13 @@ def verify_elusive(
 ) -> ElusiveReport:
     """Full elusivity report for the pair (C, X = <gens>).
 
-    ``xc_order`` is |X_C|, found by closing the Schreier generators of X_C
-    up to ``enum_cap // r``, that is, when |X| = r * |X_C| is at most
-    ``enum_cap`` and the group cap; otherwise None.  The transitivity flags
-    need only the generators.  Only C, Γ1(C) and the vertices their images
-    and orbits reach are imaged, never the whole space.
+    ``xc_order`` is |X_C|, the order of the group the Schreier generators
+    of X_C generate, read off their stabiliser chain without listing an
+    element; it is reported when it is at most
+    ``min(enum_cap, group cap) // r``, that is, when |X| = r * |X_C| is
+    within both, and is None otherwise.  The transitivity flags need only
+    the generators.  Only C, Γ1(C) and the vertices their images and
+    orbits reach are imaged, never the whole space.
     """
     gens = tuple(gens)
     if enum_cap < 1:
@@ -171,8 +175,11 @@ def verify_elusive(
         images_intersection = None
 
     x_transitive_on_neighbours = bool(nb.size) and _transitive_on(keys, nb, m, q)
-    xc = generate_group(schreier, cap=min(enum_cap, group_cap()) // r, m=m, q=q)
-    xc_flags = _stabiliser_flags(_keys(schreier, m, q), code, nb, m, q)
+    schreier_keys = _keys(schreier, m, q)
+    xc_order = _group_order(schreier_keys, m, q)
+    if xc_order > min(enum_cap, group_cap()) // r:
+        xc_order = None
+    xc_flags = _stabiliser_flags(schreier_keys, code, nb, m, q)
 
     return ElusiveReport(
         is_elusive=fixes_neighbours and not fixes_code,
@@ -182,7 +189,7 @@ def verify_elusive(
         images_pairwise_disjoint=images_pairwise_disjoint,
         images_intersection=images_intersection,
         x_transitive_on_neighbours=x_transitive_on_neighbours,
-        xc_order=xc.order,
+        xc_order=xc_order,
         xc_transitive_on_code=xc_flags.transitive_on_code,
         xc_transitive_on_neighbours=xc_flags.transitive_on_neighbours,
         witness_mover=witness if not fixes_code else None,
@@ -194,7 +201,7 @@ def code_stabiliser_analysis(C: Code, G: Group) -> tuple[Group, StabiliserFlags]
     """The subgroup of G fixing C setwise, with its transitivity flags.
 
     Uses setwise_stabiliser when G is enumerated, otherwise Schreier
-    generators from the orbit of C, closed when |X_C| is at most
+    generators from the orbit of C, listed when |X_C| is at most
     ``XC_ENUM_CAP`` and the group cap.  The flags act on the vertex indices
     of C and Γ1(C) through the keys of the Schreier generators, or of every
     element of the stabiliser.

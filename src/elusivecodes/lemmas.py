@@ -11,6 +11,7 @@ the explicitly seeded random spot checks in the action suite.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from itertools import product as _iproduct
@@ -23,6 +24,8 @@ from . import constructions as cons
 from . import perms
 from .autgroup import (
     Automorphism,
+    _group_order,
+    _keys,
     _row_keys,
     apply,
     compose,
@@ -325,8 +328,9 @@ def _coset_kernels_agree(m: int, q: int, delta: int) -> tuple[bool, bool, bool, 
 
 
 def suite_act(seed: int = 0) -> list[Check]:
-    """The group-action identity on permutation words, plus action axioms
-    and the search's coset kernels against the full table."""
+    """The group-action identity on permutation words, plus action axioms,
+    the search's coset kernels against the full table, and the stabiliser
+    chain's listing and orders against their definitions."""
     full33 = full_action_table(3, 3)
     out = [
         _check("act-identity-q3", _act_identity_holds(3), "diag/top action identity fails"),
@@ -398,7 +402,33 @@ def suite_act(seed: int = 0) -> list[Check]:
             ok_isometry = False
     out.append(_check("action-axiom-random-h43", ok_axiom, "compose/apply mismatch"))
     out.append(_check("isometry-random-h43", ok_isometry, "distance not preserved"))
+    listed = all(
+        generate_group(gens).elements == _closure_by_compose(gens, m, q)
+        for gens, m, q in ((full_group_generators(3, 3), 3, 3), (wreath_generators(3, 2), 6, 3))
+    )
+    orders = all(
+        _group_order(_keys(full_group_generators(m, q), m, q), m, q) == math.factorial(q) ** m * math.factorial(m)
+        for m, q in ((4, 3), (3, 4))
+    )
+    out.append(
+        _check(
+            "group-chain",
+            listed and orders,
+            "the stabiliser chain's listing differs from the closure under compose, or its order from (q!)^m m!",
+        )
+    )
     return out
+
+
+def _closure_by_compose(gens: Sequence[Automorphism], m: int, q: int) -> tuple[Automorphism, ...]:
+    """Every element of <gens>, composing Automorphism objects until nothing
+    new appears, in sort-key order: the definition generate_group lists."""
+    seen = {identity_automorphism(m, q)}
+    frontier = list(seen)
+    while frontier:
+        frontier = [y for y in {compose(x, g) for x in frontier for g in gens} if y not in seen]
+        seen.update(frontier)
+    return tuple(sorted(seen, key=lambda x: x.sort_key))
 
 
 def _elusive_pairs_for_partition():

@@ -1,6 +1,7 @@
 """Breadth-first search over Automorphism and Vertex objects: the test
-oracles for generate_group and orbit, which walk one closure over packed
-keys and over sorted vertex-index rows.
+oracles for generate_group, which lists the products of a stabiliser
+chain's transversals, and for orbit, which walks one closure over sorted
+vertex-index rows.
 
 Each follows the definition: act with every generator on everything found
 so far until nothing new appears.

@@ -31,7 +31,7 @@ from elusivecodes.autgroup import (
 )
 from elusivecodes.caps import ResourceCapError
 from elusivecodes.codes import Code, are_equivalent, fixes_setwise, neighbour_set, setwise_stabiliser
-from elusivecodes.constructions import rep_code
+from elusivecodes.constructions import alt_code, parity_code, rep_code
 from elusivecodes.elusive import verify_elusive
 from elusivecodes.hamming import Vertex, all_vertices, distance, vertex_index
 from elusivecodes.perms import Perm
@@ -199,6 +199,84 @@ def test_diag_top_group_order():
 def test_wreath_group_order():
     # (diag-top wr S_l) on H(lq, q): order (q!^2)^l * l!
     assert generate_group(wreath_generators(3, 2)).order == 2592
+
+
+@pytest.mark.parametrize("m, q", [(3, 3), (4, 3), (3, 4), (5, 2), (2, 5)])
+def test_generate_group_matches_object_bfs_on_random_subgroups(m, q):
+    # subgroups generated by 1-3 seeded random elements, listed from the
+    # stabiliser chain or over the cap, against the definition's closure
+    rng = random.Random(1000 * m + q)
+    for _ in range(3):
+        gens = [_random_automorphism(rng, m, q) for _ in range(rng.randint(1, 3))]
+        assert generate_group(gens, cap=5000).elements == closure(gens, m, q, cap=5000)
+    # many cheap two-generator draws under a small cap: the few small
+    # groups among them include ones whose chain needs its second level's
+    # Schreier generators, which no full group here does
+    for _ in range(30):
+        gens = [_random_automorphism(rng, m, q) for _ in range(2)]
+        assert generate_group(gens, cap=100).elements == closure(gens, m, q, cap=100)
+
+
+def _refuse_listing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a group was listed")
+
+    monkeypatch.setattr(autgroup, "_transversal_product", refuse)
+
+
+@pytest.mark.parametrize(
+    "gens, m, q, want",
+    [
+        (full_group_generators(4, 4), 4, 4, 7_962_624),  # (q!)^m * m!
+        (full_group_generators(5, 3), 5, 3, 933_120),
+        (diag_top_generators(3), 3, 3, 36),
+        (diag_top_generators(4), 4, 4, 576),
+        (diag_top_generators(5), 5, 5, 14400),
+        (wreath_generators(3, 2), 6, 3, 2592),
+    ],
+    ids=["full-4-4", "full-5-3", "diag-top-3", "diag-top-4", "diag-top-5", "wreath-3-2"],
+)
+def test_chain_order_lists_no_element(monkeypatch, gens, m, q, want):
+    _refuse_listing(monkeypatch)
+    assert autgroup._group_order(autgroup._keys(gens, m, q), m, q) == want
+
+
+@pytest.mark.parametrize("m, q", [(3, 3), (2, 4), (4, 2)])
+def test_point_rows_compose_as_compose_and_tell_elements_apart(m, q):
+    # the action on the m*q points (s, a) is a faithful homomorphism: point
+    # rows of "x then y" are x's row gathered through y's, and the whole
+    # group has as many distinct point rows as keys
+    order = math.factorial(q) ** m * math.factorial(m)
+    points = autgroup._points(autgroup._row_keys(np.arange(order), m, perms.symmetric_group(q)), m, q)
+    assert len(np.unique(points, axis=0)) == order
+    rng = random.Random(m * q)
+    for _ in range(50):
+        x, y = _random_automorphism(rng, m, q), _random_automorphism(rng, m, q)
+        px, py, pxy = autgroup._points(autgroup._keys([x, y, compose(x, y)], m, q), m, q)
+        assert np.array_equal(py[px], pxy)
+
+
+def test_over_the_cap_lists_no_element(monkeypatch):
+    _refuse_listing(monkeypatch)
+    G = generate_group(full_group_generators(4, 4), cap=100)
+    assert G.keys is None and G.order is None and len(G.generators) == 4
+    # verify_elusive reads |X_C| off the chain, listed or not
+    assert verify_elusive(parity_code(3, 3), wreath_generators(3, 3)).xc_order is None
+    assert verify_elusive(alt_code(5), diag_top_generators(5)).xc_order == 7200
+
+
+def test_listing_checks_its_bytes_first(monkeypatch):
+    # full H(3,3) lists 1296 keys of m(q+1) = 12 int32 each
+    monkeypatch.setenv("ELUSIVECODES_MAX_TABLE_BYTES", str(1296 * 12 * 4 - 1))
+    with pytest.raises(ResourceCapError):
+        generate_group(full_group_generators(3, 3))
+    monkeypatch.setenv("ELUSIVECODES_MAX_TABLE_BYTES", str(1296 * 12 * 4))
+    assert generate_group(full_group_generators(3, 3)).order == 1296
+    # full H(5,3) is under the group cap, but its 933,120 keys are not
+    # under a 1 MiB table-bytes cap
+    monkeypatch.setenv("ELUSIVECODES_MAX_TABLE_BYTES", str(1 << 20))
+    with pytest.raises(ResourceCapError):
+        generate_group(full_group_generators(5, 3))
 
 
 def test_generator_presets_drop_duplicates_keeping_order():
