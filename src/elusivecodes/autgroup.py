@@ -331,16 +331,47 @@ def _transversal_product(chain: list[list[tuple[int, ...]]], m: int, q: int) -> 
     One broadcast gather per level, deepest first, in int32; checks the
     bytes of the key array against the table-bytes cap before allocating.
     """
-    n = m * q
     check_table_bytes(math.prod(map(len, chain)), m * (q + 1))
-    points = np.arange(n, dtype=np.int32)[None, :]
+    points = np.arange(m * q, dtype=np.int32)[None, :]
     for level in reversed(chain):
         # row (t, r): point row r, then transversal element t
-        points = np.array(level, dtype=np.int32)[:, points].reshape(-1, n)
+        points = np.array(level, dtype=np.int32)[:, points].reshape(-1, m * q)
+    return _point_keys(points, m, q)
+
+
+def _point_keys(points: np.ndarray, m: int, q: int) -> np.ndarray:
+    """Keys of the point rows ``points``: the inverse of _points."""
     keys = np.empty((len(points), m * (q + 1)), dtype=np.int32)
-    np.remainder(points, q, out=keys[:, :n])
-    np.floor_divide(points[:, ::q], q, out=keys[:, n:])
+    np.remainder(points, q, out=keys[:, : m * q])
+    np.floor_divide(points[:, ::q], q, out=keys[:, m * q :])
     return keys
+
+
+def _orbit_schreier(keys: np.ndarray, rows: np.ndarray, m: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Schreier keys, transversal keys) of the orbit ``rows`` of a vertex
+    set under the elements behind ``keys``, in _set_orbit's FIFO order.
+
+    Edge (i, g) takes row i through keys[g] to row target[i*k + g].  t_0 is
+    the identity, and t_j is t_i then g for the first edge (i, g) into j,
+    which leaves an earlier row.  By Schreier's lemma the t_i g t_j^-1 of
+    every edge, on point rows (_points; inverses are argsorts), generate
+    the stabiliser of row 0; they come in edge order, once each,
+    identities (tree edges among them) dropped.
+    """
+    k, n = len(keys), m * q
+    index = {row: j for j, row in enumerate(_row_bytes(rows))}
+    target = np.array([index[row] for row in _row_bytes(_set_images(keys, rows, m, q))], dtype=np.intp)
+    first = np.full(len(rows), len(target))
+    np.minimum.at(first, target, np.arange(len(target)))
+    gens = _points(keys, m, q)
+    trans = np.tile(np.arange(n, dtype=np.int32), (len(rows), 1))
+    for j in range(1, len(rows)):
+        trans[j] = gens[first[j] % k][trans[first[j] // k]]
+    # row i*k + g: t_i then g, then t_j^-1
+    words = gens[np.arange(k)[None, :, None], trans[:, None, :]].reshape(-1, n)
+    words = np.take_along_axis(np.argsort(trans, axis=1).astype(np.int32)[target], words, axis=1)
+    words = _fresh_rows(words[(words != np.arange(n)).any(axis=1)], set(), len(words))
+    return _point_keys(words, m, q), _point_keys(trans, m, q)
 
 
 def orbit(gens: Iterable[Automorphism], seed, cap: int | None = None) -> set:
@@ -367,14 +398,19 @@ def _set_orbit(keys: np.ndarray, idx: np.ndarray, m: int, q: int, cap: int | Non
     """Orbit of the vertex set with the sorted indices ``idx`` under the
     elements behind ``keys``, as sorted index rows in discovery order;
     ResourceCapError over ``cap`` or the orbit cap, whichever is smaller."""
-    # a whole layer at once: set i under keys[e] is row e * len(layer) + i
-    def step(layer):
-        return np.sort(_key_table(keys, m, q, layer.ravel()).reshape(-1, len(idx)), axis=1)
     cap = orbit_cap() if cap is None else min(cap, orbit_cap())
-    rows = _closure(idx[None, :], step, cap)
+    rows = _closure(idx[None, :], lambda layer: _set_images(keys, layer, m, q), cap)
     if rows is None:
         raise ResourceCapError(f"orbit exceeded cap {cap}")
     return rows
+
+
+def _set_images(keys: np.ndarray, rows: np.ndarray, m: int, q: int) -> np.ndarray:
+    """The sorted index rows of the vertex sets ``rows`` under the elements
+    behind ``keys``, image-major: set i under keys[e] is row i * len(keys) + e,
+    so a walk that keeps them in order finds them as a FIFO queue would."""
+    table = _key_table(keys, m, q, rows.ravel()).reshape(len(keys), *rows.shape)
+    return np.sort(table.swapaxes(0, 1).reshape(-1, rows.shape[1]), axis=1)
 
 
 def _closure(start: np.ndarray, step, cap: int) -> np.ndarray | None:
@@ -382,8 +418,8 @@ def _closure(start: np.ndarray, step, cap: int) -> np.ndarray | None:
     ``step``, once each in breadth-first order; None as soon as more than
     ``cap`` are found.  ``step(layer)`` returns the candidate rows the
     newest layer leads to; see _fresh_rows for what is new.  It walks
-    vertex orbits and set orbits; generate_group lists a group from its
-    stabiliser chain."""
+    vertex and set orbits, code orbits among them; a step that keeps its
+    layer's row order keeps wide rows in FIFO order, as _orbit_schreier needs."""
     seen = [start[:0, 0]] if start.shape[1] == 1 else set()
     layers = [_fresh_rows(start, seen, cap)]
     while layers[-1] is not None and len(layers[-1]):
@@ -397,19 +433,24 @@ def _fresh_rows(rows: np.ndarray, seen: set[bytes] | list[np.ndarray], cap: int)
     ``seen`` holds more than ``cap``.  ``seen`` is the set of row bytes, or
     for 1-wide rows a list holding the sorted array of their values, with
     no Python object per row; fresh 1-wide rows come out sorted.  The
-    wide-row branch serves only ``orbit()`` of a set of two or more
-    vertices."""
+    wide-row branch serves orbits of sets of two or more vertices, code
+    orbits among them, and _orbit_schreier's Schreier dedupe."""
     if isinstance(seen, list):
         seen[0] = np.sort(np.concatenate((seen[0], new := _new_values(rows, seen[0]))))
         return None if len(seen[0]) > cap else new[:, None]
     keep = []
-    for i, row in enumerate(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()):
+    for i, row in enumerate(_row_bytes(rows)):
         if row not in seen:
             seen.add(row)
             if len(seen) > cap:
                 return None
             keep.append(i)
     return rows[keep]
+
+
+def _row_bytes(rows: np.ndarray) -> list[bytes]:
+    """The bytes of each row of the C-contiguous 2-D ``rows``."""
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
 
 
 def _new_values(values: np.ndarray, known: np.ndarray) -> np.ndarray:
@@ -677,7 +718,7 @@ def _translation_keys(idxs: np.ndarray, sign: int, m: int, q: int) -> np.ndarray
 
 
 def _sort_keys(keys: np.ndarray) -> np.ndarray:
-    """Key rows sorted by value (not by bytes): generate_group order."""
+    """Integer rows sorted by value (not by bytes): for keys, generate_group order."""
     return keys[np.lexsort(keys.T[::-1])]
 
 
@@ -687,7 +728,7 @@ def _sorted_elements(keys: np.ndarray, m: int, q: int) -> tuple[Automorphism, ..
     g, sigma = _split(keys, m, q)
     shared = []
     for images in map(np.ascontiguousarray, (g.reshape(-1, q), sigma)):
-        rows = images.view(np.dtype((np.void, images[0].nbytes))).ravel()  # np.unique(axis=0) is 8x slower
+        rows = images.view(np.dtype((np.void, images.itemsize * images.shape[1]))).ravel()  # np.unique(axis=0) is 8x slower
         _, first, idx = np.unique(rows, return_index=True, return_inverse=True)
         distinct = [Perm(tuple(r)) for r in images[first].tolist()]
         shared.append([distinct[i] for i in idx.reshape(-1).tolist()])

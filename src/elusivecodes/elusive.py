@@ -2,12 +2,13 @@
 
 A pair is elusive when the group fixes the neighbour set of C setwise
 but moves C itself.  Verification works from generators alone: if every
-generator fixes the neighbour set, so does the generated group, and a
-group element moving C is exhibited explicitly.  The stabiliser X_C of C
-is reached through Schreier generators of the action on the r code
-images; the exact order ``xc_order`` is the product of the orbit lengths
-of their stabiliser chain, with no element of X_C listed, reported when
-|X| = r * |X_C| is within ``enum_cap`` and the group cap.
+generator fixes the neighbour set, so does the generated group.  The r
+images of C are walked by the library's one closure (autgroup._set_orbit),
+and the orbit's edges give, on point rows, a witness moving C and the
+Schreier generators of X_C (autgroup._orbit_schreier).  The exact order
+``xc_order`` is the product of the orbit lengths of their stabiliser
+chain, with no element listed, reported when |X| = r * |X_C| is within
+``enum_cap`` and the group cap.
 """
 
 from __future__ import annotations
@@ -24,13 +25,14 @@ from .autgroup import (
     _group_order,
     _key_table,
     _keys,
-    compose,
+    _orbit_schreier,
+    _set_orbit,
+    _sort_keys,
+    _sorted_elements,
     format_automorphism,
     generate_group,
-    identity_automorphism,
-    inverse,
 )
-from .caps import ResourceCapError, group_cap, orbit_cap
+from .caps import group_cap
 from .codes import (
     Code,
     _code_at,
@@ -82,46 +84,6 @@ class StabiliserFlags:
     transitive_on_neighbours: bool
 
 
-def _code_orbit(C: Code, gens: Sequence[Automorphism], cap: int):
-    """BFS orbit of the word set of C, imaging each found set through the
-    generators' keys.
-
-    Returns (images as increasing index tuples in discovery order, Schreier
-    generators of the stabiliser of C, first word moving C or None).
-    """
-    m, q = C.m, C.q
-    keys = _keys(gens, m, q)
-    start = tuple(_indices(C, m, q).tolist())
-    index = {start: 0}
-    order = [start]
-    transversal = [identity_automorphism(m, q)]
-    schreier: list[Automorphism] = []
-    seen_schreier: set[Automorphism] = set()
-    witness = None
-    at = 0
-    while at < len(order):
-        i = at
-        at += 1
-        images = np.sort(_key_table(keys, m, q, order[i]), axis=1).tolist()
-        for g, img in zip(gens, map(tuple, images)):
-            word = compose(transversal[i], g)
-            j = index.get(img)
-            if j is None:
-                index[img] = len(order)
-                order.append(img)
-                transversal.append(word)
-                if witness is None and img != start:
-                    witness = word
-                if len(order) > cap:
-                    raise ResourceCapError(f"code orbit exceeded cap {cap}")
-            else:
-                stab_el = compose(word, inverse(transversal[j]))
-                if not stab_el.is_identity() and stab_el not in seen_schreier:
-                    seen_schreier.add(stab_el)
-                    schreier.append(stab_el)
-    return order, schreier, witness
-
-
 def _stabiliser_flags(keys: np.ndarray, code: np.ndarray, nb: np.ndarray, m: int, q: int) -> StabiliserFlags:
     """Transitivity of the group generated by the elements behind ``keys``
     on C and Γ1(C), given as sorted vertex indices."""
@@ -157,25 +119,21 @@ def verify_elusive(
     nb = _neighbour_indices(code, m, q)
 
     fixes_neighbours = bool(_is_set(_key_table(keys, m, q, nb), nb).all())
-    images_keys, schreier, witness = _code_orbit(C, gens, orbit_cap())
-    r = len(images_keys)
+    orbit = _set_orbit(keys, code, m, q)
+    schreier_keys, transversal = _orbit_schreier(keys, orbit, m, q)
+    r = len(orbit)
     fixes_code = r == 1
-    image_idxs = np.array(sorted(images_keys))  # row k: the indices of images[k]
+    image_idxs = _sort_keys(orbit)  # row k: the indices of images[k]
     images = tuple(_code_at(row, m, q) for row in image_idxs)
 
-    if r >= 2:
-        # each image is a set, so a vertex in every image is a run of r
-        # equal values in the sorted indices of all images
-        flat = np.sort(image_idxs.ravel())
-        images_pairwise_disjoint = bool((flat[1:] != flat[:-1]).all())
-        common = flat[r - 1 :][flat[r - 1 :] == flat[: len(flat) - r + 1]]
-        images_intersection = _code_at(common, m, q) if common.size else None
-    else:
-        images_pairwise_disjoint = True
-        images_intersection = None
+    # each image is a set, so a vertex in every image is a run of r equal
+    # values in the sorted indices of all images; C alone shares nothing
+    flat = np.sort(image_idxs.ravel())
+    images_pairwise_disjoint = bool((flat[1:] != flat[:-1]).all())
+    common = flat[r - 1 :][flat[r - 1 :] == flat[: len(flat) - r + 1]]
+    images_intersection = _code_at(common, m, q) if common.size and r >= 2 else None
 
     x_transitive_on_neighbours = bool(nb.size) and _transitive_on(keys, nb, m, q)
-    schreier_keys = _keys(schreier, m, q)
     xc_order = _group_order(schreier_keys, m, q)
     if xc_order > min(enum_cap, group_cap()) // r:
         xc_order = None
@@ -192,7 +150,7 @@ def verify_elusive(
         xc_order=xc_order,
         xc_transitive_on_code=xc_flags.transitive_on_code,
         xc_transitive_on_neighbours=xc_flags.transitive_on_neighbours,
-        witness_mover=witness if not fixes_code else None,
+        witness_mover=None if fixes_code else _sorted_elements(transversal[1:2], m, q)[0],
         images=images,
     )
 
@@ -209,14 +167,14 @@ def code_stabiliser_analysis(C: Code, G: Group) -> tuple[Group, StabiliserFlags]
     if G.m != C.m or G.q != C.q:
         raise ValueError("group acts on the wrong space")
     m, q = C.m, C.q
+    code = _indices(C, m, q)
     if G.keys is None:
-        _, schreier, _ = _code_orbit(C, G.generators, orbit_cap())
-        xc = generate_group(schreier, cap=XC_ENUM_CAP, m=m, q=q)
-        keys = _keys(schreier, m, q)
+        gens = _keys(G.generators, m, q)
+        keys = _orbit_schreier(gens, _set_orbit(gens, code, m, q), m, q)[0]
+        xc = generate_group(_sorted_elements(keys, m, q), cap=XC_ENUM_CAP, m=m, q=q)
     else:
         xc = setwise_stabiliser(G, C)
         keys = xc.keys
-    code = _indices(C, m, q)
     return xc, _stabiliser_flags(keys, code, _neighbour_indices(code, m, q), m, q)
 
 

@@ -197,6 +197,14 @@ def test_verify_full_group_not_elusive(tmp_path):
     assert "fixes_neighbours=false" in res.stdout
 
 
+def test_verify_over_orbit_cap_is_exit_three(tmp_path, monkeypatch, capsys):
+    code = tmp_path / "alt3.txt"
+    main(["construct", "alt", "3", "-o", str(code)])
+    monkeypatch.setenv("ELUSIVECODES_MAX_ORBIT", "1")
+    assert main(["verify", str(code), "--group", "diag-top"]) == 3
+    assert "orbit exceeded cap 1" in capsys.readouterr().err
+
+
 def test_verify_past_2_63_vertices_is_usage_error(tmp_path):
     # H(32,4) has 2^64 vertices, so its vertex indices do not fit in int64
     code = tmp_path / "rep32-4.txt"

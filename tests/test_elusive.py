@@ -1,15 +1,25 @@
+import random
+
 import pytest
 
 from elusivecodes import perms
 from elusivecodes.autgroup import (
+    Automorphism,
     Group,
+    _indices,
+    _keys,
+    _orbit_schreier,
+    _set_orbit,
+    _sorted_elements,
     diag,
     diag_top_generators,
     full_group_generators,
     generate_group,
+    identity_automorphism,
     top,
     wreath_generators,
 )
+from elusivecodes.caps import ResourceCapError
 from elusivecodes.codes import (
     Code,
     apply_to_code,
@@ -32,7 +42,8 @@ from elusivecodes.elusive import (
     verify_elusive,
     write_report,
 )
-from elusivecodes.hamming import Vertex
+from elusivecodes.hamming import Vertex, all_vertices
+from object_bfs import code_orbit
 
 
 @pytest.fixture(scope="module")
@@ -283,3 +294,74 @@ def test_verify_in_a_large_space_images_only_what_it_reaches(monkeypatch):
     assert report.images[0] == C and report.xc_order == 1
     assert not (report.x_transitive_on_neighbours or report.xc_transitive_on_code)
     assert not report.xc_transitive_on_neighbours
+
+
+def _union(q):
+    return union_code(alt_code(q), rep_code(q, q))
+
+
+def _code_orbit_by_closure(C, gens, cap):
+    """code_orbit's three answers, from the shared closure on packed keys."""
+    m, q = C.m, C.q
+    keys = _keys(gens, m, q)
+    rows = _set_orbit(keys, _indices(C.words, m, q), m, q, cap)
+    schreier, transversal = _orbit_schreier(keys, rows, m, q)
+    witness = _sorted_elements(transversal[1:2], m, q)[0] if len(rows) > 1 else None
+    return [tuple(row) for row in rows.tolist()], list(_sorted_elements(schreier, m, q)), witness
+
+
+def _random_automorphism(rng, m, q):
+    coord = tuple(perms.Perm(tuple(rng.sample(range(q), q))) for _ in range(m))
+    return Automorphism(coord, perms.Perm(tuple(rng.sample(range(m), m))))
+
+
+def test_code_orbit_matches_object_bfs():
+    # the same images in the same FIFO order, the same Schreier generators
+    # in the same order and the same witness as the object BFS over apply()
+    pairs = [
+        (alt_code(3), diag_top_generators(3)),
+        (alt_code(4), diag_top_generators(4)),
+        (alt_code(5), diag_top_generators(5)),
+        (parity_code(3, 2), wreath_generators(3, 2)),
+        (parity_code(3, 3), wreath_generators(3, 3)),
+        (_union(4), diag_top_generators(4)),
+        (_union(5), diag_top_generators(5)),
+        (rep_code(3, 3), full_group_generators(3, 3)),  # r = 36
+        (rep_code(4, 3), full_group_generators(4, 3)),  # r = 216
+    ]
+    for C, gens in pairs:
+        assert _code_orbit_by_closure(C, gens, 10_000) == code_orbit(C, gens, 10_000)
+    # codes of 2-5 words under 1-3 seeded random elements; most orbits pass
+    # the small cap, and then both walks must refuse them
+    compared = 0
+    for m, q in [(3, 3), (4, 3), (3, 4), (5, 2)]:
+        rng = random.Random(100 * m + q)
+        verts = list(all_vertices(m, q))
+        for _ in range(20):
+            C = Code.from_words(rng.sample(verts, rng.randint(2, 5)))
+            gens = [_random_automorphism(rng, m, q) for _ in range(rng.randint(1, 3))]
+            try:
+                expected = code_orbit(C, gens, 200)
+            except ResourceCapError:
+                with pytest.raises(ResourceCapError):
+                    _code_orbit_by_closure(C, gens, 200)
+                continue
+            assert _code_orbit_by_closure(C, gens, 200) == expected
+            compared += len(expected[1]) > 0
+    assert compared >= 6  # orbits whose stabiliser needs Schreier generators
+
+
+def test_empty_and_identity_generating_sets():
+    for gens in ([], [identity_automorphism(3, 3)]):
+        rep = verify_elusive(alt_code(3), gens)
+        assert rep.fixes_code and not rep.is_elusive
+        assert rep.image_count_r == 1 and rep.xc_order == 1
+        assert rep.witness_mover is None
+    XC, _ = code_stabiliser_analysis(alt_code(3), Group(3, 3, ()))
+    assert XC.order == 1
+
+
+def test_code_orbit_cap(monkeypatch):
+    monkeypatch.setenv("ELUSIVECODES_MAX_ORBIT", "1")
+    with pytest.raises(ResourceCapError, match="orbit exceeded cap 1"):
+        verify_elusive(alt_code(3), diag_top_generators(3))
