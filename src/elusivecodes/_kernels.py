@@ -73,14 +73,18 @@ def _first_missing(imgs: np.ndarray, code: np.ndarray, n: int) -> np.ndarray:
     Codeword code[p] stands for bit p of a 63-bit word.  The vertices of an
     image are distinct, so the sum of their bits is the set of codewords
     the image holds, and the least codeword missing is its count of
-    trailing ones, read off the lowest zero bit.
+    trailing ones, read off the lowest zero bit.  The bits are summed one
+    row of ``imgs`` at a time, so the temporaries (the sum, and one row's
+    intp indices and bits) take 24 bytes per image, whatever len(code) is.
     """
     k = code.size
     first = 0
     for lo in range(0, k, 63):
         bit = np.zeros(n, dtype=np.uint64)
         bit[code[lo : lo + 63]] = _BITS[: min(63, k - lo)]
-        held = bit.take(imgs).sum(axis=0)
+        held = np.zeros(imgs.shape[1:], dtype=np.uint64)
+        for row in imgs:
+            held += bit.take(row)
         ones = np.searchsorted(_BITS, ~held & (held + np.uint64(1)))
         first = np.where(first == lo, lo + ones, first)  # only where every earlier word is full
     return first
@@ -116,8 +120,12 @@ def canonical_children(
     nor the rows h t_v of its new coset map D below D (_smaller_image).
 
     The table is read vertex-major.  The old cosets are gathered a few at
-    a time, at most max(|Stab(0)| q^m, 2^20) table cells per chunk, and
-    the survivors in chunks of about the same memory.
+    a time, and the survivors too, in chunks that with their temporaries
+    take at most 4 max(|Stab(0)| q^m, 2^20) bytes, the bytes of the table
+    or 4 MiB, unless a single coset or survivor takes more, or a chunk of
+    survivors ties more rows than its new cosets hold.  Over all survivors
+    there are at most |C| |Stab(0)| tied rows, since an old-coset row g
+    ties only the v with g(v) = b.
     """
     rows, n = table.shape
     k = code.size
@@ -129,9 +137,11 @@ def canonical_children(
     by_vertex = table.T  # contiguous: the tables are built vertex-major
     cols = np.concatenate([code, cand])
     code_n = np.append(code, n)
-    cap = max(rows * n, 1 << 20)
+    cap = 4 * max(rows * n, 1 << 20)
     bs = []
-    step = max(1, cap // (rows * cols.size))
+    # per row of a coset: 4 bytes a column gathered, 1 more a candidate for
+    # its compare with b, and about 40 for b and _first_missing's bit words
+    step = max(1, cap // (rows * (5 * cols.size + 40)))
     for lo in range(0, k, step):
         # imgs[j, i, h] = h(cols[j] - code[lo + i]), row h of the coset of code[lo + i]
         imgs = by_vertex.take(minus[code[None, lo : lo + step], cols[:, None]], axis=0)
@@ -139,24 +149,28 @@ def canonical_children(
         moved = imgs[k:]  # g(v) for each candidate v
         fixed = b == n
         below_b = (moved < np.where(fixed, 0, b)).any(axis=(1, 2))
-        keep[below_b | (moved[:, fixed] < cand[:, None]).any(axis=1)] = False
+        keep[below_b | (moved.min(axis=(1, 2), where=fixed, initial=n) < cand)] = False
         bs.append(b)
+        del imgs, moved  # freed before the next chunk is gathered
     b = np.concatenate(bs)  # b[c, h] for the row h t_code[c]
     survivors = np.flatnonzero(keep)
-    # a survivor gathers 2|C| + 1 cells per row, and its test makes about
-    # four times as many in temporaries
-    step = max(1, cap // (4 * rows * (2 * k + 1)))
+    # each row of a survivor's new coset, and each of its tied rows, takes
+    # 14 (|C| + 1) bytes in imgs and _smaller_image's temporaries, so 16 (2|C|
+    # + 1) a coset row leaves room for about as many tied rows as coset rows
+    step = max(1, cap // (16 * rows * (2 * k + 1)))
     for lo in range(0, survivors.size, step):
         s = survivors[lo : lo + step]
         v = cand[s]
         c, t, h = np.nonzero(by_vertex.take(minus[code[:, None], v], axis=0) == b[:, None])  # the tied rows of each v
-        # the images of C under the rows of the new cosets, then of the tied rows
-        new = by_vertex.take(minus[v, code[:, None]], axis=0).reshape(k, -1)
-        imgs = np.concatenate([new, by_vertex[minus[code[c], code[:, None]], h]], axis=1)
-        moved = np.zeros(imgs.shape[1], dtype=imgs.dtype)  # h t_v maps v to 0
-        moved[s.size * rows :] = b[c, h]
+        # the images of C, then of v, under the rows of the new cosets (h t_v
+        # maps v to 0), then of the tied rows; intp, so that _smaller_image's
+        # take copies no index array
+        imgs = np.zeros((k + 1, s.size * rows + c.size), dtype=np.intp)
+        imgs[:k, : s.size * rows] = by_vertex.take(minus[v, code[:, None]], axis=0).reshape(k, -1)
+        imgs[:k, s.size * rows :] = by_vertex[minus[code[c], code[:, None]], h]
+        imgs[k, s.size * rows :] = b[c, h]
         owner = np.concatenate([np.repeat(np.arange(s.size), rows), t])
-        keep[s[owner[_smaller_image(np.vstack([imgs, moved]), code, v[owner], n)]]] = False
+        keep[s[owner[_smaller_image(imgs, code, v[owner], n)]]] = False
     return keep
 
 

@@ -718,8 +718,23 @@ def _translation_keys(idxs: np.ndarray, sign: int, m: int, q: int) -> np.ndarray
 
 
 def _sort_keys(keys: np.ndarray) -> np.ndarray:
-    """Integer rows sorted by value (not by bytes): for keys, generate_group order."""
-    return keys[np.lexsort(keys.T[::-1])]
+    """Non-negative integer rows sorted by value (not by bytes): for keys,
+    generate_group order.
+
+    Each row is read as digits in base b = max + 1 and packed, d digits a
+    word, into int64 words, with b^d <= 2^63 so that no word overflows.
+    The words compare as the digits they hold, so sorting on them sorts on
+    every column, and one word needs no lexsort.  A word of one digit
+    (d = 1) is the column itself, as for vertex-index rows near 2^63.
+    """
+    if not keys.size:
+        return keys.copy()
+    b, d = int(keys.max()) + 1, 1
+    while d < keys.shape[1] and b ** (d + 1) <= 1 << 63:
+        d += 1
+    powers = np.array([b ** (d - 1 - j) for j in range(d)], dtype=np.int64)
+    words = [keys[:, lo : lo + d] @ powers[: min(d, keys.shape[1] - lo)] for lo in range(0, keys.shape[1], d)]
+    return keys[np.argsort(words[0]) if len(words) == 1 else np.lexsort(words[::-1])]
 
 
 def _sorted_elements(keys: np.ndarray, m: int, q: int) -> tuple[Automorphism, ...]:

@@ -4,7 +4,8 @@ A Code stores its words sorted and duplicate-free.  Neighbour sets are
 built from the codewords' index digits (no ambient enumeration); the
 definitional gamma_r sweep enumerates the space and is cap-guarded.  Set
 tests, orbits, stabilisers and equivalences image only the set under test,
-by packed key.
+by packed key; set tests, stabilisers and equivalences all ask one sieve,
+_carriers, which elements carry one set onto another.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .autgroup import (
     _vertices,
     apply,
 )
-from .caps import ResourceCapError
+from .caps import ResourceCapError, check_table_bytes
 from .hamming import Vertex, all_vertices, distance, neighbours
 
 __all__ = [
@@ -150,7 +151,7 @@ def apply_to_code(x: Automorphism, C: Code) -> Code:
 def fixes_setwise(x: Automorphism, S: Iterable[Vertex]) -> bool:
     """True iff S^x = S; a vertex of another space raises apply()'s error."""
     idx = _indices(S, x.m, x.q)
-    return bool(_is_set(_key_table(_keys([x], x.m, x.q), x.m, x.q, idx), idx)[0])
+    return bool(_carriers(_keys([x], x.m, x.q), x.m, x.q, idx, idx).size)
 
 
 def is_transitive(gens: Sequence[Automorphism], S: Iterable[Vertex]) -> bool:
@@ -165,15 +166,37 @@ def is_transitive(gens: Sequence[Automorphism], S: Iterable[Vertex]) -> bool:
     gens = tuple(gens)
     m, q = (gens[0].m, gens[0].q) if gens else (min(S).m, min(S).q)
     idx, keys = _indices(S, m, q), _keys(gens, m, q)
-    if not _is_set(_key_table(keys, m, q, idx), idx).all():
+    if _carriers(keys, m, q, idx, idx).size < len(keys):
         raise ValueError("a generator moves the set off itself")
     return _transitive_on(keys, idx, m, q)
 
 
-def _is_set(images: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Row selector: which rows of ``images``, the images of a vertex set
-    under one element each, are the set with the sorted indices ``idx``."""
-    return (np.sort(images, axis=1) == idx).all(axis=1)
+# cells of the sieve's first block: eight generators image a set of 2,048
+# vertices in one gather, and the 31,104 keys of Aut(H(4,3)) one point
+_SIEVE_CELLS = 1 << 14
+
+
+def _carriers(keys: np.ndarray, m: int, q: int, idx: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Increasing row numbers of the ``keys`` whose elements map the sorted
+    indices ``idx`` into the sorted ``target``, and so onto it when the two
+    have one size, elements being bijections; every row for an empty ``idx``.
+
+    A sieve, the simplest case of the refinement in Leon's partition
+    backtrack: the points of ``idx`` are imaged a block at a time under the
+    rows still alive, and a row is dropped at the first block that it sends
+    outside ``target``.  The first block holds about _SIEVE_CELLS cells;
+    each next one at least twice as many points, and more as rows die.
+    Checks the bytes of the whole (|keys|, |idx|) table against the cap
+    first, although the blocks allocate at most that.
+    """
+    check_table_bytes(len(keys), len(idx))
+    live = np.arange(len(keys))
+    lo, step = 0, max(1, _SIEVE_CELLS // max(1, len(keys)))
+    while lo < len(idx) and live.size:
+        images = _key_table(keys[live], m, q, idx[lo : lo + step])
+        live = live[(target.take(np.searchsorted(target, images), mode="clip") == images).all(axis=1)]
+        lo, step = lo + step, max(2 * step, _SIEVE_CELLS // max(1, live.size))
+    return live
 
 
 def _transitive_on(keys: np.ndarray, idx: np.ndarray, m: int, q: int) -> bool:
@@ -193,7 +216,7 @@ def setwise_stabiliser(G: Group, S: Iterable[Vertex]) -> Group:
     idx = _indices(S, G.m, G.q)
     if G.keys is None:
         raise ResourceCapError("a setwise stabiliser needs an enumerated group")
-    return Group(G.m, G.q, None, G.keys[_is_set(_key_table(G.keys, G.m, G.q, idx), idx)])
+    return Group(G.m, G.q, None, G.keys[_carriers(G.keys, G.m, G.q, idx, idx)])
 
 
 def are_equivalent(C: Code, D: Code, G: Group) -> Automorphism | None:
@@ -202,8 +225,7 @@ def are_equivalent(C: Code, D: Code, G: Group) -> Automorphism | None:
         raise ResourceCapError("an equivalence needs an enumerated group")
     if C.m != D.m or C.q != D.q or len(C) != len(D):
         return None
-    images = _key_table(G.keys, G.m, G.q, _indices(C, G.m, G.q))
-    hits = np.flatnonzero(_is_set(images, _indices(D, G.m, G.q)))
+    hits = _carriers(G.keys, G.m, G.q, _indices(C, G.m, G.q), _indices(D, G.m, G.q))
     return _sorted_elements(G.keys[hits[:1]], G.m, G.q)[0] if hits.size else None
 
 
@@ -211,7 +233,7 @@ def is_neighbour_transitive(gens: Sequence[Automorphism], C: Code) -> bool:
     """Gens fix C setwise and act transitively on both C and its neighbour set."""
     m, q = C.m, C.q
     keys, code = _keys(tuple(gens), m, q), _indices(C, m, q)
-    if not (_is_set(_key_table(keys, m, q, code), code).all() and _transitive_on(keys, code, m, q)):
+    if _carriers(keys, m, q, code, code).size < len(keys) or not _transitive_on(keys, code, m, q):
         return False
     nb = _neighbour_indices(code, m, q)
     return not nb.size or _transitive_on(keys, nb, m, q)

@@ -23,7 +23,6 @@ from .autgroup import (
     Automorphism,
     Group,
     _group_order,
-    _key_table,
     _keys,
     _orbit_schreier,
     _set_orbit,
@@ -35,9 +34,9 @@ from .autgroup import (
 from .caps import group_cap
 from .codes import (
     Code,
+    _carriers,
     _code_at,
     _indices,
-    _is_set,
     _neighbour_indices,
     _transitive_on,
     neighbour_set,
@@ -118,7 +117,7 @@ def verify_elusive(
     code, keys = _indices(C, m, q), _keys(gens, m, q)
     nb = _neighbour_indices(code, m, q)
 
-    fixes_neighbours = bool(_is_set(_key_table(keys, m, q, nb), nb).all())
+    fixes_neighbours = _carriers(keys, m, q, nb, nb).size == len(keys)
     orbit = _set_orbit(keys, code, m, q)
     schreier_keys, transversal = _orbit_schreier(keys, orbit, m, q)
     r = len(orbit)

@@ -1,8 +1,11 @@
-"""Dense full-table kernels: the test oracles for the search's coset kernels.
+"""Dense kernels: the test oracles for the search's coset kernels and for
+the sieve of ``codes._carriers``.
 
-Each scans every row of a (|G|, q^m) action table, following the
-definition with no pruning.  The search itself never builds the full
-table; it works on the cosets of Stab(0) through ``_kernels``.
+Each scans every row of an action table, following the definition with
+no pruning.  The search itself never builds the full table; it works on
+the cosets of Stab(0) through ``_kernels``.  The sieve drops a row at the
+first point it sends off its target; ``carriers`` images the whole set
+under every row, sorts each image and compares it with the target.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from elusivecodes._kernels import stabiliser_rows
+from elusivecodes.autgroup import _key_table
 
 
 def is_canonical(table: np.ndarray, code: np.ndarray) -> bool:
@@ -31,3 +35,9 @@ def first_mover(table: np.ndarray, nb_mask: np.ndarray, code_mask: np.ndarray) -
     move_code = (code_mask[table] != code_mask[None, :]).any(axis=1)
     hits = np.nonzero(fix_nb & move_code)[0]
     return int(hits[0]) if hits.size else -1
+
+
+def carriers(keys: np.ndarray, m: int, q: int, idx: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Increasing row numbers of the keys whose sorted image of the sorted
+    indices ``idx`` is ``target``."""
+    return np.flatnonzero((np.sort(_key_table(keys, m, q, idx), axis=1) == target).all(axis=1))

@@ -40,7 +40,6 @@ from elusivecodes.constructions import (
 )
 from elusivecodes.elusive import neighbour_degree_map, verify_elusive
 from elusivecodes.hamming import Vertex, distance, sphere
-from elusivecodes.lemmas import suite_act, suite_neigh, suite_partition
 from elusivecodes.search import format_certificate, search_elusive
 
 
@@ -156,9 +155,10 @@ def test_criterion_08_positive_control_3_3_3(full33):
         assert verify_elusive(code, stab.generators).is_elusive
 
 
-def test_criterion_09_lemma_batteries():
+def test_criterion_09_lemma_batteries(lemma_checks):
+    # the seed-0 runs are shared with tests/test_lemmas.py
     with budget(300):
-        for checks in (suite_neigh(), suite_act(seed=0), suite_partition()):
+        for checks in (lemma_checks("neigh"), lemma_checks("act"), lemma_checks("partition")):
             assert checks and all(ok for _, ok, _ in checks)
 
 

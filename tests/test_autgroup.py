@@ -279,6 +279,41 @@ def test_listing_checks_its_bytes_first(monkeypatch):
         generate_group(full_group_generators(5, 3))
 
 
+def _lexsorted(rows):
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+def test_packed_sort_equals_lexsort():
+    rng = np.random.default_rng(16)
+    small = rng.integers(0, 3, size=(300, 4), dtype=np.int32)  # many equal rows
+    cases = [
+        rng.integers(0, 4, size=(500, 16), dtype=np.int32),  # one word, as full (4,3) keys
+        rng.integers(0, 3, size=(400, 90), dtype=np.int32),  # several words
+        rng.integers(0, 2**31 - 1, size=(300, 5), dtype=np.int32, endpoint=True),  # two digits a word
+        rng.integers(0, 2**32, size=(300, 5), dtype=np.int64),  # one digit a word
+        rng.integers(2**63 - 40, 2**63 - 1, size=(300, 3), dtype=np.int64, endpoint=True),  # rows near 2^63
+        rng.integers(0, 5, size=(300, 1), dtype=np.int32),  # one column
+        np.concatenate([small, small[::-1]]),
+        np.zeros((0, 12), dtype=np.int32),
+        np.zeros((7, 3), dtype=np.int32),
+    ]
+    for rows in cases:
+        got = autgroup._sort_keys(rows)
+        assert got.dtype == rows.dtype and got.shape == rows.shape
+        assert got.tobytes() == _lexsorted(rows).tobytes()
+
+
+@pytest.mark.parametrize(
+    "gens", [full_group_generators(3, 3), full_group_generators(4, 3), wreath_generators(3, 3)],
+    ids=["full-3-3", "full-4-3", "wreath-3-3"],
+)
+def test_group_keys_are_the_lexsorted_products(gens):
+    m, q = gens[0].m, gens[0].q
+    chain = autgroup._stabiliser_chain(autgroup._keys(gens, m, q), m, q)
+    raw = autgroup._transversal_product(chain, m, q)
+    assert generate_group(gens).keys.tobytes() == _lexsorted(raw).tobytes()
+
+
 def test_generator_presets_drop_duplicates_keeping_order():
     # at q = 2, l = 1 or m = 1 generators coincide; each appears once, first
     # occurrence first

@@ -7,6 +7,10 @@ import pytest
 from elusivecodes import autgroup, perms
 from elusivecodes.autgroup import (
     Automorphism,
+    Group,
+    _key_table,
+    _keys,
+    _sorted_elements,
     apply,
     compose,
     diag,
@@ -21,6 +25,8 @@ from elusivecodes.autgroup import (
 from elusivecodes.caps import ResourceCapError
 from elusivecodes.codes import (
     Code,
+    _carriers,
+    _code_at,
     _indices,
     _neighbour_indices,
     apply_to_code,
@@ -44,6 +50,7 @@ from elusivecodes.constructions import rep_code
 from elusivecodes.elusive import StabiliserFlags, code_stabiliser_analysis
 from elusivecodes.hamming import Vertex, all_vertices, distance, sphere, vertex_index
 from elusivecodes.perms import Perm
+import dense_kernels
 from object_bfs import orbit as orbit_by_apply
 
 
@@ -323,6 +330,94 @@ def test_table_paths_match_apply_subgroup_h34():
     G = _subgroup_h34(34)
     assert G.order == 144
     _cross_check(G, _seeded_codes(3, 4, 34, (2, 3, 5)), random.Random(3), True)
+
+
+# ---------------------------------------------------------------------------
+# the sieve against the whole-set row test and the apply() definition
+
+def _sieve_targets(G, idx, rng):
+    """Targets for the sieve on the sorted indices ``idx``: the set itself,
+    its image under a random element, and |idx| vertices that no element
+    reaches from the set: off the orbit of its least point where the group
+    leaves room, else the first |idx| vertices that are no image."""
+    m, q = G.m, G.q
+    image = np.sort(_key_table(G.keys[[rng.randrange(G.order)]], m, q, idx)[0])
+    off = np.setdiff1d(np.arange(q**m), _key_table(G.keys, m, q, idx[:1]))
+    if off.size < idx.size:
+        images = {tuple(r) for r in np.sort(_key_table(G.keys, m, q, idx), axis=1).tolist()}
+        off = next(np.array(c) for c in itertools.combinations(range(q**m), idx.size) if c not in images)
+    return [idx, image, np.sort(np.array(rng.sample(off.tolist(), idx.size), dtype=idx.dtype))]
+
+
+def _first_out(G, idx, target):
+    """Per row of G, the first position of ``idx`` sent outside ``target``;
+    len(idx) for a row that sends none."""
+    out = ~np.isin(_key_table(G.keys, G.m, G.q, idx), target)
+    return np.where(out.any(axis=1), out.argmax(axis=1), len(idx))
+
+
+@pytest.mark.parametrize("cells", [None, 1])
+def test_sieve_matches_the_whole_set_test_and_apply(full33, full43, cells, monkeypatch):
+    # cells=1 starts every sieve at one point, so the blocks double from there
+    if cells is not None:
+        monkeypatch.setattr("elusivecodes.codes._SIEVE_CELLS", cells)
+    blocks = []
+
+    def spy(keys, m, q, idxs=None):
+        blocks.append(len(idxs))
+        return _key_table(keys, m, q, idxs)
+
+    monkeypatch.setattr("elusivecodes.codes._key_table", spy)
+    rng = random.Random(16)
+    rep43 = Code.from_words(neighbour_set(rep_code(4, 3)))
+    cases = [
+        (full33, [REP33, Code.from_words(neighbour_set(REP33))] + _seeded_codes(3, 3, 33, (2, 4))[1:]),
+        (full43, [rep43]),
+        (_subgroup_h34(34), _seeded_codes(3, 4, 34, (2, 3, 5))),
+    ]
+    seen = set()
+    for G, sets in cases:
+        # every 32nd key of Aut(H(4,3)): apply() over all 31104 is slow
+        A = Group(4, 3, None, G.keys[::32]) if G is full43 else G
+        for C in sets:
+            assert setwise_stabiliser(A, C).elements == _stabiliser_by_apply(A, C)
+            idx = _indices(C, G.m, G.q)
+            for target in _sieve_targets(G, idx, rng):
+                blocks.clear()
+                got = _carriers(G.keys, G.m, G.q, idx, target)
+                assert got.tolist() == dense_kernels.carriers(G.keys, G.m, G.q, idx, target).tolist()
+                assert (np.diff(got) > 0).all()
+                died = _first_out(G, idx, target)
+                starts = np.cumsum(blocks)  # block j + 1 starts at starts[j]
+                if not got.size:
+                    seen.add("no element reaches the target")
+                    if len(blocks) == 1 and blocks[0] < len(idx):
+                        seen.add("every row dies in the first block")
+                if len(starts) >= 3 and ((died >= starts[1]) & (died < len(idx))).any():
+                    seen.add("a row dies in the third block or later")
+                D = _code_at(target, G.m, G.q)
+                assert are_equivalent(C, D, G) == (_sorted_elements(G.keys[got[:1]], G.m, G.q) or (None,))[0]
+                assert are_equivalent(C, D, A) == _equivalence_by_apply(C, D, A)
+    assert setwise_stabiliser(full43, rep43).order == 144
+    want = {"no element reaches the target", "a row dies in the third block or later"}
+    if cells is not None:
+        want.add("every row dies in the first block")
+    assert seen >= want
+
+
+def test_sieve_of_the_empty_set_and_of_one_element(full33):
+    empty = np.array([], dtype=np.int32)
+    assert _carriers(full33.keys, 3, 3, empty, empty).tolist() == list(range(1296))
+    assert setwise_stabiliser(full33, []).keys.tobytes() == full33.keys.tobytes()
+    idx = _indices(REP33, 3, 3)
+    fixers = set()
+    for x in full33.elements[:60]:
+        fixes = apply_to_code(x, REP33) == REP33
+        fixers.add(fixes)
+        assert _carriers(_keys([x], 3, 3), 3, 3, idx, idx).tolist() == ([0] if fixes else [])
+        assert fixes_setwise(x, REP33) == fixes
+        assert setwise_stabiliser(Group(3, 3, None, _keys([x], 3, 3)), REP33).order == int(fixes)
+    assert fixers == {True, False}
 
 
 def test_setwise_stabiliser_checks_table_bytes_first(full33, monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,3 +265,22 @@ def test_canonical_children_of_a_code_past_one_bit_word(k):
     cand = np.arange(k, space.n, dtype=np.int32)
     got = _kernels.canonical_children(space.stab0, code, cand, space.minus)
     assert got.tolist() == [is_canonical(full, np.append(code, v)) for v in cand]
+
+
+@pytest.mark.parametrize("last", [14, 128])
+def test_canonical_children_stay_in_their_chunk_budget(last):
+    # {0, ..., 11} is the least 12-set of H(7,2), so canonical; its twelve
+    # old cosets take two chunks with candidates 12 and 13, and one coset a
+    # chunk with every candidate.  A chunk and its temporaries stay within
+    # the 4 MiB the rule allows, checked on the heap numpy allocates
+    space = search._SearchSpace(7, 2, 1)
+    code, cand = np.arange(12, dtype=np.int32), np.arange(12, last, dtype=np.int32)
+    rows, n = space.stab0.shape
+    tracemalloc.start()
+    try:
+        keep = _kernels.canonical_children(space.stab0, code, cand, space.minus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert keep.tolist() == [_kernels.is_canonical(space.stab0, np.append(code, v), space.minus) for v in cand]
+    assert peak <= 4 * max(rows * n, 1 << 20)

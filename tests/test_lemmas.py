@@ -1,12 +1,4 @@
-import functools
-
 from elusivecodes.lemmas import SUITES
-
-
-@functools.cache
-def _checks(suite, seed=0):
-    """The checks of one suite at one seed, run once for every test here."""
-    return SUITES[suite](seed=seed)
 
 
 def _assert_all_pass(checks):
@@ -15,33 +7,33 @@ def _assert_all_pass(checks):
     assert not bad, f"failing checks: {bad}"
 
 
-def test_suite_same_passes():
-    _assert_all_pass(_checks("same"))
+def test_suite_same_passes(lemma_checks):
+    _assert_all_pass(lemma_checks("same"))
 
 
-def test_suite_act_passes():
-    checks = _checks("act")
+def test_suite_act_passes(lemma_checks):
+    checks = lemma_checks("act")
     _assert_all_pass(checks)
     assert "full-table-closed-form-h33" in [name for name, _, _ in checks]
 
 
-def test_suite_act_seed_changes_cases_not_outcome():
+def test_suite_act_seed_changes_cases_not_outcome(lemma_checks):
     for seed in (1, 17, 202):
-        _assert_all_pass(_checks("act", seed))
+        _assert_all_pass(lemma_checks("act", seed))
 
 
-def test_suite_partition_passes():
-    _assert_all_pass(_checks("partition"))
+def test_suite_partition_passes(lemma_checks):
+    _assert_all_pass(lemma_checks("partition"))
 
 
-def test_suite_neigh_passes():
-    _assert_all_pass(_checks("neigh"))
+def test_suite_neigh_passes(lemma_checks):
+    _assert_all_pass(lemma_checks("neigh"))
 
 
-def test_suites_registry():
+def test_suites_registry(lemma_checks):
     assert set(SUITES) == {"same", "act", "partition", "neigh"}
     for name in SUITES:
-        checks = _checks(name)
+        checks = lemma_checks(name)
         _assert_all_pass(checks)
         for entry in checks:
             assert len(entry) == 3
@@ -50,7 +42,7 @@ def test_suites_registry():
             assert isinstance(ok, bool)
 
 
-def test_check_names_are_unique_within_each_suite():
+def test_check_names_are_unique_within_each_suite(lemma_checks):
     for name in SUITES:
-        names = [c[0] for c in _checks(name)]
+        names = [c[0] for c in lemma_checks(name)]
         assert len(names) == len(set(names)), f"duplicate check name in {name}"
