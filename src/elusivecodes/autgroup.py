@@ -42,7 +42,6 @@ __all__ = [
     "full_action_table",
     "stab0_action_table",
     "full_group_element",
-    "stab0_group_element",
 ]
 
 
@@ -347,31 +346,31 @@ def _point_keys(points: np.ndarray, m: int, q: int) -> np.ndarray:
     return keys
 
 
-def _orbit_schreier(keys: np.ndarray, rows: np.ndarray, m: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """(Schreier keys, transversal keys) of the orbit ``rows`` of a vertex
-    set under the elements behind ``keys``, in _set_orbit's FIFO order.
+def _orbit_schreier(keys: np.ndarray, target: np.ndarray, m: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Schreier keys, transversal keys) of an orbit of vertex sets under
+    the elements behind ``keys``, from the edges _set_orbit returns with it.
 
-    Edge (i, g) takes row i through keys[g] to row target[i*k + g].  t_0 is
-    the identity, and t_j is t_i then g for the first edge (i, g) into j,
-    which leaves an earlier row.  By Schreier's lemma the t_i g t_j^-1 of
-    every edge, on point rows (_points; inverses are argsorts), generate
-    the stabiliser of row 0; they come in edge order, once each,
-    identities (tree edges among them) dropped.
+    Edge (i, g) takes row i through keys[g] to row target[i*k + g]; every
+    row but row 0 is the target of some edge.  t_0 is the identity, and
+    t_j is t_i then g for the first edge (i, g) into j, which leaves an
+    earlier row.  By Schreier's lemma the t_i g t_j^-1 of every edge, on
+    point rows (_points; inverses are argsorts), generate the stabiliser
+    of row 0; they come in edge order, once each, identities (tree edges
+    among them) dropped.
     """
-    k, n = len(keys), m * q
-    index = {row: j for j, row in enumerate(_row_bytes(rows))}
-    target = np.array([index[row] for row in _row_bytes(_set_images(keys, rows, m, q))], dtype=np.intp)
-    first = np.full(len(rows), len(target))
+    k, n, r = len(keys), m * q, int(target.max(initial=0)) + 1
+    first = np.full(r, len(target))
     np.minimum.at(first, target, np.arange(len(target)))
     gens = _points(keys, m, q)
-    trans = np.tile(np.arange(n, dtype=np.int32), (len(rows), 1))
-    for j in range(1, len(rows)):
+    trans = np.tile(np.arange(n, dtype=np.int32), (r, 1))
+    for j in range(1, r):
         trans[j] = gens[first[j] % k][trans[first[j] // k]]
     # row i*k + g: t_i then g, then t_j^-1
     words = gens[np.arange(k)[None, :, None], trans[:, None, :]].reshape(-1, n)
     words = np.take_along_axis(np.argsort(trans, axis=1).astype(np.int32)[target], words, axis=1)
-    words = _fresh_rows(words[(words != np.arange(n)).any(axis=1)], set(), len(words))
-    return _point_keys(words, m, q), _point_keys(trans, m, q)
+    words = words[(words != np.arange(n)).any(axis=1)]
+    _, at = np.unique(_void_rows(words), return_index=True)
+    return _point_keys(words[np.sort(at)], m, q), _point_keys(trans, m, q)
 
 
 def orbit(gens: Iterable[Automorphism], seed, cap: int | None = None) -> set:
@@ -387,79 +386,50 @@ def orbit(gens: Iterable[Automorphism], seed, cap: int | None = None) -> set:
     if not start or not all(isinstance(v, Vertex) for v in start):
         raise ValueError("set-valued seed must be a nonempty set of Vertex")
     m, q = (gens[0].m, gens[0].q) if gens else (min(start).m, min(start).q)
-    rows = _set_orbit(_keys(gens, m, q), _indices(start, m, q), m, q, cap)
+    rows = _set_orbit(_keys(gens, m, q), _indices(start, m, q), m, q, cap)[0]
     words = _vertices(rows.ravel(), m, q)
     if isinstance(seed, Vertex):
         return set(words)
     return {frozenset(words[i : i + len(start)]) for i in range(0, len(words), len(start))}
 
 
-def _set_orbit(keys: np.ndarray, idx: np.ndarray, m: int, q: int, cap: int | None = None) -> np.ndarray:
-    """Orbit of the vertex set with the sorted indices ``idx`` under the
-    elements behind ``keys``, as sorted index rows in discovery order;
-    ResourceCapError over ``cap`` or the orbit cap, whichever is smaller."""
+def _set_orbit(
+    keys: np.ndarray, idx: np.ndarray, m: int, q: int, cap: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, target): the orbit of the vertex set with the sorted indices
+    ``idx`` under the elements behind ``keys``, and the orbit's edges.
+
+    The library's one breadth-first walk.  ``rows`` holds each set of the
+    orbit once, as a sorted index row, in the order a FIFO queue finds
+    them: each layer is imaged at once, image-major, set i under keys[0],
+    keys[1], ... in turn, and one dict from row bytes to row number keeps
+    the new rows.  Set i under keys[e] is row target[i * len(keys) + e].
+    ResourceCapError once the orbit, the seed counted, has more rows than
+    ``cap`` or the orbit cap, whichever is smaller.
+    """
     cap = orbit_cap() if cap is None else min(cap, orbit_cap())
-    rows = _closure(idx[None, :], lambda layer: _set_images(keys, layer, m, q), cap)
-    if rows is None:
+    index = {idx.tobytes(): 0}
+    layers, target = [idx[None, :]], []
+    while len(index) <= cap and len(layers[-1]):
+        known, layer = len(index), layers[-1]
+        table = _key_table(keys, m, q, layer.ravel()).reshape(len(keys), *layer.shape)
+        images = np.sort(table.swapaxes(0, 1).reshape(-1, layer.shape[1]), axis=1)
+        rows = _void_rows(images).tolist()
+        edges = np.array([index.setdefault(row, len(index)) for row in rows], dtype=np.intp)
+        new = edges >= known
+        layers.append(np.empty((len(index) - known, layer.shape[1]), dtype=images.dtype))
+        layers[-1][edges[new] - known] = images[new]
+        target.append(edges)
+    if len(index) > cap:
         raise ResourceCapError(f"orbit exceeded cap {cap}")
-    return rows
+    return np.concatenate(layers), np.concatenate(target)
 
 
-def _set_images(keys: np.ndarray, rows: np.ndarray, m: int, q: int) -> np.ndarray:
-    """The sorted index rows of the vertex sets ``rows`` under the elements
-    behind ``keys``, image-major: set i under keys[e] is row i * len(keys) + e,
-    so a walk that keeps them in order finds them as a FIFO queue would."""
-    table = _key_table(keys, m, q, rows.ravel()).reshape(len(keys), *rows.shape)
-    return np.sort(table.swapaxes(0, 1).reshape(-1, rows.shape[1]), axis=1)
-
-
-def _closure(start: np.ndarray, step, cap: int) -> np.ndarray | None:
-    """Every row reachable from the 2-D integer rows ``start`` through
-    ``step``, once each in breadth-first order; None as soon as more than
-    ``cap`` are found.  ``step(layer)`` returns the candidate rows the
-    newest layer leads to; see _fresh_rows for what is new.  It walks
-    vertex and set orbits, code orbits among them; a step that keeps its
-    layer's row order keeps wide rows in FIFO order, as _orbit_schreier needs."""
-    seen = [start[:0, 0]] if start.shape[1] == 1 else set()
-    layers = [_fresh_rows(start, seen, cap)]
-    while layers[-1] is not None and len(layers[-1]):
-        layers.append(_fresh_rows(step(layers[-1]), seen, cap))
-    return None if layers[-1] is None else np.concatenate(layers)
-
-
-def _fresh_rows(rows: np.ndarray, seen: set[bytes] | list[np.ndarray], cap: int) -> np.ndarray | None:
-    """The rows of the C-contiguous 2-D ``rows`` not in ``seen``, once each
-    in first-occurrence order, each added to ``seen``; None as soon as
-    ``seen`` holds more than ``cap``.  ``seen`` is the set of row bytes, or
-    for 1-wide rows a list holding the sorted array of their values, with
-    no Python object per row; fresh 1-wide rows come out sorted.  The
-    wide-row branch serves orbits of sets of two or more vertices, code
-    orbits among them, and _orbit_schreier's Schreier dedupe."""
-    if isinstance(seen, list):
-        seen[0] = np.sort(np.concatenate((seen[0], new := _new_values(rows, seen[0]))))
-        return None if len(seen[0]) > cap else new[:, None]
-    keep = []
-    for i, row in enumerate(_row_bytes(rows)):
-        if row not in seen:
-            seen.add(row)
-            if len(seen) > cap:
-                return None
-            keep.append(i)
-    return rows[keep]
-
-
-def _row_bytes(rows: np.ndarray) -> list[bytes]:
-    """The bytes of each row of the C-contiguous 2-D ``rows``."""
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
-
-
-def _new_values(values: np.ndarray, known: np.ndarray) -> np.ndarray:
-    """Sorted distinct entries of ``values`` missing from the sorted distinct
-    ``known``, by sorts and searches: np.isin and np.unique cost ~20 us a
-    call, paid per layer of a walk, and np.unique's first imports numpy.ma."""
-    v = np.sort(values, axis=None)
-    v = np.concatenate((v[:1], v[1:][v[1:] != v[:-1]]))
-    return v[known.take(np.searchsorted(known, v), mode="clip") != v] if len(known) else v
+def _void_rows(rows: np.ndarray) -> np.ndarray:
+    """The C-contiguous 2-D ``rows`` as one void scalar per row, whose
+    bytes compare as the row's; np.unique(axis=0) is 8x slower, and the S
+    dtype drops trailing NUL bytes."""
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
 def _indices(vertices: Iterable[Vertex], m: int, q: int) -> np.ndarray:
@@ -657,8 +627,8 @@ def stab0_action_table(m: int, q: int) -> np.ndarray:
     Stab(0) is every (g_1, ..., g_m; sigma) with each g_s(0) = 0.  Its rows
     are the rows of full_action_table(m, q) with ``table[:, 0] == 0``, in
     the same order, so row ((i_1 (q-1)! + i_2) ... + i_m) m! + k is the
-    element with the same i_s and k as in the full table; see
-    stab0_group_element.
+    element with the same i_s and k as in the full table; _row_keys with
+    _stab0_coord_perms(q) decodes it.
     """
     return _action_table(m, q, _stab0_coord_perms(q))
 
@@ -675,11 +645,6 @@ def _row_keys(rows, m: int, coord_perms: Sequence[Perm]) -> np.ndarray:
 def full_group_element(row: int, m: int, q: int) -> Automorphism:
     """The automorphism behind row ``row`` of full_action_table(m, q)."""
     return _sorted_elements(_row_keys([row], m, perms.symmetric_group(q)), m, q)[0]
-
-
-def stab0_group_element(row: int, m: int, q: int) -> Automorphism:
-    """The automorphism behind row ``row`` of stab0_action_table(m, q)."""
-    return _sorted_elements(_row_keys([row], m, _stab0_coord_perms(q)), m, q)[0]
 
 
 def _keys(elements: Sequence[Automorphism], m: int, q: int) -> np.ndarray:
@@ -743,8 +708,7 @@ def _sorted_elements(keys: np.ndarray, m: int, q: int) -> tuple[Automorphism, ..
     g, sigma = _split(keys, m, q)
     shared = []
     for images in map(np.ascontiguousarray, (g.reshape(-1, q), sigma)):
-        rows = images.view(np.dtype((np.void, images.itemsize * images.shape[1]))).ravel()  # np.unique(axis=0) is 8x slower
-        _, first, idx = np.unique(rows, return_index=True, return_inverse=True)
+        _, first, idx = np.unique(_void_rows(images), return_index=True, return_inverse=True)
         distinct = [Perm(tuple(r)) for r in images[first].tolist()]
         shared.append([distinct[i] for i in idx.reshape(-1).tolist()])
     g_perms, s_perms = shared

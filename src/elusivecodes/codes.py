@@ -3,9 +3,10 @@
 A Code stores its words sorted and duplicate-free.  Neighbour sets are
 built from the codewords' index digits (no ambient enumeration); the
 definitional gamma_r sweep enumerates the space and is cap-guarded.  Set
-tests, orbits, stabilisers and equivalences image only the set under test,
-by packed key; set tests, stabilisers and equivalences all ask one sieve,
-_carriers, which elements carry one set onto another.
+tests, stabilisers and equivalences image only the set under test, by
+packed key, and all ask one sieve, _carriers, which elements carry one set
+onto another.  Transitivity images the set once and walks the orbit of
+its least vertex inside that table (_transitive_on).
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from .autgroup import (
     _indices,
     _key_table,
     _keys,
-    _new_values,
-    _set_orbit,
     _sorted_elements,
     _vertices,
     apply,
@@ -129,8 +128,11 @@ def _neighbour_indices(idx: np.ndarray, m: int, q: int) -> np.ndarray:
     i + ((d_j + s) mod q - d_j) q^(m-1-j)."""
     powers, digits = _digits(m, q, idx)
     digits = digits[..., None]
-    nb = idx[:, None, None] + ((digits + np.arange(1, q)) % q - digits) * powers[:, None]
-    return _new_values(nb, idx).astype(_index_dtype(m, q))
+    nb = np.sort(idx[:, None, None] + ((digits + np.arange(1, q)) % q - digits) * powers[:, None], axis=None)
+    # distinct, then not in the code: by sorts and searches, as np.setdiff1d
+    # costs 4-7x more here
+    nb = nb[np.append(True, nb[1:] != nb[:-1])]
+    return nb[idx.take(np.searchsorted(idx, nb), mode="clip") != nb].astype(_index_dtype(m, q))
 
 
 def gamma_r(C: Code, r: int) -> frozenset[Vertex]:
@@ -200,9 +202,28 @@ def _carriers(keys: np.ndarray, m: int, q: int, idx: np.ndarray, target: np.ndar
 
 
 def _transitive_on(keys: np.ndarray, idx: np.ndarray, m: int, q: int) -> bool:
-    """True iff the elements behind ``keys`` carry the least of the sorted
-    indices ``idx`` onto exactly the set ``idx``."""
-    return bool(np.array_equal(np.sort(_set_orbit(keys, idx[:1], m, q), axis=None), idx))
+    """True iff the group generated by the elements behind ``keys`` carries
+    the least of the sorted indices ``idx`` onto exactly the set ``idx``.
+
+    A set that is the orbit of one of its points is fixed by the group, so
+    an image outside ``idx`` answers False.  Otherwise the set is imaged
+    once, and the orbit of idx[0] is walked on positions in that table, a
+    layer at a time, each position once per layer: without that a layer
+    holds every path to its positions.
+    """
+    images = _key_table(keys, m, q, idx)
+    at = np.searchsorted(idx, images)
+    if not (idx.take(at, mode="clip") == images).all():
+        return False
+    reached = np.zeros(len(idx), dtype=bool)
+    reached[0] = True
+    layer = np.zeros(1, dtype=np.intp)
+    while layer.size:
+        step = np.zeros(len(idx), dtype=bool)
+        step[at[:, layer]] = True
+        layer = np.flatnonzero(step & ~reached)
+        reached |= step
+    return bool(reached.all())
 
 
 def _code_at(idxs: np.ndarray, m: int, q: int) -> Code:
@@ -233,7 +254,7 @@ def is_neighbour_transitive(gens: Sequence[Automorphism], C: Code) -> bool:
     """Gens fix C setwise and act transitively on both C and its neighbour set."""
     m, q = C.m, C.q
     keys, code = _keys(tuple(gens), m, q), _indices(C, m, q)
-    if _carriers(keys, m, q, code, code).size < len(keys) or not _transitive_on(keys, code, m, q):
+    if not _transitive_on(keys, code, m, q):
         return False
     nb = _neighbour_indices(code, m, q)
     return not nb.size or _transitive_on(keys, nb, m, q)

@@ -3,9 +3,10 @@
 A pair is elusive when the group fixes the neighbour set of C setwise
 but moves C itself.  Verification works from generators alone: if every
 generator fixes the neighbour set, so does the generated group.  The r
-images of C are walked by the library's one closure (autgroup._set_orbit),
-and the orbit's edges give, on point rows, a witness moving C and the
-Schreier generators of X_C (autgroup._orbit_schreier).  The exact order
+images of C are walked by the library's one breadth-first walk
+(autgroup._set_orbit), which returns the orbit's edges with it; on point
+rows they give a witness moving C and the Schreier generators of X_C
+(autgroup._orbit_schreier).  The exact order
 ``xc_order`` is the product of the orbit lengths of their stabiliser
 chain, with no element listed, reported when |X| = r * |X_C| is within
 ``enum_cap`` and the group cap.
@@ -118,8 +119,8 @@ def verify_elusive(
     nb = _neighbour_indices(code, m, q)
 
     fixes_neighbours = _carriers(keys, m, q, nb, nb).size == len(keys)
-    orbit = _set_orbit(keys, code, m, q)
-    schreier_keys, transversal = _orbit_schreier(keys, orbit, m, q)
+    orbit, target = _set_orbit(keys, code, m, q)
+    schreier_keys, transversal = _orbit_schreier(keys, target, m, q)
     r = len(orbit)
     fixes_code = r == 1
     image_idxs = _sort_keys(orbit)  # row k: the indices of images[k]
@@ -169,7 +170,7 @@ def code_stabiliser_analysis(C: Code, G: Group) -> tuple[Group, StabiliserFlags]
     code = _indices(C, m, q)
     if G.keys is None:
         gens = _keys(G.generators, m, q)
-        keys = _orbit_schreier(gens, _set_orbit(gens, code, m, q), m, q)[0]
+        keys = _orbit_schreier(gens, _set_orbit(gens, code, m, q)[1], m, q)[0]
         xc = generate_group(_sorted_elements(keys, m, q), cap=XC_ENUM_CAP, m=m, q=q)
     else:
         xc = setwise_stabiliser(G, C)

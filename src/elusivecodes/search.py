@@ -206,7 +206,18 @@ def search_elusive(
         )
 
     if parity_filter and delta == 3 and (m * (q - 1)) % 2 == 1:
-        # no elusive pair can have delta=3 with m(q-1) odd
+        # no elusive pair can have delta=3 with m(q-1) odd, a case of the
+        # spectral lemma.  Let A be the adjacency matrix of H(m,q) and let C
+        # have minimum distance >= 3: no two codewords are adjacent and a
+        # vertex of Γ1(C) is adjacent to exactly one, so A 1_C = 1_{Γ1(C)}.
+        # An x fixing Γ1(C) then gives A(1_C - 1_{C^x}) = 0.  The
+        # eigenvalues of A are θ_j = (q-1)m - qj, j = 0..m (Brouwer, Cohen
+        # and Neumaier, Distance-Regular Graphs, §9.2), and since
+        # gcd(q, q-1) = 1 one is zero only when q | m.  So for q ∤ m, A is
+        # invertible and C^x = C.  m(q-1) odd means m odd and q even, so
+        # q ∤ m.  tests/test_search.py::
+        # test_no_elusive_pair_when_q_does_not_divide_m checks q ∤ m by
+        # complete searches.
         return cert("NoneExhaustive")
     if delta > m:
         return cert("NoneExhaustive")

@@ -1,8 +1,9 @@
 """Breadth-first search over Automorphism and Vertex objects: the test
 oracles for generate_group, which lists the products of a stabiliser
-chain's transversals, for orbit, which walks one closure over sorted
-vertex-index rows, and for the code orbit and Schreier generators that
-verify_elusive reads off that closure on point rows.
+chain's transversals, for orbit, one breadth-first walk over
+sorted vertex-index rows, for the code orbit and Schreier generators that
+verify_elusive reads off that walk's edges on point rows, and for the
+transitivity tests.
 
 Each follows the definition: act with every generator on everything found
 so far until nothing new appears.

@@ -23,7 +23,6 @@ from elusivecodes.autgroup import (
     parse_automorphism,
     read_group,
     stab0_action_table,
-    stab0_group_element,
     top,
     vertex_action_table,
     wreath_embed,
@@ -547,15 +546,6 @@ def test_stab0_action_table_is_the_filtered_full_table(m, q):
     assert stab0.dtype == np.int32
     assert stab0.shape[0] == math.factorial(q - 1) ** m * math.factorial(m)
     assert np.array_equal(stab0, full[full[:, 0] == 0])
-
-
-@pytest.mark.parametrize("m, q", [(3, 3), (2, 4)])
-def test_stab0_group_element_decodes_every_row(m, q):
-    stab0 = stab0_action_table(m, q)
-    elems = [stab0_group_element(i, m, q) for i in range(stab0.shape[0])]
-    assert np.array_equal(vertex_action_table(elems, m, q), stab0)
-    with pytest.raises(ValueError):
-        stab0_group_element(stab0.shape[0], m, q)
 
 
 def test_group_decodes_its_keys_only_when_asked(monkeypatch):

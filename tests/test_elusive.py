@@ -11,6 +11,7 @@ from elusivecodes.autgroup import (
     _orbit_schreier,
     _set_orbit,
     _sorted_elements,
+    apply,
     diag,
     diag_top_generators,
     full_group_generators,
@@ -23,6 +24,8 @@ from elusivecodes.caps import ResourceCapError
 from elusivecodes.codes import (
     Code,
     apply_to_code,
+    is_neighbour_transitive,
+    is_transitive,
     neighbour_set,
     read_code,
     setwise_stabiliser,
@@ -44,6 +47,7 @@ from elusivecodes.elusive import (
 )
 from elusivecodes.hamming import Vertex, all_vertices
 from object_bfs import code_orbit
+from object_bfs import orbit as orbit_by_apply
 
 
 @pytest.fixture(scope="module")
@@ -301,11 +305,11 @@ def _union(q):
 
 
 def _code_orbit_by_closure(C, gens, cap):
-    """code_orbit's three answers, from the shared closure on packed keys."""
+    """code_orbit's three answers, from the shared walk on packed keys."""
     m, q = C.m, C.q
     keys = _keys(gens, m, q)
-    rows = _set_orbit(keys, _indices(C.words, m, q), m, q, cap)
-    schreier, transversal = _orbit_schreier(keys, rows, m, q)
+    rows, target = _set_orbit(keys, _indices(C.words, m, q), m, q, cap)
+    schreier, transversal = _orbit_schreier(keys, target, m, q)
     witness = _sorted_elements(transversal[1:2], m, q)[0] if len(rows) > 1 else None
     return [tuple(row) for row in rows.tolist()], list(_sorted_elements(schreier, m, q)), witness
 
@@ -349,6 +353,71 @@ def test_code_orbit_matches_object_bfs():
             assert _code_orbit_by_closure(C, gens, 200) == expected
             compared += len(expected[1]) > 0
     assert compared >= 6  # orbits whose stabiliser needs Schreier generators
+
+
+def _transitive_by_apply(gens, S):
+    # the definition: the orbit of the least vertex of S is S
+    return bool(S) and orbit_by_apply(gens, min(S), 10**6) == set(S)
+
+
+def test_transitivity_matches_the_orbit_definition():
+    # is_transitive, is_neighbour_transitive and verify_elusive's three
+    # flags against the object BFS, on seeded random codes, unions of
+    # vertex orbits and their neighbour sets, under 1-3 random elements
+    seen = set()
+    for m, q in [(3, 3), (4, 3), (3, 4), (5, 2)]:
+        rng = random.Random(17 * m + q)
+        verts = list(all_vertices(m, q))
+        for trial in range(15):
+            gens = [_random_automorphism(rng, m, q) for _ in range(rng.randint(1, 3))]
+            if trial % 3 == 0:  # most of these are moved by the generators
+                words = set(rng.sample(verts, rng.randint(2, 5)))
+            else:  # fixed: one or two vertex orbits
+                words = set()
+                while len(words) < 2:
+                    words |= orbit_by_apply(gens, rng.choice(verts), 10**6)
+            C = Code.from_words(words)
+            nb = neighbour_set(C)
+            for S in filter(None, (C.word_set, nb)):  # Γ1 of the whole space is empty
+                if all(frozenset(apply(g, v) for v in S) == S for g in gens):
+                    want = _transitive_by_apply(gens, S)
+                    assert is_transitive(gens, S) == want
+                    seen.add(want)
+                else:
+                    with pytest.raises(ValueError, match="moves the set"):
+                        is_transitive(gens, S)
+                    seen.add("moved")
+            want = _transitive_by_apply(gens, C.word_set) and (not nb or _transitive_by_apply(gens, nb))
+            assert is_neighbour_transitive(gens, C) == want
+            try:
+                schreier = code_orbit(C, gens, 200)[1]
+            except ResourceCapError:
+                continue
+            report = verify_elusive(C, gens)
+            assert report.x_transitive_on_neighbours == _transitive_by_apply(gens, nb)
+            assert report.xc_transitive_on_code == _transitive_by_apply(schreier, C.word_set)
+            assert report.xc_transitive_on_neighbours == _transitive_by_apply(schreier, nb)
+            seen.add(("xc", report.fixes_code, report.xc_transitive_on_code))
+    assert {True, False, "moved"} <= seen
+    assert {("xc", False, False), ("xc", True, True), ("xc", True, False)} <= seen
+
+
+def test_transitivity_flags_walk_only_inside_the_set(monkeypatch):
+    # diag(S_3) moves {000, 111} round 3 images and moves its neighbour
+    # set, whose least vertex 001 has an orbit of 6 in H(3,3); the flag is
+    # False from the images of the set alone, with no walk outside it
+    C = Code.from_words([Vertex((0, 0, 0), 3), Vertex((1, 1, 1), 3)])
+    gens = [diag(perms.cycle(3, (0, 1, 2)), 3), diag(perms.transposition(3, 0, 1), 3)]
+    assert len(orbit_by_apply(gens, min(neighbour_set(C)), 10**6)) == 6
+    monkeypatch.setenv("ELUSIVECODES_MAX_ORBIT", "3")
+    report = verify_elusive(C, gens)
+    assert report.image_count_r == 3 and not report.fixes_neighbours
+    assert not report.x_transitive_on_neighbours
+    # a set the group fixes is walked inside itself too: Γ1(rep(3,3)),
+    # 18 vertices in one orbit of diag-top, past an orbit cap of 1
+    monkeypatch.setenv("ELUSIVECODES_MAX_ORBIT", "1")
+    report = verify_elusive(rep_code(3, 3), diag_top_generators(3))
+    assert report.image_count_r == 1 and report.x_transitive_on_neighbours
 
 
 def test_empty_and_identity_generating_sets():

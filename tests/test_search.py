@@ -16,6 +16,7 @@ from elusivecodes.codes import (
     covering_radius,
     min_distance,
     neighbour_set,
+    parse_code,
     setwise_stabiliser,
 )
 from elusivecodes.constructions import alt_code, rep_code
@@ -455,11 +456,28 @@ def test_table_bytes_cap_is_exact(monkeypatch):
     assert search_elusive(3, 3, 3).outcome == "Aborted"
 
 
-@pytest.mark.parametrize("m, q, delta", [(5, 3, 4), (5, 3, 5)])
+@pytest.mark.parametrize(
+    "m, q, delta", [(5, 3, 4), (5, 3, 5), (4, 2, 4), (6, 2, 3), (6, 2, 4), (4, 4, 4)]
+)
 def test_committed_certificates_reproduce(m, q, delta):
-    # q does not divide m at these triples; both are NoneExhaustive
+    # q does not divide m at (5,3,·), both NoneExhaustive; q divides m at
+    # the others: (4,4,4) is NoneExhaustive and the rest are Found
     want = (CERTIFICATES / f"search-{m}-{q}-{delta}.txt").read_text()
     assert format_certificate(search_elusive(m, q, delta), wall_time=False) == want
+
+
+@pytest.mark.parametrize("m, q, delta, r", [(4, 2, 4, 4), (6, 2, 3, 2), (6, 2, 4, 2)])
+def test_committed_witnesses_are_elusive(m, q, delta, r):
+    # the committed witness, read back: the stabiliser of its neighbour set
+    # in Aut(H(m,q)) has the committed order and moves it round r images
+    text = (CERTIFICATES / f"search-{m}-{q}-{delta}.txt").read_text()
+    header, rest = text.split("found_code_begin\n")
+    C = parse_code(rest.split("found_code_end\n")[0])
+    assert min_distance(C) == delta
+    X = setwise_stabiliser(autgroup.generate_group(autgroup.full_group_generators(m, q)), neighbour_set(C))
+    assert f"found_stabiliser_order={X.order}\n" in header
+    report = verify_elusive(C, X.elements)
+    assert report.is_elusive and report.image_count_r == r
 
 
 def test_thread_count_invariance():
