@@ -10,8 +10,10 @@ and apply(compose(x, y), v) == apply(y, apply(x, v)).
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -263,18 +265,30 @@ def _stabiliser_chain(keys: np.ndarray, m: int, q: int) -> list[list[tuple[int, 
     which then is completed first.  By Schreier's lemma those generators
     generate the stabiliser of b_i in <S_i>, so once every level is
     complete <S_{i+1}> is that stabiliser, and |G| is the product of the
-    orbit lengths (orbit-stabiliser, level by level).  Transversal entries
-    and strong generators are only ever added, so a Schreier generator
-    that sifted once stays sifted: each is sifted once per level.  Points
-    are plain tuples: the degree is m*q, at most a few dozen here.
+    orbit lengths (orbit-stabiliser, level by level).
+
+    Each level keeps a FIFO queue of its untested pairs (p, s): a new
+    strong generator is queued with every orbit point, a new orbit point
+    with every strong generator, so each pair is taken once.  A pair whose
+    s(p) is new is a tree edge: u_{s(p)} := u_p s makes its Schreier
+    generator the identity, and it is not sifted.  Every other pair is
+    sifted once: transversal entries are never overwritten, so its
+    Schreier generator is the one of the final transversal, and one that
+    sifted to the identity stays sifted as the levels below grow.  A sift
+    composes only at the levels whose base point h moves; where h fixes
+    b_i, u_{b_i} is the identity.  Points are plain tuples: the degree is
+    m*q, at most a few dozen here.
     """
     n = m * q
     ident = tuple(range(n))
-    # per level: [base point, strong generators, {p: (u, u^-1)}, tested (p, s) pairs]
-    levels: list[list] = []
+    # per level: (base point, strong generators as (s, s^-1),
+    #             {p: (u_p, u_p^-1)}, queue of untested (p, strong index))
+    levels: list[tuple] = []
 
     def then(x, y):
-        return tuple(map(y.__getitem__, x))
+        # itemgetter of n >= 2 indices returns a tuple; something is
+        # composed only when some element moves a point, so n >= 2
+        return itemgetter(*x)(y)
 
     def inverse_of(x):
         inv = [0] * n
@@ -284,37 +298,39 @@ def _stabiliser_chain(keys: np.ndarray, m: int, q: int) -> list[list[tuple[int, 
 
     def sift(h, start):
         for i in range(start, len(levels)):
-            u = levels[i][2].get(h[levels[i][0]])
-            if u is None:
-                return h, i
-            h = then(h, u[1])
+            b, _, trans, _ = levels[i]
+            if h[b] != b:
+                u = trans.get(h[b])
+                if u is None:
+                    return h, i
+                h = then(h, u[1])
         return h, len(levels)
 
     def add(h, top, bottom):
         if bottom == len(levels):
             b = next(p for p in range(n) if h[p] != p)
-            levels.append([b, [], {b: (ident, ident)}, set()])
-        for i in range(top, bottom + 1):
-            levels[i][1].append(h)
+            levels.append((b, [], {b: (ident, ident)}, deque()))
+        pair = (h, inverse_of(h))
+        for _, strong, trans, queue in levels[top : bottom + 1]:
+            queue.extend((p, len(strong)) for p in trans)
+            strong.append(pair)
 
     for h in map(tuple, _points(keys, m, q).tolist()):
         if h != ident:
             add(h, 0, sift(h, 0)[1])
     i = len(levels) - 1
     while i >= 0:
-        _, strong, trans, tested = levels[i]
-        orbit = list(trans)
-        for p in orbit:  # grows as new points are reached
-            for s in strong:
-                if s[p] not in trans:
-                    u = then(trans[p][0], s)
-                    trans[s[p]] = (u, inverse_of(u))
-                    orbit.append(s[p])
+        _, strong, trans, queue = levels[i]
         nxt = i - 1
-        for p, k in [(p, k) for p in orbit for k in range(len(strong)) if (p, k) not in tested]:
-            tested.add((p, k))
-            s = strong[k]
-            h, j = sift(then(then(trans[p][0], s), trans[s[p]][1]), i + 1)
+        while queue:
+            p, k = queue.popleft()
+            (s, s_inv), (u, u_inv) = strong[k], trans[p]
+            t = s[p]
+            if t not in trans:
+                trans[t] = (then(u, s), then(s_inv, u_inv))
+                queue.extend((t, e) for e in range(len(strong)))
+                continue
+            h, j = sift(then(then(u, s), trans[t][1]), i + 1)
             if h != ident:
                 add(h, i + 1, j)
                 nxt = j
@@ -330,7 +346,7 @@ def _transversal_product(chain: list[list[tuple[int, ...]]], m: int, q: int) -> 
     One broadcast gather per level, deepest first, in int32; checks the
     bytes of the key array against the table-bytes cap before allocating.
     """
-    check_table_bytes(math.prod(map(len, chain)), m * (q + 1))
+    check_table_bytes(math.prod(map(len, chain)), m * (q + 1), 4)
     points = np.arange(m * q, dtype=np.int32)[None, :]
     for level in reversed(chain):
         # row (t, r): point row r, then transversal element t
@@ -567,12 +583,14 @@ def _key_table(keys: np.ndarray, m: int, q: int, idxs=None) -> np.ndarray:
     """Row e, column i: index of vertex idxs[i] under the element behind
     keys[e]; every vertex in index order by default, the
     vertex_action_table.  A broadcast over the keys that loops over the m
-    positions, after checking the table's bytes against the cap.
+    positions, after checking the table's bytes, in _index_dtype cells,
+    against the cap.
     """
-    check_table_bytes(len(keys), space_size(m, q) if idxs is None else len(idxs))
+    dtype = np.dtype(_index_dtype(m, q))
+    check_table_bytes(len(keys), space_size(m, q) if idxs is None else len(idxs), dtype.itemsize)
     g, sigma = _split(keys, m, q)
     powers, entries = _digits(m, q, idxs)
-    weight = powers.astype(_index_dtype(m, q))[sigma]  # weight[e, s] = q^(m-1-sigma_e(s))
+    weight = powers.astype(dtype)[sigma]  # weight[e, s] = q^(m-1-sigma_e(s))
     table = np.zeros((len(keys), entries.shape[0]), dtype=weight.dtype)
     for s in range(m):
         # source position s holds digit g_s(v_s), which lands at position sigma(s)
@@ -589,7 +607,7 @@ def _action_table(m: int, q: int, coord_perms: Sequence[Perm]) -> np.ndarray:
     sigma(s), worth q^(m-1-sigma(s)).  Checks the table's bytes against
     the cap before allocating.
     """
-    check_table_bytes(len(coord_perms) ** m * math.factorial(m), space_size(m, q))
+    check_table_bytes(len(coord_perms) ** m * math.factorial(m), space_size(m, q), 4)
     powers, entries = _digits(m, q)
     sq = np.array([p.images for p in coord_perms], dtype=np.int32)  # (len(coord_perms), q)
     sm = np.array([p.images for p in perms.symmetric_group(m)], dtype=np.int64)  # (m!, m)

@@ -64,8 +64,9 @@ def table_bytes_cap() -> int:
     return _read("ELUSIVECODES_MAX_TABLE_BYTES", _DEFAULT_TABLE_BYTES_CAP)
 
 
-def check_table_bytes(rows: int, n: int) -> None:
-    """Raise ResourceCapError if a (rows, n) int32 table is over the table-bytes cap."""
-    nbytes = rows * n * 4
+def check_table_bytes(rows: int, n: int, itemsize: int) -> None:
+    """Raise ResourceCapError if a (rows, n) table of ``itemsize``-byte
+    cells is over the table-bytes cap."""
+    nbytes = rows * n * itemsize
     if nbytes > table_bytes_cap():
         raise ResourceCapError(f"action table of {nbytes} bytes over the table-bytes cap")

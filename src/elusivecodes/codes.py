@@ -4,9 +4,12 @@ A Code stores its words sorted and duplicate-free.  Neighbour sets are
 built from the codewords' index digits (no ambient enumeration); the
 definitional gamma_r sweep enumerates the space and is cap-guarded.  Set
 tests, stabilisers and equivalences image only the set under test, by
-packed key, and all ask one sieve, _carriers, which elements carry one set
-onto another.  Transitivity images the set once and walks the orbit of
-its least vertex inside that table (_transitive_on).
+packed key.  Stabilisers, equivalences and fixes_setwise ask one sieve,
+_carriers, which elements carry one set onto another.  A test of
+generators that asks whether they fix a set and whether they are
+transitive on it images the set once (_image_positions) and reads both
+off that table, walking the orbit of the least vertex inside it
+(_transitive_on).
 """
 
 from __future__ import annotations
@@ -167,10 +170,10 @@ def is_transitive(gens: Sequence[Automorphism], S: Iterable[Vertex]) -> bool:
         raise ValueError("transitivity on the empty set is ill-posed")
     gens = tuple(gens)
     m, q = (gens[0].m, gens[0].q) if gens else (min(S).m, min(S).q)
-    idx, keys = _indices(S, m, q), _keys(gens, m, q)
-    if _carriers(keys, m, q, idx, idx).size < len(keys):
+    at = _image_positions(_keys(gens, m, q), _indices(S, m, q), m, q)
+    if at is None:
         raise ValueError("a generator moves the set off itself")
-    return _transitive_on(keys, idx, m, q)
+    return _transitive_on(at)
 
 
 # cells of the sieve's first block: eight generators image a set of 2,048
@@ -188,10 +191,10 @@ def _carriers(keys: np.ndarray, m: int, q: int, idx: np.ndarray, target: np.ndar
     rows still alive, and a row is dropped at the first block that it sends
     outside ``target``.  The first block holds about _SIEVE_CELLS cells;
     each next one at least twice as many points, and more as rows die.
-    Checks the bytes of the whole (|keys|, |idx|) table against the cap
-    first, although the blocks allocate at most that.
+    Checks the bytes of the whole (|keys|, |idx|) image table against the
+    cap first, although the blocks allocate at most that.
     """
-    check_table_bytes(len(keys), len(idx))
+    check_table_bytes(len(keys), len(idx), np.dtype(_index_dtype(m, q)).itemsize)
     live = np.arange(len(keys))
     lo, step = 0, max(1, _SIEVE_CELLS // max(1, len(keys)))
     while lo < len(idx) and live.size:
@@ -201,25 +204,39 @@ def _carriers(keys: np.ndarray, m: int, q: int, idx: np.ndarray, target: np.ndar
     return live
 
 
-def _transitive_on(keys: np.ndarray, idx: np.ndarray, m: int, q: int) -> bool:
-    """True iff the group generated by the elements behind ``keys`` carries
-    the least of the sorted indices ``idx`` onto exactly the set ``idx``.
+def _image_positions(keys: np.ndarray, idx: np.ndarray, m: int, q: int) -> np.ndarray | None:
+    """Row e, column i: the position in the sorted indices ``idx`` of the
+    image of idx[i] under the element behind keys[e]; None when an image
+    leaves ``idx``, that is, when some element moves the set.
 
-    A set that is the orbit of one of its points is fixed by the group, so
-    an image outside ``idx`` answers False.  Otherwise the set is imaged
-    once, and the orbit of idx[0] is walked on positions in that table, a
-    layer at a time, each position once per layer: without that a layer
-    holds every path to its positions.
+    One image table answers both set tests: whether each element fixes the
+    set, and (_transitive_on) whether they are transitive on it.  Checks
+    the bytes of the position table, intp cells, against the cap before
+    imaging.
     """
+    check_table_bytes(len(keys), len(idx), np.dtype(np.intp).itemsize)
     images = _key_table(keys, m, q, idx)
     at = np.searchsorted(idx, images)
-    if not (idx.take(at, mode="clip") == images).all():
+    return at if (idx.take(at, mode="clip") == images).all() else None
+
+
+def _transitive_on(at: np.ndarray | None) -> bool:
+    """True iff the elements whose _image_positions of a set are ``at``
+    generate a group that carries the set's first point onto the whole
+    set; False for None: a set that some element moves is the orbit of
+    none of its points.
+
+    The orbit of position 0 is walked in the table, a layer at a time, each
+    position once per layer: without that a layer holds every path to its
+    positions.
+    """
+    if at is None:
         return False
-    reached = np.zeros(len(idx), dtype=bool)
+    reached = np.zeros(at.shape[1], dtype=bool)
     reached[0] = True
     layer = np.zeros(1, dtype=np.intp)
     while layer.size:
-        step = np.zeros(len(idx), dtype=bool)
+        step = np.zeros(at.shape[1], dtype=bool)
         step[at[:, layer]] = True
         layer = np.flatnonzero(step & ~reached)
         reached |= step
@@ -254,10 +271,10 @@ def is_neighbour_transitive(gens: Sequence[Automorphism], C: Code) -> bool:
     """Gens fix C setwise and act transitively on both C and its neighbour set."""
     m, q = C.m, C.q
     keys, code = _keys(tuple(gens), m, q), _indices(C, m, q)
-    if not _transitive_on(keys, code, m, q):
+    if not _transitive_on(_image_positions(keys, code, m, q)):
         return False
     nb = _neighbour_indices(code, m, q)
-    return not nb.size or _transitive_on(keys, nb, m, q)
+    return not nb.size or _transitive_on(_image_positions(keys, nb, m, q))
 
 
 # ---------------------------------------------------------------------------

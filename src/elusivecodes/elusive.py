@@ -35,8 +35,8 @@ from .autgroup import (
 from .caps import group_cap
 from .codes import (
     Code,
-    _carriers,
     _code_at,
+    _image_positions,
     _indices,
     _neighbour_indices,
     _transitive_on,
@@ -88,8 +88,8 @@ def _stabiliser_flags(keys: np.ndarray, code: np.ndarray, nb: np.ndarray, m: int
     """Transitivity of the group generated by the elements behind ``keys``
     on C and Γ1(C), given as sorted vertex indices."""
     return StabiliserFlags(
-        transitive_on_code=_transitive_on(keys, code, m, q),
-        transitive_on_neighbours=bool(nb.size) and _transitive_on(keys, nb, m, q),
+        transitive_on_code=_transitive_on(_image_positions(keys, code, m, q)),
+        transitive_on_neighbours=bool(nb.size) and _transitive_on(_image_positions(keys, nb, m, q)),
     )
 
 
@@ -118,7 +118,8 @@ def verify_elusive(
     code, keys = _indices(C, m, q), _keys(gens, m, q)
     nb = _neighbour_indices(code, m, q)
 
-    fixes_neighbours = _carriers(keys, m, q, nb, nb).size == len(keys)
+    nb_at = _image_positions(keys, nb, m, q)  # one table for both Γ1 tests
+    fixes_neighbours = nb_at is not None
     orbit, target = _set_orbit(keys, code, m, q)
     schreier_keys, transversal = _orbit_schreier(keys, target, m, q)
     r = len(orbit)
@@ -133,7 +134,7 @@ def verify_elusive(
     common = flat[r - 1 :][flat[r - 1 :] == flat[: len(flat) - r + 1]]
     images_intersection = _code_at(common, m, q) if common.size and r >= 2 else None
 
-    x_transitive_on_neighbours = bool(nb.size) and _transitive_on(keys, nb, m, q)
+    x_transitive_on_neighbours = bool(nb.size) and _transitive_on(nb_at)
     xc_order = _group_order(schreier_keys, m, q)
     if xc_order > min(enum_cap, group_cap()) // r:
         xc_order = None

@@ -216,6 +216,32 @@ def test_generate_group_matches_object_bfs_on_random_subgroups(m, q):
         assert generate_group(gens, cap=100).elements == closure(gens, m, q, cap=100)
 
 
+def _sparse_automorphism(rng, m, q):
+    # mostly identity coordinate maps and at most one transposition of
+    # positions: many of the groups two or three of these generate are
+    # small, and their chains have several levels
+    coord = tuple(
+        Perm(tuple(rng.sample(range(q), q))) if rng.random() < 0.3 else perms.identity(q) for _ in range(m)
+    )
+    sigma = perms.transposition(m, *rng.sample(range(m), 2)) if rng.random() < 0.5 else perms.identity(m)
+    return Automorphism(coord, sigma)
+
+
+@pytest.mark.parametrize("m, q", [(4, 4), (3, 5)])
+def test_generate_group_matches_object_bfs_on_sparse_subgroups(m, q):
+    # residues that stop deep in the chain send the walk back up to levels
+    # whose queues were left part-way; the listed group is the definition's
+    # closure, or both are over the cap
+    rng = random.Random(31 * m + q)
+    listed = 0
+    for _ in range(10):
+        gens = [_sparse_automorphism(rng, m, q) for _ in range(rng.randint(2, 3))]
+        G = generate_group(gens, cap=5000)
+        assert G.elements == closure(gens, m, q, cap=5000)
+        listed += G.keys is not None
+    assert listed >= 5
+
+
 def _refuse_listing(monkeypatch):
     def refuse(*args):
         raise AssertionError("a group was listed")
@@ -232,8 +258,13 @@ def _refuse_listing(monkeypatch):
         (diag_top_generators(4), 4, 4, 576),
         (diag_top_generators(5), 5, 5, 14400),
         (wreath_generators(3, 2), 6, 3, 2592),
+        # chains of degree 25, 27 and 64, with long bases
+        (full_group_generators(5, 5), 5, 5, math.factorial(5) ** 5 * math.factorial(5)),
+        (full_group_generators(9, 3), 9, 3, math.factorial(3) ** 9 * math.factorial(9)),
+        (full_group_generators(16, 4), 16, 4, math.factorial(4) ** 16 * math.factorial(16)),
     ],
-    ids=["full-4-4", "full-5-3", "diag-top-3", "diag-top-4", "diag-top-5", "wreath-3-2"],
+    ids=["full-4-4", "full-5-3", "diag-top-3", "diag-top-4", "diag-top-5", "wreath-3-2",
+         "full-5-5", "full-9-3", "full-16-4"],
 )
 def test_chain_order_lists_no_element(monkeypatch, gens, m, q, want):
     _refuse_listing(monkeypatch)

@@ -440,6 +440,28 @@ def test_setwise_stabiliser_checks_table_bytes_first(full33, monkeypatch):
     assert are_equivalent(REP33, REP33, full33) is not None
 
 
+def test_table_bytes_count_the_cells_really_allocated(monkeypatch):
+    # H(16,4) has 2^32 vertices, so its index tables are int64, and the
+    # set tests' position table is intp: a cap at the count of 4-byte cells
+    # refuses each table, a cap at its real bytes lets it through
+    S = rep_code(16, 4).word_set
+    gens = [diag(perms.cycle(4, (0, 1, 2, 3)), 16), top(perms.cycle(16, tuple(range(16))), 4)]
+    checks = [  # (call, cells of its table, result)
+        (lambda: fixes_setwise(gens[0], S), 1 * 4, True),  # _carriers' images
+        (lambda: is_transitive(gens, S), 2 * 4, True),  # _image_positions
+        (lambda: orbit(gens, S), 2 * 4, {S}),  # _key_table of the seed layer
+    ]
+    for call, cells, want in checks:
+        monkeypatch.setenv("ELUSIVECODES_MAX_TABLE_BYTES", str(cells * 8 - 1))
+        with pytest.raises(ResourceCapError):
+            call()
+        monkeypatch.setenv("ELUSIVECODES_MAX_TABLE_BYTES", str(cells * 4))
+        with pytest.raises(ResourceCapError):
+            call()
+        monkeypatch.setenv("ELUSIVECODES_MAX_TABLE_BYTES", str(cells * 8))
+        assert call() == want
+
+
 def test_stabilisers_and_equivalence_image_only_the_set(monkeypatch):
     # a cap one byte under the group's table over all of H(4,3): the
     # stabilisers and the equivalence image only the set under test

@@ -24,6 +24,7 @@ from elusivecodes.caps import ResourceCapError
 from elusivecodes.codes import (
     Code,
     apply_to_code,
+    fixes_setwise,
     is_neighbour_transitive,
     is_transitive,
     neighbour_set,
@@ -400,6 +401,39 @@ def test_transitivity_matches_the_orbit_definition():
             seen.add(("xc", report.fixes_code, report.xc_transitive_on_code))
     assert {True, False, "moved"} <= seen
     assert {("xc", False, False), ("xc", True, True), ("xc", True, False)} <= seen
+
+
+def test_one_image_table_answers_fixing_and_transitivity():
+    # verify_elusive reads fixes_neighbours off the table its transitivity
+    # flag walks: against the sieve of fixes_setwise, one generator at a
+    # time, and is_transitive raises exactly when a generator moves Γ1
+    seen = set()
+    for m, q in [(3, 3), (4, 3), (3, 4)]:
+        rng = random.Random(23 * m + q)
+        verts = list(all_vertices(m, q))
+        for trial in range(8):
+            gens = [_random_automorphism(rng, m, q) for _ in range(rng.randint(1, 2))]
+            if trial % 2:  # a union of vertex orbits, whose Γ1 the generators fix
+                words = set()
+                while len(words) < 2:
+                    words |= orbit_by_apply(gens, rng.choice(verts), 10**6)
+            else:
+                words = set(rng.sample(verts, rng.randint(2, 4)))
+            C = Code.from_words(words)
+            nb = neighbour_set(C)
+            report = verify_elusive(C, gens)
+            fixes = all(fixes_setwise(g, nb) for g in gens)
+            assert report.fixes_neighbours == fixes
+            if not nb:
+                continue
+            if fixes:
+                assert report.x_transitive_on_neighbours == is_transitive(gens, nb)
+            else:
+                assert not report.x_transitive_on_neighbours
+                with pytest.raises(ValueError, match="moves the set"):
+                    is_transitive(gens, nb)
+            seen.add(fixes)
+    assert seen == {True, False}
 
 
 def test_transitivity_flags_walk_only_inside_the_set(monkeypatch):
