@@ -6,7 +6,8 @@ table, and a code is a sorted int32 array of ranks.  The search's
 kernels take the table of Stab(0), the stabiliser of vertex 0, and reach
 the rest of Aut(H(m,q)) through its cosets: every element is s_u h t_c
 for a translation t_c: v -> v - c, an h in Stab(0), and the translation
-s_u: v -> v + u.
+s_u: v -> v + u.  canonical_children reads these arrays, and the tables
+of the pair cosets, off the search's _SearchSpace.
 """
 
 from __future__ import annotations
@@ -73,39 +74,63 @@ def _first_missing(imgs: np.ndarray, code: np.ndarray, n: int) -> np.ndarray:
     Codeword code[p] stands for bit p of a 63-bit word.  The vertices of an
     image are distinct, so the sum of their bits is the set of codewords
     the image holds, and the least codeword missing is its count of
-    trailing ones, read off the lowest zero bit.  The bits are summed one
-    row of ``imgs`` at a time, so the temporaries (the sum, and one row's
-    intp indices and bits) take 24 bytes per image, whatever len(code) is.
+    trailing ones, read off the lowest zero bit.  The bits are summed a
+    block of rows of ``imgs`` at a time, a block holding one row or at most
+    2^13 cells, so the temporaries (the sum, and one block's intp indices
+    and bits) take at most 24 bytes per image or 192 KiB, whatever
+    len(code) is.
     """
     k = code.size
+    block = max(1, (1 << 13) // max(1, imgs[0].size))
     first = 0
     for lo in range(0, k, 63):
         bit = np.zeros(n, dtype=np.uint64)
         bit[code[lo : lo + 63]] = _BITS[: min(63, k - lo)]
-        held = np.zeros(imgs.shape[1:], dtype=np.uint64)
-        for row in imgs:
-            held += bit.take(row)
-        ones = np.searchsorted(_BITS, ~held & (held + np.uint64(1)))
-        first = np.where(first == lo, lo + ones, first)  # only where every earlier word is full
+        held = bit.take(imgs[:block]).sum(axis=0)
+        for r in range(block, k, block):
+            held += bit.take(imgs[r : r + block]).sum(axis=0)
+        ones = np.frexp(~held & (held + np.uint64(1)))[1] - 1  # 2^ones, the lowest zero bit, is exact as a double
+        first = ones if lo == 0 else np.where(first == lo, lo + ones, first)  # only where every earlier word is full
     return first
 
 
-def canonical_children(
-    table: np.ndarray, code: np.ndarray, cand: np.ndarray, minus: np.ndarray
-) -> np.ndarray:
+def canonical_children(space, code: np.ndarray, cand: np.ndarray) -> np.ndarray:
     r"""Boolean array over ``cand``: entry i is is_canonical(code + [cand[i]]).
 
-    ``code`` must be canonical, sorted with ``code[0] == 0``, and every
-    candidate must lie above max(code); ``table`` and ``minus`` are as for
-    is_canonical.
+    ``space`` is the search's _SearchSpace: the table of Stab(0), read
+    vertex-major, the translations ``minus``, the distances ``dist``, the
+    pair representatives ``pair_rep`` and the tables ``pair_table(d)``.
+    ``code`` must be canonical, sorted with ``code[0] == 0`` and at least
+    two words, and every candidate must lie above max(code) at distance at
+    least d = d(code) from every codeword.
 
-    By coset canonicity the child D = C + [v] needs the |C| old cosets
-    {h t_c : c in C} and its new coset {h t_v}.  One gather over the old
-    cosets serves every candidate at once (the batch lemma); each
-    survivor is then rescanned only on its new coset and its tied rows.
-    A lone candidate has nothing to share and goes to is_canonical.
+    Write L(w) = (q^w - 1)/(q - 1), the least vertex of weight w; Stab(0)
+    is transitive on the vertices of each weight.
 
-    Batch lemma: let g lie in an old coset and let b = min(C \ g(C)).
+    Min-distance lemma: a canonical C with |C| >= 2 has C[1] = L(d(C)).
+    Take c, x in C at distance d; some g = h t_c sends c to 0 and x to
+    L(d), so C[1] <= g(C)[1] <= L(d), as C <= g(C), and C[1], of weight at
+    least d, is at least L(d).  So
+    a child nearer than d to C, whose minimum distance d' < d would need
+    its second word at L(d') < L(d), is not canonical: the walk drops it
+    before the kernel sees it.
+
+    Pair lemma: let g = h t_c send the codeword c of the child D = C + [v]
+    to 0.  Every other point of D lies at distance at least d from c, so
+    its image has weight at least d and the second element of g(D) is at
+    least L(d) = D[1]; it equals L(d) only if g sends some x in D with
+    d(c, x) = d to L(d), and otherwise g(D) > D.  With y = x - c and h_y
+    = ``pair_rep[c, x]`` a row of Stab(0) sending y to L(d), the rows
+    sending c to 0 and x to L(d) form the pair coset {k h_y t_c : k in
+    K_d}, K_d = Stab(0) ∩ Stab(L(d)), |Stab(0)| / (C(m, d) (q-1)^d) rows,
+    whose vertex-major table is ``pair_table(d)``.  By coset canonicity
+    (see is_canonical), D is canonical iff no row of a pair coset maps it
+    below itself.  The old pairs (c, x) inside C are shared by every
+    candidate; the new pairs of v are (c, v) and (v, c) for each codeword
+    c at distance d from v, whose rows send v to L(d) and to 0.
+
+    Batch lemma: let g be a row of an old pair coset, so g(C) >= C, and
+    let b = min(C \ g(C)).
       - If g(C) = C, then g(D) = C + [g(v)] with g(v) not in C, which is
         below D iff g(v) < v.
       - Otherwise C is canonical, so g(C) > C and the least element of
@@ -115,62 +140,73 @@ def canonical_children(
         element of the symmetric difference of g(D) and D, lying in g(D):
         g(D) < D.  If g(v) > b, that least element is b, lying in D:
         g(D) > D.  Only a tied row, g(v) = b, leaves the order open.
-    So v is rejected when some old-coset row g has g(v) < b, or g(v) < v
-    where g(C) = C, and a survivor is canonical iff neither its tied rows
-    nor the rows h t_v of its new coset map D below D (_smaller_image).
+    So one gather over the old pair cosets rejects v when some row g has
+    g(v) < b, or g(v) < v where g(C) = C.  A survivor is canonical iff no
+    row of its new pair cosets, and no row of an old pair coset with a row
+    that ties it, maps D below D (_smaller_image); the other old rows map
+    D above D.
 
-    The table is read vertex-major.  The old cosets are gathered a few at
-    a time, and the survivors too, in chunks that with their temporaries
-    take at most 4 max(|Stab(0)| q^m, 2^20) bytes, the bytes of the table
-    or 4 MiB, unless a single coset or survivor takes more, or a chunk of
-    survivors ties more rows than its new cosets hold.  Over all survivors
-    there are at most |C| |Stab(0)| tied rows, since an old-coset row g
-    ties only the v with g(v) = b.
+    The old pair cosets are gathered a few at a time, and the survivors'
+    pair cosets too, after counting them, in chunks that with their
+    temporaries take at most 4 max(|Stab(0)| q^m, 2^20) bytes, the bytes
+    of the Stab(0) table or 4 MiB, less the bytes of the K_d table, unless
+    a single pair coset takes more.
     """
-    rows, n = table.shape
-    k = code.size
+    by_vertex = space.stab0.T  # contiguous: the tables are built vertex-major
+    minus, dist, pair_rep = space.minus, space.dist, space.pair_rep
+    n, k = minus.shape[0], code.size
+    d = dist[0, code[1]]
+    table = space.pair_table(int(d))
+    rows = table.shape[1]
     keep = np.ones(cand.size, dtype=bool)
-    if cand.size == 1:
-        keep[0] = is_canonical(table, np.append(code, cand), minus)
-    if cand.size < 2:
+    if not cand.size:
         return keep
-    by_vertex = table.T  # contiguous: the tables are built vertex-major
+    cap = 4 * max(space.stab0.size, 1 << 20) - table.nbytes
     cols = np.concatenate([code, cand])
-    code_n = np.append(code, n)
-    cap = 4 * max(rows * n, 1 << 20)
-    bs = []
-    # per row of a coset: 4 bytes a column gathered, 1 more a candidate for
-    # its compare with b, and about 40 for b and _first_missing's bit words
-    step = max(1, cap // (rows * (5 * cols.size + 40)))
-    for lo in range(0, k, step):
-        # imgs[j, i, h] = h(cols[j] - code[lo + i]), row h of the coset of code[lo + i]
-        imgs = by_vertex.take(minus[code[None, lo : lo + step], cols[:, None]], axis=0)
-        b = code_n[_first_missing(imgs[:k], code, n)]  # n where g(C) = C
-        moved = imgs[k:]  # g(v) for each candidate v
-        fixed = b == n
-        below_b = (moved < np.where(fixed, 0, b)).any(axis=(1, 2))
-        keep[below_b | (moved.min(axis=(1, 2), where=fixed, initial=n) < cand)] = False
-        bs.append(b)
+    code_0 = np.concatenate([code, code[:1]])  # code[0] = 0 appended, int32 as code
+    near = dist.take(cols, axis=0).take(code, axis=1) == d  # cols[j] at distance d from code[i]
+    # the old pairs: their rows send code[zero] to 0 and code[ld] to L(d)
+    zero, ld = near[:k].nonzero()
+    zero, ld = code[zero], code[ld]
+    rep = pair_rep[zero, ld]
+    ties = []
+    # per row of a pair coset: 4 bytes a column gathered, 5 more a candidate
+    # for its compares with b and the copy of a live one's images, and about
+    # 48 for b and _first_missing's bit words
+    step = max(1, cap // (rows * (4 * cols.size + 5 * cand.size + 48)))
+    for lo in range(0, zero.size, step):
+        # imgs[j, p, i] = k_i h_p(cols[j] - zero[p]), row i of the coset of old pair p
+        imgs = table.take(by_vertex[minus[zero[None, lo : lo + step], cols[:, None]], rep[lo : lo + step]], axis=0)
+        first = _first_missing(imgs[:k], code, n)
+        b, fixed = code_0[first], first == k  # b is 0 where g(C) = C
+        moved = imgs[k:]  # g(v) for each candidate v, never 0
+        keep[(moved < b).any(axis=(1, 2)) | (moved.min(axis=(1, 2), where=fixed, initial=n) < cand)] = False
+        live = keep.nonzero()[0]
+        t, p = (moved[live] == b).any(axis=2).nonzero()  # candidate live[t] has a tied row in old pair p
+        ties.append((live[t], p + lo))
         del imgs, moved  # freed before the next chunk is gathered
-    b = np.concatenate(bs)  # b[c, h] for the row h t_code[c]
-    survivors = np.flatnonzero(keep)
-    # each row of a survivor's new coset, and each of its tied rows, takes
-    # 14 (|C| + 1) bytes in imgs and _smaller_image's temporaries, so 16 (2|C|
-    # + 1) a coset row leaves room for about as many tied rows as coset rows
-    step = max(1, cap // (16 * rows * (2 * k + 1)))
-    for lo in range(0, survivors.size, step):
-        s = survivors[lo : lo + step]
-        v = cand[s]
-        c, t, h = np.nonzero(by_vertex.take(minus[code[:, None], v], axis=0) == b[:, None])  # the tied rows of each v
-        # the images of C, then of v, under the rows of the new cosets (h t_v
-        # maps v to 0), then of the tied rows; intp, so that _smaller_image's
-        # take copies no index array
-        imgs = np.zeros((k + 1, s.size * rows + c.size), dtype=np.intp)
-        imgs[:k, : s.size * rows] = by_vertex.take(minus[v, code[:, None]], axis=0).reshape(k, -1)
-        imgs[:k, s.size * rows :] = by_vertex[minus[code[c], code[:, None]], h]
-        imgs[k, s.size * rows :] = b[c, h]
-        owner = np.concatenate([np.repeat(np.arange(s.size), rows), t])
-        keep[s[owner[_smaller_image(imgs, code, v[owner], n)]]] = False
+    survivors = live
+    if not survivors.size:
+        return keep
+    t, p = map(np.concatenate, zip(*ties))
+    s, c = near[k + survivors].nonzero()
+    s = survivors[s]
+    w, x = cand[s], code[c]
+    # the pair cosets each survivor is tested on: (x, w) and (w, x) for its
+    # new pairs, and the old pairs that tie it
+    zero = np.concatenate([x, w, zero[p]])
+    ld = np.concatenate([w, x, ld[p]])
+    owner = np.concatenate([s, s, t])
+    # per row: 18 (|C| + 1) bytes in imgs and _smaller_image's temporaries,
+    # and about 32 for its least image outside D and its count
+    step = max(1, cap // (rows * (18 * k + 50)))
+    for lo in range(0, zero.size, step):
+        z, v = zero[lo : lo + step], cand[owner[lo : lo + step]]
+        at = np.empty((k + 1, z.size), dtype=np.int32)  # the points of each D
+        at[:k] = code[:, None]
+        at[k] = v
+        imgs = table.take(by_vertex[minus[z, at], pair_rep[z, ld[lo : lo + step]]], axis=0)
+        keep[owner[lo : lo + step][_smaller_image(imgs, code, v[:, None], n).any(axis=1)]] = False
     return keep
 
 

@@ -288,28 +288,41 @@ def _mu_equivariance_holds() -> bool:
     return True
 
 
-def _coset_kernels_agree(m: int, q: int, delta: int) -> tuple[bool, bool, bool, bool]:
-    """(canonicity, batch, mover, fixers) verdicts of the coset kernels
-    against the full table: is_canonical and canonical_children on every
-    child of every node the walk tests; at every code it could scan,
-    first_mover, and every full-table row fixing Γ1(C) sending 0 into the
-    cosets fixer_cosets lists, the Found stabiliser being those rows."""
+def _coset_kernels_agree(m: int, q: int, delta: int) -> tuple[bool, bool, bool, bool, bool]:
+    """(canonicity, batch, mover, fixers, min-distance) verdicts of the coset
+    kernels and the walk's lemmas against the full table: is_canonical on
+    every child with pairwise distance >= delta of every node the walk
+    tests, and canonical_children on those at distance >= d(C); at every
+    code it could scan, first_mover, and every full-table row fixing Γ1(C)
+    sending 0 into the cosets fixer_cosets lists, the Found stabiliser
+    being those rows; and the min-distance lemma: every canonical C has
+    C[1] = L(d(C)), L(w) = (q^w - 1)/(q - 1), a child of {0} is canonical
+    iff it is {0, L(d)}, and every child nearer than d(C) to C is not."""
     space = _SearchSpace(m, q, delta)
     full = full_action_table(m, q)
     canonical = list(_canonical_codes(space))
-    canon_ok = batch_ok = True
+    canon_ok = batch_ok = min_ok = True
     for code in [[0]] + [code for code, _ in canonical]:
-        cand = np.array(
-            [v for v in range(code[-1] + 1, space.n) if space.dist[v, code].min() >= delta], dtype=np.int32
-        )
-        batch = _kernels.canonical_children(space.stab0, np.array(code, dtype=np.int32), cand, space.minus)
-        for v, in_batch in zip(cand.tolist(), batch):
+        near = space.dist[:, code].min(axis=1)
+        cand = np.array([v for v in range(code[-1] + 1, space.n) if near[v] >= delta], dtype=np.int32)
+        d = int(space.dist[np.ix_(code, code)][np.triu_indices(len(code), 1)].min()) if len(code) > 1 else None
+        least = None if d is None else (q**d - 1) // (q - 1)
+        min_ok &= least is None or code[1] == least
+        wants = []
+        for v in cand.tolist():
             child = code + [v]
             imgs = np.sort(full[:, child], axis=1)
-            least = imgs[np.lexsort(imgs.T[::-1])[0]]  # the lexicographically least image
-            want = np.array_equal(least, child)
+            want = np.array_equal(imgs[np.lexsort(imgs.T[::-1])[0]], child)  # the lexicographically least image
             canon_ok &= _kernels.is_canonical(space.stab0, np.array(child), space.minus) == want
-            batch_ok &= bool(in_batch) == want
+            if d is None:
+                min_ok &= want == (v == (q ** near[v] - 1) // (q - 1))
+            elif near[v] < d:
+                min_ok &= not want
+            wants.append(want)
+        if d is not None:
+            far = near[cand] >= d
+            batch = _kernels.canonical_children(space, np.array(code, dtype=np.int32), cand[far])
+            batch_ok &= batch.tolist() == np.array(wants, dtype=bool)[far].tolist()
     mover_ok = fixers_ok = True
     for code in (code for code, cur_min in canonical if cur_min == delta):
         nb_mask = np.zeros(space.n, dtype=bool)
@@ -324,7 +337,7 @@ def _coset_kernels_agree(m: int, q: int, delta: int) -> tuple[bool, bool, bool, 
         fixers_ok &= bool(np.isin(full[rows, 0], us).all()) and np.array_equal(
             space.stabiliser(code).keys, _row_keys(rows, m, perms.symmetric_group(q))
         )
-    return canon_ok, batch_ok, mover_ok, fixers_ok
+    return canon_ok, batch_ok, mover_ok, fixers_ok, bool(min_ok)
 
 
 def suite_act(seed: int = 0) -> list[Check]:
@@ -357,29 +370,36 @@ def suite_act(seed: int = 0) -> list[Check]:
     out.append(
         _check(
             "coset-canonicity-h33",
-            all(canon for canon, _, _, _ in agree),
+            all(canon for canon, *_ in agree),
             "coset canonicity differs from the full-table scan",
         )
     )
     out.append(
         _check(
             "batch-children-h33",
-            all(batch for _, batch, _, _ in agree),
+            all(batch for _, batch, *_ in agree),
             "batch canonicity of a node's children differs from the full-table scan",
         )
     )
     out.append(
         _check(
             "mover-prune-h33",
-            all(mover for _, _, mover, _ in agree),
+            all(mover for _, _, mover, *_ in agree),
             "pruned coset mover scan differs from the full-table scan",
         )
     )
     out.append(
         _check(
             "fixer-cosets-h33",
-            all(fixers for _, _, _, fixers in agree),
+            all(fixers for _, _, _, fixers, _ in agree),
             "a fixer of Γ1(C) lies outside the listed cosets, or the Found stabiliser differs from its rows",
+        )
+    )
+    out.append(
+        _check(
+            "min-distance-h33",
+            all(min_ok for *_, min_ok in agree),
+            "a canonical code's second word is not L(d(C)), or a child nearer than d(C) is canonical",
         )
     )
     rng = random.Random(seed)

@@ -17,10 +17,15 @@ iterate.
 
 Every node therefore contains vertex 0, and the search acts only through
 the table of Stab(0) = S_{q-1} wr S_m, the stabiliser of vertex 0, and
-its cosets {x : x(c) = u}.  All children of a node are decided in one
-batch: one gather over the |C| cosets that send a codeword to 0 rejects
-most candidates by the batch lemma, and each survivor is rescanned only
-on its own new coset and its tied rows.  The mover test and a Found
+its cosets {x : x(c) = u}.  A canonical code of two or more words has
+L(d) = (q^d - 1)/(q - 1), the least vertex of weight d = d(C), as its
+second word (the min-distance lemma), so the children of {0} are decided
+without the table and every code below {0, L(d)} keeps minimum distance
+d.  All children of a deeper node are decided in one batch over pair
+cosets, the rows that send a codeword to 0 and one at distance d from it
+to L(d): one gather over the pairs inside C rejects most candidates by
+the batch lemma, and each survivor is rescanned only on its own new pair
+cosets and the old ones that tie it.  The mover test and a Found
 stabiliser read the same cosets {x : x(0) = u}, one per u to which a
 fixer of Γ1(C) can send 0; the U(C) prune often leaves only u in C,
 which settles the mover test unread.  See ``_kernels.fixer_cosets``.
@@ -48,9 +53,10 @@ from .autgroup import (
     _sort_keys,
     _stab0_coord_perms,
     _translation_keys,
+    _vertices,
     stab0_action_table,
 )
-from .caps import ResourceCapError, group_cap, vertex_cap
+from .caps import ResourceCapError, check_table_bytes, group_cap, vertex_cap
 from .codes import Code, _code_at, format_code
 from .hamming import space_size
 
@@ -66,6 +72,11 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # orderly enumeration
 
+def _least(q: int, w: int) -> int:
+    """L(w) = (q^w - 1)/(q - 1), the least vertex of weight w."""
+    return (q**w - 1) // (q - 1)
+
+
 class _SearchSpace:
     """Shared read-only arrays for one (m, q, delta) search.
 
@@ -74,9 +85,11 @@ class _SearchSpace:
     stabiliser of vertex 0, built in closed form, and reaches each coset
     {x : x(c) = u} = {s_u h t_c : h in Stab(0)} through the translation
     arrays ``minus[c]`` (v -> v - c) and ``plus[u]`` (v -> v + u), digit by
-    digit mod q.  Raises ValueError when delta > m, and ResourceCapError when
-    the space, the order of Stab(0) or the bytes of its table are over their
-    caps, before the table is allocated.
+    digit mod q.  For the canonicity kernel it also holds ``pair_rep`` and
+    the tables ``pair_table(d)`` of the pair cosets (see
+    _kernels.canonical_children).  Raises ValueError when delta > m, and
+    ResourceCapError when the space, the order of Stab(0) or the bytes of
+    one of its tables are over their caps, before that table is allocated.
     """
 
     def __init__(self, m: int, q: int, delta: int):
@@ -96,6 +109,27 @@ class _SearchSpace:
         self.dist = (entries[:, None, :] != entries[None, :, :]).sum(axis=2).astype(np.int16)
         # adjacency rows: the m(q-1) neighbouring indices of each vertex, increasing
         self.adj = np.nonzero(self.dist == 1)[1].reshape(self.n, -1).astype(np.int32)
+        # pair_rep[c, x] = h_{x-c}: a row of Stab(0) sending x - c to
+        # L(d(c, x)), found by a scan of the table a few vertices at a time
+        check_table_bytes(self.n, self.n, 4)
+        least = np.array([_least(q, w) for w in range(m + 1)], dtype=np.int32).take(self.dist[0])
+        by_vertex = self.stab0.T
+        rep = np.empty(self.n, dtype=np.int32)
+        step = max(1, (1 << 20) // rows)
+        for lo in range(0, self.n, step):
+            rep[lo : lo + step] = (by_vertex[lo : lo + step] == least[lo : lo + step, None]).argmax(axis=1)
+        self.pair_rep = rep.take(self.minus)
+        self._pair_tables: dict[int, np.ndarray] = {}
+
+    def pair_table(self, d: int) -> np.ndarray:
+        """The vertex-major table of K_d = Stab(0) ∩ Stab(L(d)), built on first use."""
+        if d not in self._pair_tables:
+            least = _least(self.q, d)
+            by_vertex = self.stab0.T
+            fixers = np.flatnonzero(by_vertex[least] == least)
+            check_table_bytes(fixers.size, self.n, 4)
+            self._pair_tables[d] = by_vertex[:, fixers]
+        return self._pair_tables[d]
 
     def stabiliser(self, code: list[int]) -> Group:
         """The setwise stabiliser of Γ1(C) in Aut(H(m,q)), members in full-table row order.
@@ -125,24 +159,31 @@ def _check_parameters(m: int, q: int, delta: int, max_size: int | None, threads:
 
 def _canonical_codes(space: _SearchSpace, max_size: int | None = None) -> Iterator[tuple[list[int], int]]:
     """Depth first from {0}: every canonical code of at least two words, with
-    its minimum distance, each code before its children.  The children of C
-    are C + [v] for each v > max C at distance >= delta from every codeword;
-    {0} itself, with minimum distance m, is neither tested nor yielded."""
+    its minimum distance, each code before its children; {0} itself is
+    neither tested nor yielded.
 
-    def children(code: list[int], arr: np.ndarray, cand: np.ndarray, cur_min: int):
+    By the min-distance lemma (see _kernels.canonical_children) the
+    canonical children of {0} are the {0, L(d)} for delta <= d <= m, and
+    every code below {0, L(d)} has minimum distance d: its children are C +
+    [v] for each v > max C at distance >= d from every codeword, the others
+    being non-canonical."""
+
+    def children(code: list[int], arr: np.ndarray, cand: np.ndarray, d: int):
         if not cand.size or (max_size is not None and len(code) >= max_size):
             return
-        for pos in np.flatnonzero(_kernels.canonical_children(space.stab0, arr, cand, space.minus)).tolist():
+        for pos in np.flatnonzero(_kernels.canonical_children(space, arr, cand)).tolist():
             v = int(cand[pos])
             child = code + [v]
-            child_arr = np.array(child, dtype=np.int32)
-            child_min = min(cur_min, int(space.dist[v, arr].min()))
-            yield child, child_min
+            yield child, d
             rest = cand[pos + 1 :]
-            yield from children(child, child_arr, rest[space.dist[v, rest] >= space.delta], child_min)
+            yield from children(child, np.array(child, dtype=np.int32), rest[space.dist[v, rest] >= d], d)
 
-    first = np.nonzero(space.dist[0] >= space.delta)[0].astype(np.int32)
-    yield from children([0], np.zeros(1, dtype=np.int32), first, space.m)
+    for d in range(space.delta, space.m + 1):
+        least = _least(space.q, d)
+        yield [0, least], d
+        cand = np.flatnonzero((space.dist[0] >= d) & (space.dist[least] >= d))
+        cand = cand[cand > least].astype(np.int32)
+        yield from children([0, least], np.array([0, least], dtype=np.int32), cand, d)
 
 
 def enumerate_codes(
@@ -151,8 +192,10 @@ def enumerate_codes(
     """One representative per equivalence class of codes with |C| >= 2 and
     pairwise distance >= delta, in canonical depth-first order."""
     _check_parameters(m, q, delta, max_size)
-    for code, _ in _canonical_codes(_SearchSpace(m, q, delta), max_size):
-        yield _code_at(code, m, q)
+    space = _SearchSpace(m, q, delta)
+    vertices = _vertices(np.arange(space.n), m, q)  # each vertex decoded once
+    for code, _ in _canonical_codes(space, max_size):
+        yield Code(tuple(vertices[v] for v in code))
 
 
 # ---------------------------------------------------------------------------

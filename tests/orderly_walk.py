@@ -2,8 +2,9 @@
 search._canonical_codes, which decides all of a node's children in one
 batch through _kernels.canonical_children.
 
-Each child C + [v] is kept iff _kernels.is_canonical accepts it, with no
-batch lemma and no shared gather.
+Each child C + [v] with pairwise distance >= delta is kept iff
+_kernels.is_canonical accepts it, with no min-distance lemma, no batch
+lemma and no shared gather.
 """
 
 from __future__ import annotations

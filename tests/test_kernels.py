@@ -112,8 +112,8 @@ def _checked_children(full, verdicts):
     kernel on the child itself and counted in ``verdicts``."""
     batch = _kernels.canonical_children
 
-    def checked(table, code, cand, minus):
-        got = batch(table, code, cand, minus)
+    def checked(space, code, cand):
+        got = batch(space, code, cand)
         assert got.shape == cand.shape
         for v, ok in zip(cand, got):
             assert ok == is_canonical(full, np.append(code, v)), (code, v)
@@ -127,6 +127,7 @@ def _checked_children(full, verdicts):
     "m, q, delta, max_size",
     [
         (3, 3, 1, 5),
+        (3, 3, 1, 6),
         (2, 4, 1, 5),
         (3, 3, 2, None),
         (3, 3, 3, None),
@@ -134,17 +135,39 @@ def _checked_children(full, verdicts):
         (4, 3, 2, 4),
         (3, 4, 3, None),
         (5, 2, 2, None),
+        (6, 2, 3, None),
+        (6, 2, 4, None),
     ],
 )
 def test_canonical_children_match_dense_oracle_at_every_node(m, q, delta, max_size, monkeypatch):
-    # every child the batch accepts or rejects, against the dense kernel over
-    # the full table; the walk itself against one that tests each child alone
+    # every child the batch accepts or rejects, and every child the walk
+    # settles without the kernel, against the dense kernel over the full
+    # table; the walk itself against one that tests each child alone
     space = search._SearchSpace(m, q, delta)
+    full = full_action_table(m, q)
     want = list(orderly_walk.canonical_codes(space, max_size))
     verdicts = {True: 0, False: 0}
-    monkeypatch.setattr(_kernels, "canonical_children", _checked_children(full_action_table(m, q), verdicts))
+    monkeypatch.setattr(_kernels, "canonical_children", _checked_children(full, verdicts))
     assert list(search._canonical_codes(space, max_size)) == want
+    _check_walk_settled(space, full, want, max_size, verdicts)
     assert verdicts[True] == len(want) and verdicts[False] > 0
+
+
+def _check_walk_settled(space, full, want, max_size, verdicts):
+    """The dense verdict on each child with pairwise distance >= delta that
+    the walk decides by the min-distance lemma alone: a child of {0} is
+    canonical iff it is {0, L(d)}, L(d) = (q^d - 1)/(q - 1), and a child of
+    a code of minimum distance d nearer than d to it is not."""
+    q = space.q
+    nodes = [([0], None)] + [(code, d) for code, d in want if max_size is None or len(code) < max_size]
+    for code, d in nodes:
+        for v in range(code[-1] + 1, space.n):
+            near = int(space.dist[v, code].min())
+            if near < space.delta or (d is not None and near >= d):
+                continue  # not a child, or one the kernel decides
+            ok = is_canonical(full, np.array(code + [v]))
+            assert ok == (d is None and v == (q**near - 1) // (q - 1)), (code, v)
+            verdicts[ok] += 1
 
 
 @pytest.mark.parametrize(
@@ -263,22 +286,28 @@ def test_canonical_children_of_a_code_past_one_bit_word(k):
     full = full_action_table(4, 3)
     code = np.arange(k, dtype=np.int32)
     cand = np.arange(k, space.n, dtype=np.int32)
-    got = _kernels.canonical_children(space.stab0, code, cand, space.minus)
+    got = _kernels.canonical_children(space, code, cand)
     assert got.tolist() == [is_canonical(full, np.append(code, v)) for v in cand]
 
 
-@pytest.mark.parametrize("last", [14, 128])
-def test_canonical_children_stay_in_their_chunk_budget(last):
-    # {0, ..., 11} is the least 12-set of H(7,2), so canonical; its twelve
-    # old cosets take two chunks with candidates 12 and 13, and one coset a
-    # chunk with every candidate.  A chunk and its temporaries stay within
-    # the 4 MiB the rule allows, checked on the heap numpy allocates
+@pytest.mark.parametrize(
+    "size, last",
+    [pytest.param(12, 14, id="14"), pytest.param(12, 128, id="128"), pytest.param(15, 128, id="ties")],
+)
+def test_canonical_children_stay_in_their_chunk_budget(size, last):
+    # {0, ..., size-1} is the least set of its size in H(7,2), so canonical.
+    # Twelve words hold forty old pairs, gathered in one chunk with
+    # candidates 12 and 13 and in ten with every candidate.  With fifteen
+    # words and every candidate, the survivors' tied pair cosets outnumber
+    # their new ones four to one and take six chunks, which only a rule
+    # that counts them keeps in budget.  A chunk and its temporaries stay
+    # within the 4 MiB the rule allows, checked on the heap numpy allocates
     space = search._SearchSpace(7, 2, 1)
-    code, cand = np.arange(12, dtype=np.int32), np.arange(12, last, dtype=np.int32)
+    code, cand = np.arange(size, dtype=np.int32), np.arange(size, last, dtype=np.int32)
     rows, n = space.stab0.shape
     tracemalloc.start()
     try:
-        keep = _kernels.canonical_children(space.stab0, code, cand, space.minus)
+        keep = _kernels.canonical_children(space, code, cand)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from elusivecodes import autgroup
+from elusivecodes import autgroup, search
 from elusivecodes._kernels import stabiliser_rows
 from elusivecodes.autgroup import apply, diag_top_generators, full_action_table, full_group_element
 from elusivecodes.caps import ResourceCapError
@@ -456,6 +456,15 @@ def test_table_bytes_cap_is_exact(monkeypatch):
     assert search_elusive(3, 3, 3).outcome == "Aborted"
 
 
+def test_pair_representatives_sit_under_the_table_bytes_cap(monkeypatch):
+    # in H(3,2), Stab(0) = S_3 has a table of 6 * 8 * 4 = 192 bytes, and
+    # the pair representatives take 8 * 8 * 4 = 256
+    monkeypatch.setenv("ELUSIVECODES_MAX_TABLE_BYTES", "256")
+    assert search_elusive(3, 2, 2).outcome != "Aborted"
+    monkeypatch.setenv("ELUSIVECODES_MAX_TABLE_BYTES", "255")
+    assert search_elusive(3, 2, 2).outcome == "Aborted"
+
+
 @pytest.mark.parametrize(
     "m, q, delta", [(5, 3, 4), (5, 3, 5), (4, 2, 4), (6, 2, 3), (6, 2, 4), (4, 4, 4)]
 )
@@ -478,6 +487,45 @@ def test_committed_witnesses_are_elusive(m, q, delta, r):
     assert f"found_stabiliser_order={X.order}\n" in header
     report = verify_elusive(C, X.elements)
     assert report.is_elusive and report.image_count_r == r
+
+
+@pytest.mark.parametrize(
+    "m, q, delta, outcome", [(4, 4, 3, "Found"), (8, 2, 4, "Found"), (6, 3, 4, "NoneExhaustive")]
+)
+def test_long_certificates_check_without_a_search(m, q, delta, outcome):
+    # complete searches of seconds to a minute, checked without re-running
+    # them: the header, and for a Found witness its minimum distance and
+    # verify_elusive under the setwise stabiliser of its neighbour set,
+    # whose order is the committed one
+    text = (CERTIFICATES / f"search-{m}-{q}-{delta}.txt").read_text()
+    header, _, rest = text.partition("found_code_begin\n")
+    fields = dict(line.split("=", 1) for line in header.splitlines())
+    assert list(fields) == [
+        "canonical_codes_examined",
+        "delta",
+        "filters_applied",
+        "found_stabiliser_order",
+        "m",
+        "max_code_size_seen",
+        "outcome",
+        "q",
+    ]
+    assert [fields[key] for key in ("m", "q", "delta", "filters_applied", "outcome")] == [
+        str(m),
+        str(q),
+        str(delta),
+        "parity",
+        outcome,
+    ]
+    assert int(fields["canonical_codes_examined"]) >= 1 and int(fields["max_code_size_seen"]) >= 2
+    if outcome == "NoneExhaustive":
+        assert fields["found_stabiliser_order"] == "" and rest == ""
+        return
+    C = parse_code(rest.split("found_code_end\n")[0])
+    assert min_distance(C) == delta and len(C) <= int(fields["max_code_size_seen"])
+    X = search._SearchSpace(m, q, delta).stabiliser(sorted(vertex_index(w) for w in C))
+    assert str(X.order) == fields["found_stabiliser_order"]
+    assert verify_elusive(C, X.elements).is_elusive
 
 
 def test_thread_count_invariance():
