@@ -6,8 +6,10 @@ table, and a code is a sorted int32 array of ranks.  The search's
 kernels take the table of Stab(0), the stabiliser of vertex 0, and reach
 the rest of Aut(H(m,q)) through its cosets: every element is s_u h t_c
 for a translation t_c: v -> v - c, an h in Stab(0), and the translation
-s_u: v -> v + u.  canonical_children reads these arrays, and the tables
-of the pair cosets, off the search's _SearchSpace.
+s_u: v -> v + u.  One array serves both translations: ``minus[c, x] = x -
+c`` digit by digit mod q, so t_c is the row ``minus[c]`` and s_u the row
+``minus[minus[u, 0]]``.  canonical_children reads it, and the tables of
+the pair cosets, off the search's _SearchSpace.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ def canonical_children(space, code: np.ndarray, cand: np.ndarray) -> np.ndarray:
 
     ``space`` is the search's _SearchSpace: the table of Stab(0), read
     vertex-major, the translations ``minus``, the distances ``dist``, the
-    pair representatives ``pair_rep`` and the tables ``pair_table(d)``.
+    representatives ``rep`` and the tables ``pair_table(d)``.
     ``code`` must be canonical, sorted with ``code[0] == 0`` and at least
     two words, and every candidate must lie above max(code) at distance at
     least d = d(code) from every codeword.
@@ -119,11 +121,12 @@ def canonical_children(space, code: np.ndarray, cand: np.ndarray) -> np.ndarray:
     to 0.  Every other point of D lies at distance at least d from c, so
     its image has weight at least d and the second element of g(D) is at
     least L(d) = D[1]; it equals L(d) only if g sends some x in D with
-    d(c, x) = d to L(d), and otherwise g(D) > D.  With y = x - c and h_y
-    = ``pair_rep[c, x]`` a row of Stab(0) sending y to L(d), the rows
-    sending c to 0 and x to L(d) form the pair coset {k h_y t_c : k in
-    K_d}, K_d = Stab(0) ∩ Stab(L(d)), |Stab(0)| / (C(m, d) (q-1)^d) rows,
-    whose vertex-major table is ``pair_table(d)``.  By coset canonicity
+    d(c, x) = d to L(d), and otherwise g(D) > D.  With y = x - c =
+    ``minus[c, x]`` and h_y = ``rep[y]`` a row of Stab(0) sending y to
+    L(d), the rows sending c to 0 and x to L(d) form the pair coset
+    {k h_y t_c : k in K_d}, K_d = Stab(0) ∩ Stab(L(d)),
+    |Stab(0)| / (C(m, d) (q-1)^d) rows, whose vertex-major table is
+    ``pair_table(d)``.  By coset canonicity
     (see is_canonical), D is canonical iff no row of a pair coset maps it
     below itself.  The old pairs (c, x) inside C are shared by every
     candidate; the new pairs of v are (c, v) and (v, c) for each codeword
@@ -153,7 +156,7 @@ def canonical_children(space, code: np.ndarray, cand: np.ndarray) -> np.ndarray:
     a single pair coset takes more.
     """
     by_vertex = space.stab0.T  # contiguous: the tables are built vertex-major
-    minus, dist, pair_rep = space.minus, space.dist, space.pair_rep
+    minus, dist, rep = space.minus, space.dist, space.rep
     n, k = minus.shape[0], code.size
     d = dist[0, code[1]]
     table = space.pair_table(int(d))
@@ -168,7 +171,7 @@ def canonical_children(space, code: np.ndarray, cand: np.ndarray) -> np.ndarray:
     # the old pairs: their rows send code[zero] to 0 and code[ld] to L(d)
     zero, ld = near[:k].nonzero()
     zero, ld = code[zero], code[ld]
-    rep = pair_rep[zero, ld]
+    h_y = rep.take(minus[zero, ld])
     ties = []
     # per row of a pair coset: 4 bytes a column gathered, 5 more a candidate
     # for its compares with b and the copy of a live one's images, and about
@@ -176,7 +179,7 @@ def canonical_children(space, code: np.ndarray, cand: np.ndarray) -> np.ndarray:
     step = max(1, cap // (rows * (4 * cols.size + 5 * cand.size + 48)))
     for lo in range(0, zero.size, step):
         # imgs[j, p, i] = k_i h_p(cols[j] - zero[p]), row i of the coset of old pair p
-        imgs = table.take(by_vertex[minus[zero[None, lo : lo + step], cols[:, None]], rep[lo : lo + step]], axis=0)
+        imgs = table.take(by_vertex[minus[zero[None, lo : lo + step], cols[:, None]], h_y[lo : lo + step]], axis=0)
         first = _first_missing(imgs[:k], code, n)
         b, fixed = code_0[first], first == k  # b is 0 where g(C) = C
         moved = imgs[k:]  # g(v) for each candidate v, never 0
@@ -205,7 +208,7 @@ def canonical_children(space, code: np.ndarray, cand: np.ndarray) -> np.ndarray:
         at = np.empty((k + 1, z.size), dtype=np.int32)  # the points of each D
         at[:k] = code[:, None]
         at[k] = v
-        imgs = table.take(by_vertex[minus[z, at], pair_rep[z, ld[lo : lo + step]]], axis=0)
+        imgs = table.take(by_vertex[minus[z, at], rep.take(minus[z, ld[lo : lo + step]])], axis=0)
         keep[owner[lo : lo + step][_smaller_image(imgs, code, v[:, None], n).any(axis=1)]] = False
     return keep
 
@@ -242,11 +245,12 @@ def fixer_cosets(code, adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     return nb_mask, np.concatenate([off, code]).astype(np.int32), off.size
 
 
-def first_mover(table: np.ndarray, code, plus: np.ndarray, adj: np.ndarray) -> int:
+def first_mover(table: np.ndarray, code, minus: np.ndarray, adj: np.ndarray) -> int:
     r"""-1 iff no element of Aut(H(m,q)) fixes Γ1(C) setwise while moving
     C, else the row h of the first such s_u h in the order of fixer_cosets'
-    ``us``.  ``table`` is the action table of Stab(0), ``plus[u]`` the row
-    of v -> v + u, and ``code`` and ``adj`` are as for fixer_cosets.
+    ``us``.  ``table`` is the action table of Stab(0), ``minus[c]`` the row
+    of v -> v - c, so that ``minus[minus[u, 0]]`` is the row of v -> v + u,
+    and ``code`` and ``adj`` are as for fixer_cosets.
 
     When W = C (spread == 0), every fixer maps C onto C and the table is not
     read.  A fixer s_u h with u outside C moves C, sending 0 off C; one with
@@ -261,9 +265,10 @@ def first_mover(table: np.ndarray, code, plus: np.ndarray, adj: np.ndarray) -> i
     code_mask = np.zeros_like(nb_mask)
     code_mask[us[spread:]] = True
     for i, u in enumerate(us.tolist()):
-        hits = nb_mask[plus[u]].take(imgs).all(axis=0)
+        plus_u = minus[minus[u, 0]]
+        hits = nb_mask[plus_u].take(imgs).all(axis=0)
         if i >= spread:
-            hits &= ~code_mask[plus[u]].take(on_code).all(axis=0)
+            hits &= ~code_mask[plus_u].take(on_code).all(axis=0)
         hits = np.flatnonzero(hits)
         if hits.size:
             return int(hits[0])

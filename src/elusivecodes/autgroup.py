@@ -679,27 +679,6 @@ def _split(keys: np.ndarray, m: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     return keys[..., : m * q].reshape(keys.shape[:-1] + (m, q)), keys[..., m * q :]
 
 
-def _compose_keys(x: np.ndarray, y: np.ndarray, m: int, q: int) -> np.ndarray:
-    """Keys of 'x then y', as ``compose``, row by row; a single key on
-    either side pairs with every row of the other.
-
-    c'_s = y.c_{sigma_x(s)} o x.c_s and sigma' = y.sigma o sigma_x, read by
-    flat gathers from y's coordinate maps and position map.
-    """
-    x, y = np.atleast_2d(x), np.atleast_2d(y)
-    (xg, xs), yg, ys = _split(x, m, q), y[:, : m * q], y[:, m * q :]
-    rows = np.arange(len(y), dtype=np.int32)[:, None]  # a single row of y broadcasts
-    g = yg.ravel()[(xs * q + rows * (m * q))[..., None] + xg]
-    return np.concatenate([g.reshape(len(g), m * q), ys.ravel()[xs + rows * m]], axis=1)
-
-
-def _translation_keys(idxs: np.ndarray, sign: int, m: int, q: int) -> np.ndarray:
-    """Keys of v -> v + sign * c, digit by digit mod q, for each vertex index c in ``idxs``."""
-    g = (np.arange(q) + sign * _digits(m, q, idxs)[1][..., None]) % q
-    keys = np.concatenate([g.reshape(len(idxs), -1), np.broadcast_to(np.arange(m), (len(idxs), m))], axis=1)
-    return keys.astype(np.int32)
-
-
 def _sort_keys(keys: np.ndarray) -> np.ndarray:
     """Non-negative integer rows sorted by value (not by bytes): for keys,
     generate_group order.

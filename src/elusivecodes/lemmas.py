@@ -331,7 +331,7 @@ def _coset_kernels_agree(m: int, q: int, delta: int) -> tuple[bool, bool, bool, 
         code_mask[code] = True
         rows = np.flatnonzero(_kernels.stabiliser_rows(full, nb_mask))
         moved = bool((code_mask[full[rows]] != code_mask).any())
-        got = _kernels.first_mover(space.stab0, code, space.plus, space.adj)
+        got = _kernels.first_mover(space.stab0, code, space.minus, space.adj)
         mover_ok &= (got >= 0) == moved
         _, us, _ = _kernels.fixer_cosets(code, space.adj)
         fixers_ok &= bool(np.isin(full[rows, 0], us).all()) and np.array_equal(

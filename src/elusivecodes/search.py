@@ -47,12 +47,12 @@ import numpy as np
 from . import _kernels
 from .autgroup import (
     Group,
-    _compose_keys,
     _digits,
+    _point_keys,
+    _points,
     _row_keys,
     _sort_keys,
     _stab0_coord_perms,
-    _translation_keys,
     _vertices,
     stab0_action_table,
 )
@@ -83,13 +83,16 @@ class _SearchSpace:
     Every node of the walk contains vertex 0, so the search never holds the
     table of all of Aut(H(m,q)): it holds the table of Stab(0), the
     stabiliser of vertex 0, built in closed form, and reaches each coset
-    {x : x(c) = u} = {s_u h t_c : h in Stab(0)} through the translation
-    arrays ``minus[c]`` (v -> v - c) and ``plus[u]`` (v -> v + u), digit by
-    digit mod q.  For the canonicity kernel it also holds ``pair_rep`` and
-    the tables ``pair_table(d)`` of the pair cosets (see
+    {x : x(c) = u} = {s_u h t_c : h in Stab(0)} through one translation
+    array, ``minus[c, x] = x - c`` digit by digit mod q: t_c is the row
+    ``minus[c]``, and s_u, v -> v + u, the row ``minus[minus[u, 0]]``.  It
+    also holds the distances ``dist``, the neighbour rows ``adj``, and for
+    the canonicity kernel the representatives ``rep`` and the tables
+    ``pair_table(d)`` of the pair cosets (see
     _kernels.canonical_children).  Raises ValueError when delta > m, and
     ResourceCapError when the space, the order of Stab(0) or the bytes of
-    one of its tables are over their caps, before that table is allocated.
+    one of its tables or of ``minus`` are over their caps, before that
+    array is allocated.
     """
 
     def __init__(self, m: int, q: int, delta: int):
@@ -103,22 +106,24 @@ class _SearchSpace:
         if rows > group_cap():
             raise ResourceCapError(f"Stab(0) in Aut(H({m},{q})) order {rows} over the group cap")
         self.stab0 = stab0_action_table(m, q)
+        check_table_bytes(self.n, self.n, 4)
         powers, entries = _digits(m, q)
-        self.minus = (((entries[None, :, :] - entries[:, None, :]) % q) @ powers).astype(np.int32)
-        self.plus = (((entries[None, :, :] + entries[:, None, :]) % q) @ powers).astype(np.int32)
-        self.dist = (entries[:, None, :] != entries[None, :, :]).sum(axis=2).astype(np.int16)
+        # minus[c, x] = x - c, built one digit position at a time in int32
+        self.minus = np.zeros((self.n, self.n), dtype=np.int32)
+        for digit, power in zip(entries.T.astype(np.int32), powers.tolist()):
+            self.minus += (digit[None, :] - digit[:, None]) % q * power
+        weight = np.count_nonzero(entries, axis=1).astype(np.int16)
+        self.dist = weight.take(self.minus)  # d(c, x) = wt(x - c)
         # adjacency rows: the m(q-1) neighbouring indices of each vertex, increasing
         self.adj = np.nonzero(self.dist == 1)[1].reshape(self.n, -1).astype(np.int32)
-        # pair_rep[c, x] = h_{x-c}: a row of Stab(0) sending x - c to
-        # L(d(c, x)), found by a scan of the table a few vertices at a time
-        check_table_bytes(self.n, self.n, 4)
-        least = np.array([_least(q, w) for w in range(m + 1)], dtype=np.int32).take(self.dist[0])
+        # rep[y]: a row of Stab(0) sending y to L(wt y), found by a scan of
+        # the table a few vertices at a time
+        least = np.array([_least(q, w) for w in range(m + 1)], dtype=np.int32).take(weight)
         by_vertex = self.stab0.T
-        rep = np.empty(self.n, dtype=np.int32)
+        self.rep = np.empty(self.n, dtype=np.int32)
         step = max(1, (1 << 20) // rows)
         for lo in range(0, self.n, step):
-            rep[lo : lo + step] = (by_vertex[lo : lo + step] == least[lo : lo + step, None]).argmax(axis=1)
-        self.pair_rep = rep.take(self.minus)
+            self.rep[lo : lo + step] = (by_vertex[lo : lo + step] == least[lo : lo + step, None]).argmax(axis=1)
         self._pair_tables: dict[int, np.ndarray] = {}
 
     def pair_table(self, d: int) -> np.ndarray:
@@ -136,16 +141,21 @@ class _SearchSpace:
 
         Its members are the elements s_u h, in the cosets that
         _kernels.fixer_cosets lists (the ones the mover test scans), that
-        map Γ1(C) into Γ1(C); being bijections, they fix it.  Each is packed
-        as the key of "h then s_u", and the keys are sorted, which is
-        full-table row order.
+        map Γ1(C) into Γ1(C); being bijections, they fix it.  Each is
+        composed as "h then s_u" on point rows (autgroup._points) and
+        packed as a key, and the keys are sorted, which is full-table row
+        order.
         """
         m, q = self.m, self.q
         nb_mask, us, _ = _kernels.fixer_cosets(code, self.adj)
         imgs = self.stab0.T.take(np.flatnonzero(nb_mask), axis=0)  # h(n) for n in Γ1(C)
-        cosets, rows = np.nonzero([nb_mask[self.plus[u]].take(imgs).all(axis=0) for u in us.tolist()])
-        h = _row_keys(rows, m, _stab0_coord_perms(q))
-        return Group(m, q, None, _sort_keys(_compose_keys(h, _translation_keys(us[cosets], 1, m, q), m, q)))
+        minus = self.minus
+        cosets, rows = np.nonzero([nb_mask[minus[minus[u, 0]]].take(imgs).all(axis=0) for u in us.tolist()])
+        # s_u sends the point (s, a) to (s, a + u_s mod q)
+        shift = (np.arange(q) + _digits(m, q, us[cosets])[1][..., None]) % q
+        s_u = (np.arange(0, m * q, q)[:, None] + shift).reshape(len(cosets), m * q)
+        h = _points(_row_keys(rows, m, _stab0_coord_perms(q)), m, q)
+        return Group(m, q, None, _sort_keys(_point_keys(np.take_along_axis(s_u, h, axis=1), m, q)))
 
 
 def _check_parameters(m: int, q: int, delta: int, max_size: int | None, threads: int = 1) -> None:
@@ -275,7 +285,7 @@ def search_elusive(
         examined += 1
         max_seen = max(max_seen, len(code))
         if hit is None and cur_min == delta:
-            if _kernels.first_mover(space.stab0, code, space.plus, space.adj) >= 0:
+            if _kernels.first_mover(space.stab0, code, space.minus, space.adj) >= 0:
                 hit = code
     if hit is None:
         return cert("NoneExhaustive", examined, max_seen)

@@ -608,21 +608,3 @@ def test_groups_compare_by_identity():
     assert G == G and G != H
     assert len({G, H, G}) == 2
     assert np.array_equal(G.keys, H.keys) and G.elements == H.elements
-
-
-@pytest.mark.parametrize("m, q", [(3, 3), (9, 3), (1, 300)])
-def test_compose_keys_matches_compose(m, q):
-    # at H(1,300) images reach 299, past one byte
-    rng = random.Random(m * 1000 + q)
-    xs = [_random_automorphism(rng, m, q) for _ in range(12)]
-    ys = [_random_automorphism(rng, m, q) for _ in range(12)]
-    kx, ky = autgroup._keys(xs, m, q), autgroup._keys(ys, m, q)
-    # row by row, as _SearchSpace.stabiliser composes
-    want = autgroup._keys([compose(x, y) for x, y in zip(xs, ys)], m, q)
-    assert np.array_equal(autgroup._compose_keys(kx, ky, m, q), want)
-    # a single key on either side pairs with every row of the other
-    for j in range(3):
-        want = autgroup._keys([compose(x, ys[j]) for x in xs], m, q)
-        assert np.array_equal(autgroup._compose_keys(kx, ky[j], m, q), want)
-        want = autgroup._keys([compose(xs[j], y) for y in ys], m, q)
-        assert np.array_equal(autgroup._compose_keys(kx[j : j + 1], ky, m, q), want)

@@ -189,8 +189,8 @@ def test_coset_kernels_match_dense_oracle_on_every_call(m, q, delta, kwargs, mon
     calls = {"mover": 0}
     coset_mover = _kernels.first_mover
 
-    def checked_mover(table, code, plus, adj):
-        got = coset_mover(table, code, plus, adj)
+    def checked_mover(table, code, minus, adj):
+        got = coset_mover(table, code, minus, adj)
         assert (got >= 0) == (first_mover(full, *_oracle_masks(code, m, q)) >= 0), code
         calls["mover"] += 1
         return got
@@ -227,7 +227,7 @@ def test_first_mover_matches_dense_oracle_at_every_scannable_code(m, q, delta, m
         if cur_min != delta:
             continue
         nb_mask, code_mask = _oracle_masks(code, m, q)
-        got = _kernels.first_mover(space.stab0, code, space.plus, space.adj)
+        got = _kernels.first_mover(space.stab0, code, space.minus, space.adj)
         assert (got >= 0) == (first_mover(full, nb_mask, code_mask) >= 0), code
         rows = np.flatnonzero(stabiliser_rows(full, nb_mask))
         cosets_nb, us, _ = _kernels.fixer_cosets(code, space.adj)
@@ -257,7 +257,7 @@ def test_mover_prune_settles_without_the_table():
         settled += 1
         nb_mask, _, _ = _kernels.fixer_cosets(code, space.adj)
         assert {vertex_index(w) for w in nb} == set(np.flatnonzero(nb_mask).tolist())
-        assert _kernels.first_mover(None, code, space.plus, space.adj) == -1
+        assert _kernels.first_mover(None, code, space.minus, space.adj) == -1
     assert (settled, scans) == (19, 22)
 
 

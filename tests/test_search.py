@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -458,11 +459,24 @@ def test_table_bytes_cap_is_exact(monkeypatch):
 
 def test_pair_representatives_sit_under_the_table_bytes_cap(monkeypatch):
     # in H(3,2), Stab(0) = S_3 has a table of 6 * 8 * 4 = 192 bytes, and
-    # the pair representatives take 8 * 8 * 4 = 256
+    # the translation table minus takes 8 * 8 * 4 = 256
     monkeypatch.setenv("ELUSIVECODES_MAX_TABLE_BYTES", "256")
     assert search_elusive(3, 2, 2).outcome != "Aborted"
     monkeypatch.setenv("ELUSIVECODES_MAX_TABLE_BYTES", "255")
     assert search_elusive(3, 2, 2).outcome == "Aborted"
+
+
+def test_search_space_holds_two_vertex_pair_arrays():
+    # besides the Stab(0) table, a search space holds two q^m x q^m arrays,
+    # the int32 translations minus and the int16 distances dist, and only
+    # vectors of q^m cells: 243^2 * 6 = 354 KB in H(5,3)
+    tracemalloc.start()
+    try:
+        space = search._SearchSpace(5, 3, 3)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= space.stab0.nbytes + 6 * space.n**2 + (64 << 10)
 
 
 @pytest.mark.parametrize(
