@@ -41,9 +41,7 @@ __all__ = [
     "parse_automorphism",
     "format_automorphism",
     "vertex_action_table",
-    "full_action_table",
     "stab0_action_table",
-    "full_group_element",
 ]
 
 
@@ -598,19 +596,22 @@ def _key_table(keys: np.ndarray, m: int, q: int, idxs=None) -> np.ndarray:
     return table
 
 
-def _action_table(m: int, q: int, coord_perms: Sequence[Perm]) -> np.ndarray:
-    """vertex_action_table of every (g_1, ..., g_m; sigma) with each g_s in
-    ``coord_perms``, rows lexicographic in (g_1, ..., g_m, sigma) by
-    position in ``coord_perms`` and in lexicographic S_m order.
+def stab0_action_table(m: int, q: int) -> np.ndarray:
+    """vertex_action_table of Stab(0) = S_{q-1} wr S_m, built in closed form.
+
+    Stab(0) is every (g_1, ..., g_m; sigma) with each g_s(0) = 0.  Its rows
+    are in generate_group order, lexicographic in (g_1, ..., g_m, sigma):
+    row ((i_1 (q-1)! + i_2) ... + i_m) m! + k is the element whose g_s is
+    the i_s-th permutation of S_q fixing 0 and whose sigma is the k-th of
+    S_m, each in lexicographic order; _stab0_keys decodes it.
 
     Source position s holds digit g_s(v_s), which lands at position
     sigma(s), worth q^(m-1-sigma(s)).  Checks the table's bytes against
     the cap before allocating.
     """
-    check_table_bytes(len(coord_perms) ** m * math.factorial(m), space_size(m, q), 4)
+    check_table_bytes(math.factorial(q - 1) ** m * math.factorial(m), space_size(m, q), 4)
     powers, entries = _digits(m, q)
-    sq = np.array([p.images for p in coord_perms], dtype=np.int32)  # (len(coord_perms), q)
-    sm = np.array([p.images for p in perms.symmetric_group(m)], dtype=np.int64)  # (m!, m)
+    sq, sm = _stab0_factors(m, q)
     weight = powers[sm].astype(np.int32)  # weight[k, s] = q^(m-1-sigma_k(s))
     n = entries.shape[0]
     # built vertex-major, so each column of the (rows, n) result is
@@ -623,52 +624,28 @@ def _action_table(m: int, q: int, coord_perms: Sequence[Perm]) -> np.ndarray:
     return table.reshape(n, -1).T
 
 
-def _stab0_coord_perms(q: int) -> list[Perm]:
-    # the permutations fixing 0 are the first (q-1)! in lexicographic order
-    return perms.symmetric_group(q)[: math.factorial(q - 1)]
+def _stab0_factors(m: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(g images, sigma images) of Stab(0)'s factors, each in lexicographic
+    order: the (q-1)! permutations of S_q fixing 0, which come first in
+    that order, and all of S_m."""
+    fixing0 = perms.symmetric_group(q)[: math.factorial(q - 1)]
+    return (
+        np.array([p.images for p in fixing0], dtype=np.int32),
+        np.array([p.images for p in perms.symmetric_group(m)], dtype=np.int32),
+    )
 
 
-def full_action_table(m: int, q: int) -> np.ndarray:
-    """vertex_action_table of all of Aut(H(m,q)), built in closed form.
-
-    Rows follow ``generate_group`` order (lexicographic in g_1, ..., g_m,
-    sigma), so row ((i_1 q! + i_2) q! + ... + i_m) m! + k is the element
-    whose g_s is the i_s-th and whose sigma is the k-th permutation in
-    lexicographic order; see full_group_element.
-    """
-    return _action_table(m, q, perms.symmetric_group(q))
-
-
-def stab0_action_table(m: int, q: int) -> np.ndarray:
-    """vertex_action_table of Stab(0) = S_{q-1} wr S_m, built in closed form.
-
-    Stab(0) is every (g_1, ..., g_m; sigma) with each g_s(0) = 0.  Its rows
-    are the rows of full_action_table(m, q) with ``table[:, 0] == 0``, in
-    the same order, so row ((i_1 (q-1)! + i_2) ... + i_m) m! + k is the
-    element with the same i_s and k as in the full table; _row_keys with
-    _stab0_coord_perms(q) decodes it.
-    """
-    return _action_table(m, q, _stab0_coord_perms(q))
-
-
-def _row_keys(rows, m: int, coord_perms: Sequence[Perm]) -> np.ndarray:
-    """Keys of rows of _action_table(m, q, coord_perms), read as digits
+def _stab0_keys(rows, m: int, q: int) -> np.ndarray:
+    """Keys of rows of stab0_action_table(m, q), read as digits
     (i_1, ..., i_m, k); ValueError for a row out of range."""
-    coord = np.array([p.images for p in coord_perms], dtype=np.int32)
-    sm = np.array([p.images for p in perms.symmetric_group(m)], dtype=np.int32)
+    coord, sm = _stab0_factors(m, q)
     *ranks, k = np.unravel_index(rows, (len(coord),) * m + (len(sm),))
     return np.concatenate([coord[np.stack(ranks, axis=-1)].reshape(len(k), -1), sm[k]], axis=1)
 
 
-def full_group_element(row: int, m: int, q: int) -> Automorphism:
-    """The automorphism behind row ``row`` of full_action_table(m, q)."""
-    return _sorted_elements(_row_keys([row], m, perms.symmetric_group(q)), m, q)[0]
-
-
 def _keys(elements: Sequence[Automorphism], m: int, q: int) -> np.ndarray:
     """The packed keys (sort_key) of ``elements`` as rows, whose order is
-    generate_group order and full-table row order.  ValueError for an element
-    of another space."""
+    generate_group order.  ValueError for an element of another space."""
     if any(x.m != m or x.q != q for x in elements):
         raise ValueError(f"automorphisms of different spaces, expected H({m},{q})")
     return np.array([x.sort_key for x in elements], dtype=np.int32).reshape(len(elements), m * (q + 1))

@@ -77,10 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--q", type=int, required=True)
     s.add_argument("--delta", type=int, required=True)
     s.add_argument("--no-parity-filter", action="store_true")
-    s.add_argument(
-        "--threads", type=int, default=1,
-        help="accepted for compatibility; must be at least 1 and has no effect, the walk is serial",
-    )
     s.add_argument("--max-size", type=int, default=None)
     s.add_argument("-o", "--output")
 
@@ -187,7 +183,6 @@ def _dispatch(args) -> int:
             args.q,
             args.delta,
             parity_filter=not args.no_parity_filter,
-            threads=args.threads,
             max_size=args.max_size,
         )
         sys.stdout.write(format_certificate(cert))

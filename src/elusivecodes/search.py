@@ -50,9 +50,8 @@ from .autgroup import (
     _digits,
     _point_keys,
     _points,
-    _row_keys,
     _sort_keys,
-    _stab0_coord_perms,
+    _stab0_keys,
     _vertices,
     stab0_action_table,
 )
@@ -137,14 +136,14 @@ class _SearchSpace:
         return self._pair_tables[d]
 
     def stabiliser(self, code: list[int]) -> Group:
-        """The setwise stabiliser of Γ1(C) in Aut(H(m,q)), members in full-table row order.
+        """The setwise stabiliser of Γ1(C) in Aut(H(m,q)), members in generate_group order.
 
         Its members are the elements s_u h, in the cosets that
         _kernels.fixer_cosets lists (the ones the mover test scans), that
         map Γ1(C) into Γ1(C); being bijections, they fix it.  Each is
         composed as "h then s_u" on point rows (autgroup._points) and
-        packed as a key, and the keys are sorted, which is full-table row
-        order.
+        packed as a key, and the keys are sorted by value, which is
+        generate_group order.
         """
         m, q = self.m, self.q
         nb_mask, us, _ = _kernels.fixer_cosets(code, self.adj)
@@ -154,7 +153,7 @@ class _SearchSpace:
         # s_u sends the point (s, a) to (s, a + u_s mod q)
         shift = (np.arange(q) + _digits(m, q, us[cosets])[1][..., None]) % q
         s_u = (np.arange(0, m * q, q)[:, None] + shift).reshape(len(cosets), m * q)
-        h = _points(_row_keys(rows, m, _stab0_coord_perms(q)), m, q)
+        h = _points(_stab0_keys(rows, m, q), m, q)
         return Group(m, q, None, _sort_keys(_point_keys(np.take_along_axis(s_u, h, axis=1), m, q)))
 
 
@@ -237,9 +236,11 @@ def search_elusive(
 
     Every enumerated code with minimum distance exactly delta is tested
     against the setwise stabiliser of its neighbour set in the full
-    automorphism group.  The traversal is always complete; Found reports
+    automorphism group.  A hit does not end the traversal; Found reports
     the first hit in depth-first order together with that full stabiliser.
-    The walk is serial: ``threads`` must be at least 1 and has no effect.
+    With ``max_size`` the walk grows no code past that many words, and a
+    NoneExhaustive outcome covers only that size-bounded tree.  The walk is
+    serial: ``threads`` must be at least 1 and has no effect.
     """
     start = time.perf_counter()
     _check_parameters(m, q, delta, max_size, threads)

@@ -13,8 +13,6 @@ from elusivecodes.autgroup import (
     diag,
     diag_top_generators,
     format_automorphism,
-    full_action_table,
-    full_group_element,
     full_group_generators,
     generate_group,
     identity_automorphism,
@@ -33,6 +31,7 @@ from elusivecodes.codes import Code, are_equivalent, fixes_setwise, neighbour_se
 from elusivecodes.constructions import alt_code, parity_code, rep_code
 from elusivecodes.elusive import verify_elusive
 from elusivecodes.hamming import Vertex, all_vertices, distance, vertex_index
+from elusivecodes.lemmas import _full_table
 from elusivecodes.perms import Perm
 from object_bfs import closure
 from object_bfs import orbit as orbit_by_apply
@@ -277,7 +276,7 @@ def test_point_rows_compose_as_compose_and_tell_elements_apart(m, q):
     # rows of "x then y" are x's row gathered through y's, and the whole
     # group has as many distinct point rows as keys
     order = math.factorial(q) ** m * math.factorial(m)
-    points = autgroup._points(autgroup._row_keys(np.arange(order), m, perms.symmetric_group(q)), m, q)
+    points = autgroup._points(generate_group(full_group_generators(m, q)).keys, m, q)
     assert len(np.unique(points, axis=0)) == order
     rng = random.Random(m * q)
     for _ in range(50):
@@ -539,44 +538,21 @@ def test_vertex_action_table_random_spotcheck():
     assert table.dtype == np.int32
 
 
-@pytest.mark.parametrize("m, q", [(3, 3), (4, 3), (5, 2)])
-def test_full_action_table_matches_bfs_table(m, q, full33, full43):
-    # the closed form against generate_group + vertex_action_table, row for row
-    G = {(3, 3): full33, (4, 3): full43}.get((m, q))
-    if G is None:
-        G = generate_group(full_group_generators(m, q))
-    closed = full_action_table(m, q)
-    assert closed.dtype == np.int32
-    assert np.array_equal(closed, vertex_action_table(G.elements, m, q))
-
-
-def test_full_action_table_random_rows_h34():
-    # H(3,4): 82944 rows; 500 seeded rows checked against apply() on every vertex
-    rng = random.Random(48)
-    table = full_action_table(3, 4)
-    assert table.shape == (math.factorial(4) ** 3 * math.factorial(3), 64)
-    verts = list(all_vertices(3, 4))
-    for row in rng.sample(range(table.shape[0]), 500):
-        x = full_group_element(row, 3, 4)
-        assert [vertex_index(apply(x, v)) for v in verts] == [
-            table[row, vertex_index(v)] for v in verts
-        ]
-
-
-def test_full_group_element_decodes_every_row_h33(full33):
-    assert [full_group_element(i, 3, 3) for i in range(full33.order)] == list(full33.elements)
-    with pytest.raises(ValueError):
-        full_group_element(full33.order, 3, 3)
-
-
 @pytest.mark.parametrize("m, q", [(3, 3), (4, 3), (3, 4), (5, 2)])
 def test_stab0_action_table_is_the_filtered_full_table(m, q):
-    # Stab(0)'s rows are the full table's rows fixing vertex 0, in order
-    full = full_action_table(m, q)
+    # Stab(0)'s rows are the rows fixing vertex 0 of the table of the full
+    # group its stabiliser chain lists, in the same key order; and row r is
+    # the element _stab0_keys decodes r to, the search's only way from a
+    # Stab(0) row to an element
+    _, full = _full_table(m, q)
     stab0 = stab0_action_table(m, q)
     assert stab0.dtype == np.int32
     assert stab0.shape[0] == math.factorial(q - 1) ** m * math.factorial(m)
     assert np.array_equal(stab0, full[full[:, 0] == 0])
+    keys = autgroup._stab0_keys(np.arange(len(stab0)), m, q)
+    assert np.array_equal(autgroup._key_table(keys, m, q), stab0)
+    with pytest.raises(ValueError):
+        autgroup._stab0_keys([len(stab0)], m, q)
 
 
 def test_group_decodes_its_keys_only_when_asked(monkeypatch):

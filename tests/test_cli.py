@@ -277,33 +277,6 @@ def test_search_over_table_bytes_cap_is_exit_three(monkeypatch, capsys):
     assert "outcome=Aborted" in capsys.readouterr().out
 
 
-def test_search_output_thread_invariant(tmp_path):
-    outs = []
-    for threads in ("1", "3"):
-        path = tmp_path / f"cert{threads}.txt"
-        res = run_cli(
-            "search",
-            "--m",
-            "4",
-            "--q",
-            "3",
-            "--delta",
-            "3",
-            "--threads",
-            threads,
-            "-o",
-            str(path),
-        )
-        assert res.returncode == 0
-        outs.append(path.read_text())
-    # identical apart from the wall-clock line
-    strip = lambda text: [
-        l for l in text.splitlines() if not l.startswith("wall_time_seconds=")
-    ]
-    assert strip(outs[0]) == strip(outs[1])
-    assert any(l.startswith("wall_time_seconds=") for l in outs[0].splitlines())
-
-
 # ---------------------------------------------------------------------------
 # lemmas
 

@@ -9,10 +9,10 @@ import orderly_walk
 from dense_kernels import first_mover, is_canonical
 from elusivecodes import _kernels, search
 from elusivecodes._kernels import min_distance_words, stabiliser_rows
-from elusivecodes.autgroup import _row_keys, full_action_table, vertex_action_table
+from elusivecodes.autgroup import vertex_action_table
 from elusivecodes.codes import _neighbour_indices
 from elusivecodes.hamming import all_vertices, distance, space_size, vertex_from_index
-from elusivecodes.perms import symmetric_group
+from elusivecodes.lemmas import _full_table
 
 
 @pytest.fixture(scope="module")
@@ -144,7 +144,7 @@ def test_canonical_children_match_dense_oracle_at_every_node(m, q, delta, max_si
     # settles without the kernel, against the dense kernel over the full
     # table; the walk itself against one that tests each child alone
     space = search._SearchSpace(m, q, delta)
-    full = full_action_table(m, q)
+    _, full = _full_table(m, q)
     want = list(orderly_walk.canonical_codes(space, max_size))
     verdicts = {True: 0, False: 0}
     monkeypatch.setattr(_kernels, "canonical_children", _checked_children(full, verdicts))
@@ -184,7 +184,7 @@ def _check_walk_settled(space, full, want, max_size, verdicts):
 def test_coset_kernels_match_dense_oracle_on_every_call(m, q, delta, kwargs, monkeypatch):
     # every batch of children and every mover scan of a real search, checked
     # against the dense kernels over the full table
-    full = full_action_table(m, q)
+    _, full = _full_table(m, q)
     verdicts = {True: 0, False: 0}
     calls = {"mover": 0}
     coset_mover = _kernels.first_mover
@@ -221,7 +221,7 @@ def test_first_mover_matches_dense_oracle_at_every_scannable_code(m, q, delta, m
     # and the Found stabiliser equal to those rows; at delta = 1 the U(C)
     # prune does not hold and must not be applied
     space = search._SearchSpace(m, q, delta)
-    full = full_action_table(m, q)
+    keys, full = _full_table(m, q)
     scanned = 0
     for code, cur_min in search._canonical_codes(space, max_size):
         if cur_min != delta:
@@ -232,7 +232,7 @@ def test_first_mover_matches_dense_oracle_at_every_scannable_code(m, q, delta, m
         rows = np.flatnonzero(stabiliser_rows(full, nb_mask))
         cosets_nb, us, _ = _kernels.fixer_cosets(code, space.adj)
         assert np.array_equal(cosets_nb, nb_mask) and np.isin(full[rows, 0], us).all(), code
-        assert np.array_equal(space.stabiliser(code).keys, _row_keys(rows, m, symmetric_group(q))), code
+        assert np.array_equal(space.stabiliser(code).keys, keys[rows]), code
         scanned += 1
     assert scanned > 0
 
@@ -283,7 +283,7 @@ def test_canonical_children_of_a_code_past_one_bit_word(k):
     # {0, ..., k-1} is the least k-set, so canonical; its children in H(4,3)
     # against the dense kernel
     space = search._SearchSpace(4, 3, 1)
-    full = full_action_table(4, 3)
+    _, full = _full_table(4, 3)
     code = np.arange(k, dtype=np.int32)
     cand = np.arange(k, space.n, dtype=np.int32)
     got = _kernels.canonical_children(space, code, cand)
