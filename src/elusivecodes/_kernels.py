@@ -14,6 +14,8 @@ the pair cosets, off the search's _SearchSpace.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 __all__ = [
@@ -218,31 +220,96 @@ def stabiliser_rows(table: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return (mask[table] == mask[None, :]).all(axis=1)
 
 
-def fixer_cosets(code, adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    r"""(nb_mask, us, spread): nb_mask marks Γ1(C), and each automorphism
-    fixing Γ1(C) setwise is s_u h, h in Stab(0) then v -> v + u, with u in
-    ``us``: first ``spread`` vertices outside C, increasing, then the
-    codewords.  ``code`` is C as vertex indices, with 0 in C, and ``adj``
-    holds the neighbour rows.
+# cells of the row sieve's first block: all 81 vertices of H(4,3) under
+# the 384 rows of its Stab(0), so tables that small take one gather per
+# coset, and 8 columns under the 3,840 rows of Stab(0) in Aut(H(5,3))
+_SIEVE_CELLS = 1 << 15
 
-    Lemma: a fixer x maps C into W, the set ``us`` lists: the complement of
-    Γ1(C) or, at minimum distance >= 2, U(C) = {u not in Γ1(C) : S1(u) ⊆
-    Γ1(C)}.  As a bijection, x fixes the complement of Γ1(C), which holds
-    C; at minimum distance >= 2, S1(c) ⊆ Γ1(C) for each codeword c, so
-    S1(x(c)) = x(S1(c)) ⊆ Γ1(C) (the U(C) prune), while at minimum distance
-    1 S1(c) may meet C.  So u = x(0) is in W, and s_u^-1 x fixes 0.
+# cells of one (q^m, codes) mask of the U(C) prune over a block of codes:
+# 404 codes of H(4,3), 134 of H(5,3), 128 of H(8,2)
+_PRUNE_CELLS = 1 << 15
+
+
+def fixer_cosets(codes, adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    r"""(nb, off), each (len(codes), q^m) boolean: for C = codes[b], nb[b]
+    marks Γ1(C), and each automorphism fixing Γ1(C) setwise is s_u h, h in
+    Stab(0) then v -> v + u, with u in W, the vertices marked in off[b]
+    followed by the codewords.  Each code is a sequence of vertex indices
+    holding 0, the codes may differ in size, and ``adj`` holds the
+    neighbour rows.  W, in that order (off increasing, then the
+    codewords), is the list ``us`` of the cosets that _fixer_rows scans.
+
+    Lemma: a fixer x maps C into the complement of Γ1(C) or, at minimum
+    distance >= 2, into U(C) = {u not in Γ1(C) : S1(u) ⊆ Γ1(C)}.  As a
+    bijection, x fixes the complement of Γ1(C), which holds C; at minimum
+    distance >= 2, S1(c) ⊆ Γ1(C) for each codeword c, so S1(x(c)) =
+    x(S1(c)) ⊆ Γ1(C) (the U(C) prune), while at minimum distance 1 S1(c)
+    may meet C.  So u = x(0) is in W, and s_u^-1 x fixes 0.
+
+    Block prune: row b of nb and of off is computed from codes[b] alone,
+    so a block of codes answers exactly as each code would alone; the
+    search asks for a block of about _PRUNE_CELLS // q^m codes at once.  A
+    code whose row of off is empty is settled there: its fixers all send
+    0 into C (first_mover answers -1 for it unread), so only the codes
+    with a marked vertex need a scan.
     """
-    code = np.asarray(code)
-    code_mask = np.zeros(adj.shape[0], dtype=bool)
-    code_mask[code] = True
-    nb_mask = np.zeros_like(code_mask)
-    nb_mask[adj[code]] = True
-    nb_mask[code] = False
-    off = ~nb_mask & ~code_mask
-    if not code_mask[adj[code]].any():  # minimum distance >= 2: the U(C) prune
-        off &= nb_mask[adj].all(axis=1)
-    off = np.flatnonzero(off)
-    return nb_mask, np.concatenate([off, code]).astype(np.int32), off.size
+    n, count, sizes = adj.shape[0], len(codes), [len(code) for code in codes]
+    words = np.fromiter(chain.from_iterable(codes), dtype=np.intp, count=sum(sizes))
+    owner = np.repeat(np.arange(count), sizes)
+    # vertex-major (q^m, len(codes)) masks, so a gather of neighbours copies whole rows
+    code_mask = np.zeros((n, count), dtype=bool)
+    code_mask.reshape(-1)[words * count + owner] = True
+    near = adj.take(words, axis=0).astype(np.intp) * count + owner[:, None]
+    nb = np.zeros_like(code_mask)
+    nb.reshape(-1)[near] = True
+    nb &= ~code_mask
+    close = np.zeros(count, dtype=bool)  # minimum distance 1: no U(C) prune
+    close[owner[code_mask.reshape(-1).take(near).any(axis=1)]] = True
+    inside = nb.take(adj[:, 0], axis=0)  # inside[v, b]: S1(v) ⊆ Γ1(codes[b])
+    for column in adj.T[1:]:
+        inside &= nb.take(column, axis=0)
+    off = ~(nb | code_mask)
+    off &= inside | close
+    return nb.T, off.T
+
+
+def _fixer_rows(
+    table: np.ndarray, code: np.ndarray, nb: np.ndarray, off: np.ndarray, minus: np.ndarray, adj: np.ndarray
+):
+    r"""Yield (u, rows) for each u of fixer_cosets' ``us`` in turn, the
+    vertices of ``off`` then ``code``, where (nb, off) is fixer_cosets'
+    answer for C = ``code``: the increasing rows h of ``table``, the action
+    table of Stab(0), such that s_u h maps Γ1(C) into Γ1(C), and so fixes
+    it, being a bijection.  ``minus`` and ``adj`` are as for first_mover.
+
+    A sieve over each coset, the one of codes._carriers: the columns of
+    Γ1(C) are imaged a block at a time under the rows still alive, and a
+    row is dropped at the first block that it sends off Γ1(C).  The first
+    block, about _SIEVE_CELLS cells, is gathered once for every coset; each
+    next one holds at least twice as many columns, and more as rows die.
+
+    Sphere lemma: h fixes 0, so s_u h maps S1(0) onto S1(u).  Where S1(u)
+    ⊆ Γ1(C) for every listed u, as at minimum distance >= 2 (S1(c) ⊆
+    Γ1(C) for a codeword c, and U(C) is defined so), no row sends a vertex
+    of S1(0) off Γ1(C), and the sieve reads only the columns of Γ1(C) \ S1(0).
+    """
+    by_vertex = table.T  # contiguous: the table is built vertex-major
+    us = np.concatenate([np.flatnonzero(off), code])
+    cols = nb.copy()
+    if nb.take(adj.take(us, axis=0)).all():  # the sphere lemma
+        cols[adj[0]] = False
+    cols = np.flatnonzero(cols)
+    first = max(1, _SIEVE_CELLS // by_vertex.shape[1])
+    head = by_vertex.take(cols[:first], axis=0)  # h(n) for the first columns n
+    for u in us.tolist():
+        target = nb.take(minus[minus[u, 0]])  # target[v]: v + u in Γ1(C)
+        rows = np.flatnonzero(target.take(head).all(axis=0))
+        lo, step = first, first
+        while lo < cols.size and rows.size:
+            step = max(2 * step, _SIEVE_CELLS // rows.size)
+            rows = rows[target.take(by_vertex[cols[lo : lo + step, None], rows]).all(axis=0)]
+            lo += step
+        yield u, rows
 
 
 def first_mover(table: np.ndarray, code, minus: np.ndarray, adj: np.ndarray) -> int:
@@ -250,28 +317,28 @@ def first_mover(table: np.ndarray, code, minus: np.ndarray, adj: np.ndarray) -> 
     C, else the row h of the first such s_u h in the order of fixer_cosets'
     ``us``.  ``table`` is the action table of Stab(0), ``minus[c]`` the row
     of v -> v - c, so that ``minus[minus[u, 0]]`` is the row of v -> v + u,
-    and ``code`` and ``adj`` are as for fixer_cosets.
+    and ``code`` and ``adj`` are as for fixer_cosets, for one code.
 
-    When W = C (spread == 0), every fixer maps C onto C and the table is not
-    read.  A fixer s_u h with u outside C moves C, sending 0 off C; one with
-    u in C moves C iff it sends a codeword off C.  A bijection fixes Γ1(C)
-    iff it maps Γ1(C) into Γ1(C), so only the columns of Γ1(C) and C are read.
+    When W = C (off is empty), every fixer maps C onto C and the table is
+    not read.  A fixer s_u h with u outside C moves C, sending 0 off C; one
+    with u in C moves C iff it sends a codeword off C.  The fixers in each
+    coset are the rows _fixer_rows keeps: a row its sieve drops sends a
+    vertex of Γ1(C) off Γ1(C), so it is no fixer, and it keeps every
+    fixer, increasing.  So the sieve changes neither the verdict nor the
+    row returned: the first mover is the one a scan of every row finds.
     """
-    nb_mask, us, spread = fixer_cosets(code, adj)
-    if not spread:
+    code = np.asarray(code)
+    nb, off = fixer_cosets([code], adj)
+    if not off[0].any():
         return -1
-    imgs = table.T.take(np.flatnonzero(nb_mask), axis=0)  # h(n) for n in Γ1(C)
-    on_code = table.T.take(us[spread:], axis=0)  # h(c) for c in C
-    code_mask = np.zeros_like(nb_mask)
-    code_mask[us[spread:]] = True
-    for i, u in enumerate(us.tolist()):
-        plus_u = minus[minus[u, 0]]
-        hits = nb_mask[plus_u].take(imgs).all(axis=0)
-        if i >= spread:
-            hits &= ~code_mask[plus_u].take(on_code).all(axis=0)
-        hits = np.flatnonzero(hits)
-        if hits.size:
-            return int(hits[0])
+    code_mask = np.zeros(minus.shape[0], dtype=bool)
+    code_mask[code] = True
+    for u, rows in _fixer_rows(table, code, nb[0], off[0], minus, adj):
+        if code_mask[u] and rows.size:
+            on_code = table.T[code[:, None], rows]  # h(c) for c in C
+            rows = rows[~code_mask.take(minus[minus[u, 0]]).take(on_code).all(axis=0)]
+        if rows.size:
+            return int(rows[0])
     return -1
 
 

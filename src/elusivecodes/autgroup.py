@@ -13,6 +13,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, permutations
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -596,6 +597,10 @@ def _key_table(keys: np.ndarray, m: int, q: int, idxs=None) -> np.ndarray:
     return table
 
 
+# cells of the temporary each step of stab0_action_table adds into the table
+_BUILD_CELLS = 1 << 14
+
+
 def stab0_action_table(m: int, q: int) -> np.ndarray:
     """vertex_action_table of Stab(0) = S_{q-1} wr S_m, built in closed form.
 
@@ -607,32 +612,41 @@ def stab0_action_table(m: int, q: int) -> np.ndarray:
 
     Source position s holds digit g_s(v_s), which lands at position
     sigma(s), worth q^(m-1-sigma(s)).  Checks the table's bytes against
-    the cap before allocating.
+    the cap before allocating, and allocates the table once: each position
+    s adds its term, a few vertices at a time, into the table read as an
+    array over (v, i_1, ..., i_m, k), so the build holds the table and at
+    most about _BUILD_CELLS more cells.
     """
-    check_table_bytes(math.factorial(q - 1) ** m * math.factorial(m), space_size(m, q), 4)
+    rows = math.factorial(q - 1) ** m * math.factorial(m)
+    check_table_bytes(rows, space_size(m, q), 4)
     powers, entries = _digits(m, q)
     sq, sm = _stab0_factors(m, q)
-    weight = powers[sm].astype(np.int32)  # weight[k, s] = q^(m-1-sigma_k(s))
-    n = entries.shape[0]
+    weight = powers.astype(np.int32)[sm]  # weight[k, s] = q^(m-1-sigma_k(s))
+    n, f = entries.shape[0], len(sq)
     # built vertex-major, so each column of the (rows, n) result is
     # contiguous: the search's kernels gather whole columns
-    table = np.zeros((n, 1, len(sm)), dtype=np.int32)
+    table = np.zeros((n, rows), dtype=np.int32)
+    step = max(1, _BUILD_CELLS // (f * len(sm)))
     for s in range(m):
-        # term[v, i, k] = g_i(v_s) * q^(m-1-sigma_k(s))
-        term = sq[:, entries[:, s]].T[:, :, None] * weight[None, None, :, s]
-        table = (table[:, :, None, :] + term[:, None, :, :]).reshape(n, -1, len(sm))
-    return table.reshape(n, -1).T
+        # the table as (v, i_1 .. i_{s-1}, i_s, i_{s+1} .. i_m, k)
+        at_s = table.reshape(n, f**s, f, f ** (m - 1 - s), len(sm))
+        for lo in range(0, n, step):
+            # term[v, i_s, k] = g_{i_s}(v_s) * q^(m-1-sigma_k(s))
+            g = sq[:, entries[lo : lo + step, s]].T
+            at_s[lo : lo + step] += g[:, None, :, None, None] * weight[:, s]
+    return table.T
 
 
 def _stab0_factors(m: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     """(g images, sigma images) of Stab(0)'s factors, each in lexicographic
-    order: the (q-1)! permutations of S_q fixing 0, which come first in
-    that order, and all of S_m."""
-    fixing0 = perms.symmetric_group(q)[: math.factorial(q - 1)]
-    return (
-        np.array([p.images for p in fixing0], dtype=np.int32),
-        np.array([p.images for p in perms.symmetric_group(m)], dtype=np.int32),
-    )
+    order, as perms.symmetric_group lists them: the (q-1)! permutations of
+    S_q fixing 0, and all of S_m."""
+
+    def images(points, n):
+        return np.fromiter(chain.from_iterable(permutations(points)), dtype=np.int32).reshape(-1, n)
+
+    g = images(range(1, q), q - 1)
+    return np.concatenate([np.zeros((len(g), 1), dtype=np.int32), g], axis=1), images(range(m), m)
 
 
 def _stab0_keys(rows, m: int, q: int) -> np.ndarray:

@@ -39,7 +39,7 @@ from .autgroup import (
     wreath_embed,
     wreath_generators,
 )
-from .codes import Code, _neighbour_indices, min_distance, neighbour_set
+from .codes import Code, _code_at, _neighbour_indices, min_distance, neighbour_set
 from .elusive import verify_elusive
 from .hamming import Vertex, all_vertices, distance, neighbours, sphere
 from .search import _canonical_codes, _SearchSpace
@@ -339,11 +339,35 @@ def _coset_kernels_agree(m: int, q: int, delta: int) -> tuple[bool, bool, bool, 
         moved = bool((code_mask[full[rows]] != code_mask).any())
         got = _kernels.first_mover(space.stab0, code, space.minus, space.adj)
         mover_ok &= (got >= 0) == moved
-        _, us, _ = _kernels.fixer_cosets(code, space.adj)
-        fixers_ok &= bool(np.isin(full[rows, 0], us).all()) and np.array_equal(
+        _, (off,) = _kernels.fixer_cosets([code], space.adj)
+        fixers_ok &= bool((off | code_mask)[full[rows, 0]].all()) and np.array_equal(
             space.stabiliser(code).keys, keys[rows]
         )
     return canon_ok, batch_ok, mover_ok, fixers_ok, bool(min_ok)
+
+
+def _u_prune_block_agrees() -> bool:
+    r"""fixer_cosets on one block holding every code of minimum distance
+    delta of H(3,3), for delta = 2 and 3, so codes of several sizes share
+    the block, against the definitions on Vertex objects: nb[b] is Γ1(C),
+    and off[b], whose count is the spread, is U(C) \ C, where U(C) = {u not
+    in Γ1(C) : S1(u) ⊆ Γ1(C)}."""
+    block = [
+        code
+        for delta in (2, 3)
+        for code, cur_min in _canonical_codes(_SearchSpace(3, 3, delta))
+        if cur_min == delta
+    ]
+    nb, off = _kernels.fixer_cosets(block, _SearchSpace(3, 3, 3).adj)
+    ok = len({len(code) for code in block}) > 1
+    verts = list(all_vertices(3, 3))
+    for code, nb_row, off_row in zip(block, nb, off):
+        C = _code_at(code, 3, 3)
+        gamma = neighbour_set(C)
+        U = {u for u in verts if u not in gamma and sphere(u, 1) <= gamma}
+        ok &= {verts[v] for v in np.flatnonzero(nb_row)} == gamma
+        ok &= {verts[v] for v in np.flatnonzero(off_row)} == U - C.word_set
+    return bool(ok)
 
 
 def suite_act(seed: int = 0) -> list[Check]:
@@ -392,6 +416,13 @@ def suite_act(seed: int = 0) -> list[Check]:
             "fixer-cosets-h33",
             all(fixers for _, _, _, fixers, _ in agree),
             "a fixer of Γ1(C) lies outside the listed cosets, or the Found stabiliser differs from its rows",
+        )
+    )
+    out.append(
+        _check(
+            "u-prune-block-h33",
+            _u_prune_block_agrees(),
+            "a block's Γ1(C) masks or U(C) spreads differ from their definitions",
         )
     )
     out.append(

@@ -28,7 +28,13 @@ the batch lemma, and each survivor is rescanned only on its own new pair
 cosets and the old ones that tie it.  The mover test and a Found
 stabiliser read the same cosets {x : x(0) = u}, one per u to which a
 fixer of Γ1(C) can send 0; the U(C) prune often leaves only u in C,
-which settles the mover test unread.  See ``_kernels.fixer_cosets``.
+which settles the mover test unread.  The search runs that prune once
+per block of codes in depth-first order (``_kernels.fixer_cosets``
+answers each code of a block as it would alone) and scans only the codes
+it leaves, in the same order, stopping at the first hit, so the hit is
+the one a test of each code in turn finds.  A scan sieves each coset's
+rows a block of Γ1(C)'s columns at a time (``_kernels._fixer_rows``),
+dropping only rows that are no fixers.
 
 The traversal always runs to exhaustion (no early exit), so the
 certificate counts every canonical code; "Found" is the first hit in
@@ -146,13 +152,12 @@ class _SearchSpace:
         generate_group order.
         """
         m, q = self.m, self.q
-        nb_mask, us, _ = _kernels.fixer_cosets(code, self.adj)
-        imgs = self.stab0.T.take(np.flatnonzero(nb_mask), axis=0)  # h(n) for n in Γ1(C)
-        minus = self.minus
-        cosets, rows = np.nonzero([nb_mask[minus[minus[u, 0]]].take(imgs).all(axis=0) for u in us.tolist()])
+        nb, off = _kernels.fixer_cosets([code], self.adj)
+        us, rows = zip(*_kernels._fixer_rows(self.stab0, np.asarray(code), nb[0], off[0], self.minus, self.adj))
+        us, rows = np.repeat(us, [r.size for r in rows]), np.concatenate(rows)
         # s_u sends the point (s, a) to (s, a + u_s mod q)
-        shift = (np.arange(q) + _digits(m, q, us[cosets])[1][..., None]) % q
-        s_u = (np.arange(0, m * q, q)[:, None] + shift).reshape(len(cosets), m * q)
+        shift = (np.arange(q) + _digits(m, q, us)[1][..., None]) % q
+        s_u = (np.arange(0, m * q, q)[:, None] + shift).reshape(len(us), m * q)
         h = _points(_stab0_keys(rows, m, q), m, q)
         return Group(m, q, None, _sort_keys(_point_keys(np.take_along_axis(s_u, h, axis=1), m, q)))
 
@@ -281,16 +286,33 @@ def search_elusive(
         return cert("Aborted")
 
     examined = max_seen = 0
-    hit = None
+    hit, block = None, []
+    per_block = max(1, _kernels._PRUNE_CELLS // space.n)
     for code, cur_min in _canonical_codes(space, max_size):
         examined += 1
         max_seen = max(max_seen, len(code))
         if hit is None and cur_min == delta:
-            if _kernels.first_mover(space.stab0, code, space.minus, space.adj) >= 0:
-                hit = code
+            block.append(code)
+            if len(block) == per_block:
+                hit, block = _first_hit(space, block), []
+    if hit is None and block:
+        hit = _first_hit(space, block)
     if hit is None:
         return cert("NoneExhaustive", examined, max_seen)
     return cert("Found", examined, max_seen, (_code_at(hit, m, q), space.stabiliser(hit)))
+
+
+def _first_hit(space: _SearchSpace, block: list[list[int]]) -> list[int] | None:
+    """The first code of ``block`` that a fixer of its Γ1(C) moves, or None.
+
+    One U(C) prune (_kernels.fixer_cosets) settles every code of the block
+    whose fixers all lie in the cosets of its codewords; first_mover
+    scans the others in block order, stopping at the first hit."""
+    _, off = _kernels.fixer_cosets(block, space.adj)
+    for i in np.flatnonzero(off.any(axis=1)).tolist():
+        if _kernels.first_mover(space.stab0, block[i], space.minus, space.adj) >= 0:
+            return block[i]
+    return None
 
 
 def format_certificate(cert: SearchCertificate, *, wall_time: bool = True) -> str:

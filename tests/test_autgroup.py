@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -553,6 +554,20 @@ def test_stab0_action_table_is_the_filtered_full_table(m, q):
     assert np.array_equal(autgroup._key_table(keys, m, q), stab0)
     with pytest.raises(ValueError):
         autgroup._stab0_keys([len(stab0)], m, q)
+
+
+@pytest.mark.parametrize("m, q", [(7, 2), (5, 3)])
+def test_stab0_action_table_builds_within_a_quarter_of_its_bytes(m, q):
+    # the table is allocated once and each digit position adds into it, so
+    # the build's heap peak stays near the table: (7,2) has 5,040 rows of
+    # 128 vertices, 2.6 MB, (5,3) 3,840 rows of 243, 3.7 MB
+    tracemalloc.start()
+    try:
+        table = stab0_action_table(m, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * table.nbytes
 
 
 def test_group_decodes_its_keys_only_when_asked(monkeypatch):

@@ -182,23 +182,40 @@ def _check_walk_settled(space, full, want, max_size, verdicts):
     ],
 )
 def test_coset_kernels_match_dense_oracle_on_every_call(m, q, delta, kwargs, monkeypatch):
-    # every batch of children and every mover scan of a real search, checked
-    # against the dense kernels over the full table
+    # every batch of children, every code the block U(C) prune settles and
+    # every mover scan of a real search, checked against the dense kernels
+    # over the full table; the two stages together decide every code of
+    # minimum distance delta up to the first hit, which only the scan finds
     _, full = _full_table(m, q)
     verdicts = {True: 0, False: 0}
-    calls = {"mover": 0}
-    coset_mover = _kernels.first_mover
+    settled, scanned = [], []
+    prune, coset_mover = _kernels.fixer_cosets, _kernels.first_mover
+
+    def checked_prune(codes, adj):
+        nb, off = prune(codes, adj)
+        for code, row in zip(codes, off):
+            if not row.any():
+                assert first_mover(full, *_oracle_masks(code, m, q)) == -1, code
+                settled.append(list(code))
+        return nb, off
 
     def checked_mover(table, code, minus, adj):
         got = coset_mover(table, code, minus, adj)
         assert (got >= 0) == (first_mover(full, *_oracle_masks(code, m, q)) >= 0), code
-        calls["mover"] += 1
+        scanned.append(list(code))
         return got
 
     monkeypatch.setattr(_kernels, "canonical_children", _checked_children(full, verdicts))
+    monkeypatch.setattr(_kernels, "fixer_cosets", checked_prune)
     monkeypatch.setattr(_kernels, "first_mover", checked_mover)
-    search.search_elusive(m, q, delta, **kwargs)
-    assert verdicts[True] > 0 and calls["mover"] > 0
+    cert = search.search_elusive(m, q, delta, **kwargs)
+    space = search._SearchSpace(m, q, delta)
+    reached = [code for code, d in search._canonical_codes(space, kwargs.get("max_size")) if d == delta]
+    if cert.found_pair is not None:
+        reached = reached[: reached.index(scanned[-1]) + 1]
+    assert all(code in settled or code in scanned for code in reached)
+    assert not any(code in settled for code in scanned)
+    assert verdicts[True] > 0 and settled and len(scanned) >= (cert.outcome == "Found")
 
 
 @pytest.mark.parametrize(
@@ -230,11 +247,34 @@ def test_first_mover_matches_dense_oracle_at_every_scannable_code(m, q, delta, m
         got = _kernels.first_mover(space.stab0, code, space.minus, space.adj)
         assert (got >= 0) == (first_mover(full, nb_mask, code_mask) >= 0), code
         rows = np.flatnonzero(stabiliser_rows(full, nb_mask))
-        cosets_nb, us, _ = _kernels.fixer_cosets(code, space.adj)
-        assert np.array_equal(cosets_nb, nb_mask) and np.isin(full[rows, 0], us).all(), code
+        (cosets_nb,), (off,) = _kernels.fixer_cosets([code], space.adj)
+        assert np.array_equal(cosets_nb, nb_mask) and (off | code_mask)[full[rows, 0]].all(), code
         assert np.array_equal(space.stabiliser(code).keys, keys[rows]), code
         scanned += 1
     assert scanned > 0
+
+
+@pytest.mark.parametrize(
+    "m, q, delta, max_size", [(3, 3, 2, None), (5, 2, 2, None), (6, 2, 3, None), (3, 3, 1, 4), (2, 4, 1, 5)]
+)
+@pytest.mark.parametrize("cells", [1, 100])
+def test_row_sieve_matches_dense_oracle_block_by_block(m, q, delta, max_size, cells, monkeypatch):
+    # a first block of one or a few columns takes the sieve through many
+    # blocks: the same first mover row as one block, and the Found
+    # stabiliser still the full-table rows fixing Γ1(C); at delta = 1 the
+    # columns of S1(0) stay in the sieve where some S1(u) leaves Γ1(C)
+    space = search._SearchSpace(m, q, delta)
+    keys, full = _full_table(m, q)
+    codes = [code for code, cur_min in search._canonical_codes(space, max_size) if cur_min == delta]
+    want = [_kernels.first_mover(space.stab0, code, space.minus, space.adj) for code in codes]
+    monkeypatch.setattr(_kernels, "_SIEVE_CELLS", cells)
+    for code, row in zip(codes, want):
+        nb_mask, code_mask = _oracle_masks(code, m, q)
+        assert _kernels.first_mover(space.stab0, code, space.minus, space.adj) == row, code
+        assert (row >= 0) == (first_mover(full, nb_mask, code_mask) >= 0), code
+        rows = np.flatnonzero(stabiliser_rows(full, nb_mask))
+        assert np.array_equal(space.stabiliser(code).keys, keys[rows]), code
+    assert any(row >= 0 for row in want) and any(row < 0 for row in want)
 
 
 def test_mover_prune_settles_without_the_table():
@@ -255,7 +295,7 @@ def test_mover_prune_settles_without_the_table():
         if not U <= C.word_set:
             continue
         settled += 1
-        nb_mask, _, _ = _kernels.fixer_cosets(code, space.adj)
+        (nb_mask,), _ = _kernels.fixer_cosets([code], space.adj)
         assert {vertex_index(w) for w in nb} == set(np.flatnonzero(nb_mask).tolist())
         assert _kernels.first_mover(None, code, space.minus, space.adj) == -1
     assert (settled, scans) == (19, 22)

@@ -14,7 +14,9 @@ def test_suite_same_passes(lemma_checks):
 def test_suite_act_passes(lemma_checks):
     checks = lemma_checks("act")
     _assert_all_pass(checks)
-    assert "stab0-closed-form-h33" in [name for name, _, _ in checks]
+    names = [name for name, _, _ in checks]
+    assert "stab0-closed-form-h33" in names
+    assert names.index("u-prune-block-h33") == names.index("fixer-cosets-h33") + 1
 
 
 def test_suite_act_seed_changes_cases_not_outcome(lemma_checks):

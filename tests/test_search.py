@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from elusivecodes import autgroup, search
+from elusivecodes import _kernels, autgroup, search
 from elusivecodes._kernels import stabiliser_rows
 from elusivecodes.autgroup import apply, diag_top_generators
 from elusivecodes.caps import ResourceCapError
@@ -319,6 +319,41 @@ def test_found_stabiliser_matches_the_full_table_rows(m, q, delta, order):
     rows = np.nonzero(stabiliser_rows(table, mask))[0]
     assert np.array_equal(stab.keys, keys[rows])
     assert stab.order == order
+
+
+@pytest.mark.parametrize(
+    "m, q, delta, kwargs, scans, sieved",
+    [
+        (3, 3, 2, {}, 1, False),
+        (3, 3, 3, {}, 1, False),
+        (5, 2, 2, {}, 1, False),
+        (4, 3, 2, {"max_size": 4}, 1, False),
+        (4, 3, 3, {}, 3, False),
+        (3, 4, 3, {"parity_filter": False}, 0, False),
+        (4, 3, 2, {"max_size": 5}, 19, False),
+        (6, 2, 3, {}, 3, False),
+        (5, 3, 3, {"max_size": 6}, 9, True),
+    ],
+)
+def test_mover_scans_only_the_codes_the_block_prune_leaves(m, q, delta, kwargs, scans, sieved, monkeypatch):
+    # the U(C) prune settles a block of codes at once, and first_mover scans
+    # only the codes it leaves, in depth-first order, up to the first hit.
+    # At minimum distance >= 2 the row sieve reads the |Γ1(C)| - m(q-1)
+    # columns of Γ1(C) \ S1(0); over _SIEVE_CELLS // |Stab(0)| of them it
+    # goes past its first block: 40 or 50 columns against 8 at (5,3,3),
+    # where Stab(0) has 3,840 rows, but at most 40 against 85 at (4,3,·)
+    seen = []
+    mover = _kernels.first_mover
+
+    def counted(table, code, minus, adj):
+        cols = _kernels.fixer_cosets([code], adj)[0].sum() - adj.shape[1]
+        seen.append(cols > _kernels._SIEVE_CELLS // table.shape[0])
+        return mover(table, code, minus, adj)
+
+    monkeypatch.setattr(_kernels, "first_mover", counted)
+    search_elusive(m, q, delta, **kwargs)
+    assert len(seen) == scans
+    assert any(seen) == sieved
 
 
 def test_search_h433_exhaustive_negative():
