@@ -46,50 +46,55 @@ def is_canonical(table: np.ndarray, code: np.ndarray, minus: np.ndarray) -> bool
     images C as table[h, minus[c, C]].
     """
     imgs = table.T.take(minus[code[None, :], code[:, None]], axis=0)  # imgs[j, i, h] = h(code[j] - code[i])
-    return not _smaller_image(imgs, code[:-1], code[-1], table.shape[1]).any()
+    return not _smaller_image(imgs, code[None, :-1], code[-1], table.shape[1]).any()
 
 
-def _smaller_image(imgs: np.ndarray, code: np.ndarray, top: np.ndarray | int, n: int) -> np.ndarray:
-    r"""Where the image imgs[:, r] of len(code) + 1 distinct vertices of
-    0..n-1, read as a set, is lexicographically smaller than the sorted set
-    D = code + [top], with ``top`` above max(code) and broadcast over r.
+def _smaller_image(imgs: np.ndarray, words: np.ndarray, top, n: int) -> np.ndarray:
+    r"""Where the image imgs[:, r] of k + 1 distinct vertices, read as a set,
+    is lexicographically smaller than the sorted set D = C + [top], C a row
+    of the (B, k) array ``words`` of sorted codes and ``top`` above max(C),
+    broadcast over r; row b and its images label vertex v as v + b (n + 1).
 
     No image is sorted.  For sets I != D of one size, I < D iff the least
     element a of I \ D lies below every element of D \ I, that is iff every
     element of D below a is in I.  The images below a all lie in D, so
     that holds iff they are as many as the elements of D below a.
     """
-    not_in_d = np.arange(n, dtype=np.int32)
-    not_in_d[code] = n
+    size = words.shape[0] * (n + 1) - 1  # the last label, no vertex's
+    not_in_d = np.arange(size + 1, dtype=np.int32)
+    not_in_d[words] = size
+    below = np.zeros(size + 1, dtype=np.int32)
+    below[words + 1] = 1  # summed along a code's row: its words below each label
     out = not_in_d.take(imgs)
-    out[imgs == top] = n
-    least_out = out.min(axis=0)  # a for each image; n where the image is D
+    out[imgs == top] = size
+    least_out = out.min(axis=0)  # a for each image; size where the image is D
     images_below = (imgs < least_out).sum(axis=0)
-    return (images_below == np.searchsorted(code, least_out) + (top < least_out)) & (least_out < n)
+    below = below.reshape(-1, n + 1).cumsum(axis=1).take(least_out)
+    return (images_below == below + (top < least_out)) & (least_out < size)
 
 
 _BITS = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 
 
-def _first_missing(imgs: np.ndarray, code: np.ndarray, n: int) -> np.ndarray:
-    """For each image imgs[:, r] of len(code) distinct vertices, the index in
-    ``code`` of the least codeword it misses, len(code) where it is ``code``.
+def _first_missing(imgs: np.ndarray, words: np.ndarray, n: int) -> np.ndarray:
+    """For each image imgs[:, r] of the k distinct words of a row C of
+    ``words``, labelled as for _smaller_image, the index in C of the least
+    word it misses, k where it is C.
 
-    Codeword code[p] stands for bit p of a 63-bit word.  The vertices of an
+    Word p of a code stands for bit p of a 63-bit word.  The vertices of an
     image are distinct, so the sum of their bits is the set of codewords
     the image holds, and the least codeword missing is its count of
     trailing ones, read off the lowest zero bit.  The bits are summed a
     block of rows of ``imgs`` at a time, a block holding one row or at most
     2^13 cells, so the temporaries (the sum, and one block's intp indices
-    and bits) take at most 24 bytes per image or 192 KiB, whatever
-    len(code) is.
+    and bits) take at most 24 bytes per image or 192 KiB, whatever k is.
     """
-    k = code.size
+    k = words.shape[1]
     block = max(1, (1 << 13) // max(1, imgs[0].size))
     first = 0
     for lo in range(0, k, 63):
-        bit = np.zeros(n, dtype=np.uint64)
-        bit[code[lo : lo + 63]] = _BITS[: min(63, k - lo)]
+        bit = np.zeros(words.shape[0] * (n + 1), dtype=np.uint64)
+        bit[words[:, lo : lo + 63]] = _BITS[: min(63, k - lo)]
         held = bit.take(imgs[:block]).sum(axis=0)
         for r in range(block, k, block):
             held += bit.take(imgs[r : r + block]).sum(axis=0)
@@ -98,15 +103,16 @@ def _first_missing(imgs: np.ndarray, code: np.ndarray, n: int) -> np.ndarray:
     return first
 
 
-def canonical_children(space, code: np.ndarray, cand: np.ndarray) -> np.ndarray:
-    r"""Boolean array over ``cand``: entry i is is_canonical(code + [cand[i]]).
+def canonical_children(space, codes: np.ndarray, cand: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    r"""Boolean array over ``cand``: entry i is is_canonical(codes[b] +
+    [cand[i]]) for the b with starts[b] <= i < starts[b + 1].
 
     ``space`` is the search's _SearchSpace: the table of Stab(0), read
     vertex-major, the translations ``minus``, the distances ``dist``, the
-    representatives ``rep`` and the tables ``pair_table(d)``.
-    ``code`` must be canonical, sorted with ``code[0] == 0`` and at least
-    two words, and every candidate must lie above max(code) at distance at
-    least d = d(code) from every codeword.
+    representatives ``rep`` and the tables ``pair_table(d)``.  ``codes`` is
+    a (B, k) int32 array of canonical codes of one minimum distance d, each
+    sorted with 0 first and at least two words, and each has at least one
+    candidate, above its max at distance at least d from each of its words.
 
     Write L(w) = (q^w - 1)/(q - 1), the least vertex of weight w; Stab(0)
     is transitive on the vertices of each weight.
@@ -151,68 +157,77 @@ def canonical_children(space, code: np.ndarray, cand: np.ndarray) -> np.ndarray:
     that ties it, maps D below D (_smaller_image); the other old rows map
     D above D.
 
-    The old pair cosets are gathered a few at a time, and the survivors'
-    pair cosets too, after counting them, in chunks that with their
-    temporaries take at most 4 max(|Stab(0)| q^m, 2^20) bytes, the bytes
-    of the Stab(0) table or 4 MiB, less the bytes of the K_d table, unless
-    a single pair coset takes more.
+    A verdict reads only its code and candidate, so the old pairs of every
+    code are gathered as one list, each under its code's candidates, slot j
+    past the last holding the dead entry cand.size.  They are gathered a few
+    at a time, and the survivors' pair cosets too, after counting them, in
+    chunks that with their temporaries take at most 4 max(|Stab(0)| q^m,
+    2^16) bytes, the bytes of the Stab(0) table or 256 KiB, less the bytes
+    of the K_d table, unless a single pair coset takes more.
     """
     by_vertex = space.stab0.T  # contiguous: the tables are built vertex-major
     minus, dist, rep = space.minus, space.dist, space.rep
-    n, k = minus.shape[0], code.size
-    d = dist[0, code[1]]
+    n, (count, k) = minus.shape[0], codes.shape
+    d = dist[0, codes[0, 1]]
     table = space.pair_table(int(d))
     rows = table.shape[1]
-    keep = np.ones(cand.size, dtype=bool)
-    if not cand.size:
-        return keep
-    cap = 4 * max(space.stab0.size, 1 << 20) - table.nbytes
-    cols = np.concatenate([code, cand])
-    code_0 = np.concatenate([code, code[:1]])  # code[0] = 0 appended, int32 as code
-    near = dist.take(cols, axis=0).take(code, axis=1) == d  # cols[j] at distance d from code[i]
-    # the old pairs: their rows send code[zero] to 0 and code[ld] to L(d)
-    zero, ld = near[:k].nonzero()
-    zero, ld = code[zero], code[ld]
+    cap = 4 * max(space.stab0.size, 1 << 16) - table.nbytes
+    slot = starts[:-1] + np.arange((starts[1:] - starts[:-1]).max())[:, None]  # slot[j, b]: codes[b]'s entry j
+    slot[slot >= starts[1:]] = cand.size  # past its last: the dead entry
+    keep = np.arange(cand.size + 1) < cand.size  # the dead entry last
+    cols = np.concatenate([codes.T, cand.take(slot, mode="clip")])  # cols[:, b]: codes[b], then its slots
+    code_0 = np.concatenate([codes, codes[:, :1]], axis=1)  # 0 appended to each code, int32 as codes
+    words = codes + np.arange(0, count * (n + 1), n + 1, dtype=np.int32)[:, None] if count > 1 else codes
+    near = dist[cols.T[:, :, None], codes[:, None, :]] == d  # near[b, j, i]: d(cols[j, b], codes[b, i]) = d
+    pb, zero, ld = near[:, :k].nonzero()  # the old pairs, whose rows send codes[pb, zero] to 0, codes[pb, ld] to L(d)
+    zero, ld = codes[pb, zero], codes[pb, ld]
     h_y = rep.take(minus[zero, ld])
-    ties = []
-    # per row of a pair coset: 4 bytes a column gathered, 5 more a candidate
+    # per row of a pair coset: 4 bytes a column gathered, 5 more a slot
     # for its compares with b and the copy of a live one's images, and about
     # 48 for b and _first_missing's bit words
-    step = max(1, cap // (rows * (4 * cols.size + 5 * cand.size + 48)))
+    ties, step = [], max(1, cap // (rows * (4 * k + 9 * len(slot) + 48)))
     for lo in range(0, zero.size, step):
-        # imgs[j, p, i] = k_i h_p(cols[j] - zero[p]), row i of the coset of old pair p
-        imgs = table.take(by_vertex[minus[zero[None, lo : lo + step], cols[:, None]], h_y[lo : lo + step]], axis=0)
-        first = _first_missing(imgs[:k], code, n)
-        b, fixed = code_0[first], first == k  # b is 0 where g(C) = C
-        moved = imgs[k:]  # g(v) for each candidate v, never 0
-        keep[(moved < b).any(axis=(1, 2)) | (moved.min(axis=(1, 2), where=fixed, initial=n) < cand)] = False
-        live = keep.nonzero()[0]
-        t, p = (moved[live] == b).any(axis=2).nonzero()  # candidate live[t] has a tied row in old pair p
-        ties.append((live[t], p + lo))
+        own = pb[lo : lo + step]
+        at, pts = slot.take(own, axis=1), cols.take(own, axis=1)  # at[j, p]: the entry of slot j of old pair lo + p
+        # imgs[j, p, i] = k_i h_p(pts[j, p] - zero[p]), row i of the coset of old pair lo + p
+        imgs = table.take(by_vertex[minus[zero[lo : lo + step], pts], h_y[lo : lo + step]], axis=0)
+        if count > 1:  # label the images of codes[b] as words does, v as v + b (n + 1)
+            imgs[:k] += words[own, :1]
+        first = _first_missing(imgs[:k], words, n)
+        b = code_0.take(first + (k + 1) * own[:, None])  # b is 0 where g(C) = C
+        moved = imgs[k:]  # g(v) for each slot's candidate v, never 0
+        # rejected: g(v) < b in a row of one code's run of pairs, or g(v) < v in a row where g(C) = C
+        runs = own.searchsorted(np.arange(own[0], own[-1] + 1)) * rows
+        below_b = np.logical_or.reduceat((moved < b).reshape(len(slot), -1), runs, axis=1)  # per slot and code
+        keep[slot[:, own[0] : own[-1] + 1][below_b]] = False
+        keep[at[moved.min(axis=2, where=first == k, initial=n) < pts[k:]]] = False
+        live = keep[at]
+        j = live.any(axis=1).nonzero()[0]  # the slots with a live entry
+        t, p = ((moved[j] == b).any(axis=2) & live[j]).nonzero()  # at[j[t], p] has a tied row in old pair lo + p
+        ties.append((at[j[t], p], p + lo))
         del imgs, moved  # freed before the next chunk is gathered
-    survivors = live
-    if not survivors.size:
-        return keep
+    j, b = keep[slot].nonzero()  # the survivors, slot j of codes[b]
+    if not b.size:
+        return keep[:-1]
     t, p = map(np.concatenate, zip(*ties))
-    s, c = near[k + survivors].nonzero()
-    s = survivors[s]
-    w, x = cand[s], code[c]
-    # the pair cosets each survivor is tested on: (x, w) and (w, x) for its
-    # new pairs, and the old pairs that tie it
-    zero = np.concatenate([x, w, zero[p]])
-    ld = np.concatenate([w, x, ld[p]])
-    owner = np.concatenate([s, s, t])
-    # per row: 18 (|C| + 1) bytes in imgs and _smaller_image's temporaries,
+    s, c = near[b, k + j].nonzero()
+    o, b = slot[j[s], b[s]], b[s]
+    w, x = cand[o], codes[b, c]
+    # the pair cosets each survivor is tested on, and its entry and code:
+    # (x, w) and (w, x) for its new pairs, and the old pairs that tie it
+    zero, ld = np.concatenate([x, w, zero[p]]), np.concatenate([w, x, ld[p]])
+    owner, own = np.concatenate([o, o, t]), np.concatenate([b, b, pb[p]])
+    # per row: 18 (k + 1) bytes in imgs and _smaller_image's temporaries,
     # and about 32 for its least image outside D and its count
     step = max(1, cap // (rows * (18 * k + 50)))
     for lo in range(0, zero.size, step):
-        z, v = zero[lo : lo + step], cand[owner[lo : lo + step]]
-        at = np.empty((k + 1, z.size), dtype=np.int32)  # the points of each D
-        at[:k] = code[:, None]
-        at[k] = v
-        imgs = table.take(by_vertex[minus[z, at], rep.take(minus[z, ld[lo : lo + step]])], axis=0)
-        keep[owner[lo : lo + step][_smaller_image(imgs, code, v[:, None], n).any(axis=1)]] = False
-    return keep
+        z, o, b = zero[lo : lo + step], owner[lo : lo + step], own[lo : lo + step]
+        pts = np.concatenate([codes[b].T, cand[o][None]])  # the points of each D
+        imgs = table.take(by_vertex[minus[z, pts], rep.take(minus[z, ld[lo : lo + step]])], axis=0)
+        if count > 1:  # words[b, 0] = b (n + 1), and 0 for a lone code
+            imgs += words[b, :1]
+        keep[o[_smaller_image(imgs, words, pts[k:].T + words[b, :1], n).any(axis=1)]] = False
+    return keep[:-1]
 
 
 def stabiliser_rows(table: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -228,6 +243,9 @@ _SIEVE_CELLS = 1 << 15
 # cells of one (q^m, codes) mask of the U(C) prune over a block of codes:
 # 404 codes of H(4,3), 134 of H(5,3), 128 of H(8,2)
 _PRUNE_CELLS = 1 << 15
+
+# cells, |K_d| k^2 (k + most candidates) a code, of the codes one canonical_children call decides
+_CHILD_CELLS = 1 << 20
 
 
 def fixer_cosets(codes, adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -312,12 +330,13 @@ def _fixer_rows(
         yield u, rows
 
 
-def first_mover(table: np.ndarray, code, minus: np.ndarray, adj: np.ndarray) -> int:
+def first_mover(table: np.ndarray, code, minus: np.ndarray, adj: np.ndarray, masks=None) -> int:
     r"""-1 iff no element of Aut(H(m,q)) fixes Γ1(C) setwise while moving
     C, else the row h of the first such s_u h in the order of fixer_cosets'
     ``us``.  ``table`` is the action table of Stab(0), ``minus[c]`` the row
     of v -> v - c, so that ``minus[minus[u, 0]]`` is the row of v -> v + u,
-    and ``code`` and ``adj`` are as for fixer_cosets, for one code.
+    ``code`` and ``adj`` are as for fixer_cosets, and ``masks``, if given,
+    is its (nb, off) for ``code``.
 
     When W = C (off is empty), every fixer maps C onto C and the table is
     not read.  A fixer s_u h with u outside C moves C, sending 0 off C; one
@@ -328,12 +347,12 @@ def first_mover(table: np.ndarray, code, minus: np.ndarray, adj: np.ndarray) -> 
     row returned: the first mover is the one a scan of every row finds.
     """
     code = np.asarray(code)
-    nb, off = fixer_cosets([code], adj)
-    if not off[0].any():
+    nb, off = masks or [rows[0] for rows in fixer_cosets([code], adj)]
+    if not off.any():
         return -1
     code_mask = np.zeros(minus.shape[0], dtype=bool)
     code_mask[code] = True
-    for u, rows in _fixer_rows(table, code, nb[0], off[0], minus, adj):
+    for u, rows in _fixer_rows(table, code, nb, off, minus, adj):
         if code_mask[u] and rows.size:
             on_code = table.T[code[:, None], rows]  # h(c) for c in C
             rows = rows[~code_mask.take(minus[minus[u, 0]]).take(on_code).all(axis=0)]

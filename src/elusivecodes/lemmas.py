@@ -198,24 +198,12 @@ def suite_same() -> list[Check]:
     for q in (3, 4, 5):
         a, s, o = cons.alt_code(q), cons.sym_code(q), cons.odd_coset_code(q)
         same = neighbour_set(a) == neighbour_set(s) == neighbour_set(o)
+        split = a.word_set | o.word_set == s.word_set and not (a.word_set & o.word_set)
         out.append(_check(f"gamma1-even-odd-full-q{q}", same, "neighbour sets differ"))
-        out.append(
-            _check(
-                f"even-odd-union-q{q}",
-                a.word_set | o.word_set == s.word_set and not (a.word_set & o.word_set),
-                "even/odd words do not split the full permutation code",
-            )
-        )
+        out.append(_check(f"even-odd-union-q{q}", split, "even/odd words do not split the full permutation code"))
     for q, l in ((3, 2), (3, 3)):
-        prod = cons.product_code(cons.sym_code(q), l)
-        par = cons.parity_code(q, l)
-        out.append(
-            _check(
-                f"gamma1-product-parity-q{q}l{l}",
-                neighbour_set(prod) == neighbour_set(par),
-                "parity subcode has a different neighbour set",
-            )
-        )
+        same = neighbour_set(cons.product_code(cons.sym_code(q), l)) == neighbour_set(cons.parity_code(q, l))
+        out.append(_check(f"gamma1-product-parity-q{q}l{l}", same, "parity subcode has a different neighbour set"))
     for q, l in ((3, 2), (3, 3), (4, 2)):
         par = cons.parity_code(q, l)
         odd = cons.parity_code(q, l, "odd")
@@ -298,7 +286,8 @@ def _coset_kernels_agree(m: int, q: int, delta: int) -> tuple[bool, bool, bool, 
     """(canonicity, batch, mover, fixers, min-distance) verdicts of the coset
     kernels and the walk's lemmas against the _full_table: is_canonical on
     every child with pairwise distance >= delta of every node the walk
-    tests, and canonical_children on those at distance >= d(C); at every
+    tests, and canonical_children on those at distance >= d(C), one call
+    for the nodes of each size and minimum distance; at every
     code it could scan, first_mover, and every full-table row fixing Γ1(C)
     sending 0 into the cosets fixer_cosets lists, the Found stabiliser
     being those rows; and the min-distance lemma: every canonical C has
@@ -307,7 +296,8 @@ def _coset_kernels_agree(m: int, q: int, delta: int) -> tuple[bool, bool, bool, 
     space = _SearchSpace(m, q, delta)
     keys, full = _full_table(m, q)
     canonical = list(_canonical_codes(space))
-    canon_ok = batch_ok = min_ok = True
+    canon_ok = min_ok = True
+    depths: dict[tuple[int, int], list] = {}  # (size, d): (code, candidates, verdicts) of each node
     for code in [[0]] + [code for code, _ in canonical]:
         near = space.dist[:, code].min(axis=1)
         cand = np.array([v for v in range(code[-1] + 1, space.n) if near[v] >= delta], dtype=np.int32)
@@ -325,10 +315,14 @@ def _coset_kernels_agree(m: int, q: int, delta: int) -> tuple[bool, bool, bool, 
             elif near[v] < d:
                 min_ok &= not want
             wants.append(want)
-        if d is not None:
-            far = near[cand] >= d
-            batch = _kernels.canonical_children(space, np.array(code, dtype=np.int32), cand[far])
-            batch_ok &= batch.tolist() == np.array(wants, dtype=bool)[far].tolist()
+        far = d is not None and near[cand] >= d
+        if np.any(far):
+            depths.setdefault((len(code), d), []).append((code, cand[far], np.array(wants)[far]))
+    batch_ok = True
+    for codes, cands, wants in (zip(*nodes) for nodes in depths.values()):
+        starts = np.cumsum([0] + [c.size for c in cands])
+        batch = _kernels.canonical_children(space, np.array(codes, dtype=np.int32), np.concatenate(cands), starts)
+        batch_ok &= np.array_equal(batch, np.concatenate(wants))
     mover_ok = fixers_ok = True
     for code in (code for code, cur_min in canonical if cur_min == delta):
         nb_mask = np.zeros(space.n, dtype=bool)
@@ -340,10 +334,24 @@ def _coset_kernels_agree(m: int, q: int, delta: int) -> tuple[bool, bool, bool, 
         got = _kernels.first_mover(space.stab0, code, space.minus, space.adj)
         mover_ok &= (got >= 0) == moved
         _, (off,) = _kernels.fixer_cosets([code], space.adj)
-        fixers_ok &= bool((off | code_mask)[full[rows, 0]].all()) and np.array_equal(
-            space.stabiliser(code).keys, keys[rows]
-        )
+        fixers_ok &= bool((off | code_mask)[full[rows, 0]].all())
+        fixers_ok &= np.array_equal(space.stabiliser(code).keys, keys[rows])
     return canon_ok, batch_ok, mover_ok, fixers_ok, bool(min_ok)
+
+
+def _depth_batches_agree() -> bool:
+    """The walks of H(3,3) at delta = 1, to size 6, 2 and 3 deciding one node
+    a kernel call (_CHILD_CELLS = 0) and a whole depth a call (2^62) yield
+    the same codes in the same order (search._canonical_codes)."""
+    budget, walks = _kernels._CHILD_CELLS, []
+    cases = [(_SearchSpace(3, 3, delta), size) for delta, size in ((1, 6), (2, None), (3, None))]
+    try:
+        for cells in (0, 1 << 62):
+            _kernels._CHILD_CELLS = cells
+            walks.append([list(_canonical_codes(space, size)) for space, size in cases])
+    finally:
+        _kernels._CHILD_CELLS = budget
+    return walks[0] == walks[1]
 
 
 def _u_prune_block_agrees() -> bool:
@@ -352,13 +360,9 @@ def _u_prune_block_agrees() -> bool:
     the block, against the definitions on Vertex objects: nb[b] is Γ1(C),
     and off[b], whose count is the spread, is U(C) \ C, where U(C) = {u not
     in Γ1(C) : S1(u) ⊆ Γ1(C)}."""
-    block = [
-        code
-        for delta in (2, 3)
-        for code, cur_min in _canonical_codes(_SearchSpace(3, 3, delta))
-        if cur_min == delta
-    ]
-    nb, off = _kernels.fixer_cosets(block, _SearchSpace(3, 3, 3).adj)
+    spaces = [_SearchSpace(3, 3, delta) for delta in (2, 3)]
+    block = [code for space in spaces for code, cur_min in _canonical_codes(space) if cur_min == space.delta]
+    nb, off = _kernels.fixer_cosets(block, spaces[1].adj)
     ok = len({len(code) for code in block}) > 1
     verts = list(all_vertices(3, 3))
     for code, nb_row, off_row in zip(block, nb, off):
@@ -383,55 +387,19 @@ def suite_act(seed: int = 0) -> list[Check]:
         _check("nu-swap-q4", _nu_swap_holds(4), "swap identity fails"),
         _check("nu-covers-q3", _nu_covers_neighbours(3), "neighbour parametrisation misses vertices"),
         _check("mu-equivariance-q3l2", _mu_equivariance_holds(), "block equivariance fails"),
-        _check(
-            "stab0-closed-form-h33",
-            np.array_equal(stab0_action_table(3, 3), full33[full33[:, 0] == 0]),
-            "Stab(0) table differs from the chain-listed group's rows fixing vertex 0",
-        ),
     ]
-    agree = [_coset_kernels_agree(3, 3, delta) for delta in (2, 3)]
-    out.append(
-        _check(
-            "coset-canonicity-h33",
-            all(canon for canon, *_ in agree),
-            "coset canonicity differs from the full-table scan",
-        )
-    )
-    out.append(
-        _check(
-            "batch-children-h33",
-            all(batch for _, batch, *_ in agree),
-            "batch canonicity of a node's children differs from the full-table scan",
-        )
-    )
-    out.append(
-        _check(
-            "mover-prune-h33",
-            all(mover for _, _, mover, *_ in agree),
-            "pruned coset mover scan differs from the full-table scan",
-        )
-    )
-    out.append(
-        _check(
-            "fixer-cosets-h33",
-            all(fixers for _, _, _, fixers, _ in agree),
-            "a fixer of Γ1(C) lies outside the listed cosets, or the Found stabiliser differs from its rows",
-        )
-    )
-    out.append(
-        _check(
-            "u-prune-block-h33",
-            _u_prune_block_agrees(),
-            "a block's Γ1(C) masks or U(C) spreads differ from their definitions",
-        )
-    )
-    out.append(
-        _check(
-            "min-distance-h33",
-            all(min_ok for *_, min_ok in agree),
-            "a canonical code's second word is not L(d(C)), or a child nearer than d(C) is canonical",
-        )
-    )
+    stab0 = np.array_equal(stab0_action_table(3, 3), full33[full33[:, 0] == 0])
+    out.append(_check("stab0-closed-form-h33", stab0, "Stab(0) table differs from the full group's rows fixing 0"))
+    canon, batch, mover, fixers, min_ok = map(all, zip(*(_coset_kernels_agree(3, 3, delta) for delta in (2, 3))))
+    out += [
+        _check("coset-canonicity-h33", canon, "coset canonicity differs from the full-table scan"),
+        _check("batch-children-h33", batch, "batch canonicity of a node's children differs from the full-table scan"),
+        _check("depth-batch-h33", _depth_batches_agree(), "a whole depth a call changes the walk's codes or order"),
+        _check("mover-prune-h33", mover, "pruned coset mover scan differs from the full-table scan"),
+        _check("fixer-cosets-h33", fixers, "a fixer lies off the listed cosets, or the Found stabiliser differs"),
+        _check("u-prune-block-h33", _u_prune_block_agrees(), "a block's Γ1(C) masks or U(C) spreads are wrong"),
+        _check("min-distance-h33", min_ok, "C[1] is not L(d(C)), or a child nearer than d(C) is canonical"),
+    ]
     rng = random.Random(seed)
     gens = full_group_generators(4, 3)
     verts = list(all_vertices(4, 3))
@@ -460,14 +428,7 @@ def suite_act(seed: int = 0) -> list[Check]:
         _group_order(_keys(full_group_generators(m, q), m, q), m, q) == math.factorial(q) ** m * math.factorial(m)
         for m, q in ((4, 3), (3, 4))
     )
-    out.append(
-        _check(
-            "group-chain",
-            listed and orders,
-            "the stabiliser chain's listing differs from the closure under compose, or its order from (q!)^m m!",
-        )
-    )
-    return out
+    return out + [_check("group-chain", listed and orders, "chain listing is not the compose closure, or wrong |G|")]
 
 
 def _closure_by_compose(gens: Sequence[Automorphism], m: int, q: int) -> tuple[Automorphism, ...]:
@@ -533,12 +494,7 @@ def suite_neigh() -> list[Check]:
                 part_owner[pair] = b
         # exhaustive converse: every neighbour pair at mutual distance 2 is hit once
         nbs = sorted(neighbours(a))
-        expected = sum(
-            1
-            for s in range(len(nbs))
-            for t in range(s + 1, len(nbs))
-            if distance(nbs[s], nbs[t]) == 2
-        )
+        expected = sum(distance(nbs[s], nbs[t]) == 2 for s in range(len(nbs)) for t in range(s + 1, len(nbs)))
         if len(part_owner) != expected:
             ok_unique = False
     return [

@@ -21,20 +21,20 @@ its cosets {x : x(c) = u}.  A canonical code of two or more words has
 L(d) = (q^d - 1)/(q - 1), the least vertex of weight d = d(C), as its
 second word (the min-distance lemma), so the children of {0} are decided
 without the table and every code below {0, L(d)} keeps minimum distance
-d.  All children of a deeper node are decided in one batch over pair
-cosets, the rows that send a codeword to 0 and one at distance d from it
-to L(d): one gather over the pairs inside C rejects most candidates by
-the batch lemma, and each survivor is rescanned only on its own new pair
-cosets and the old ones that tie it.  The mover test and a Found
-stabiliser read the same cosets {x : x(0) = u}, one per u to which a
-fixer of Γ1(C) can send 0; the U(C) prune often leaves only u in C,
-which settles the mover test unread.  The search runs that prune once
-per block of codes in depth-first order (``_kernels.fixer_cosets``
-answers each code of a block as it would alone) and scans only the codes
-it leaves, in the same order, stopping at the first hit, so the hit is
-the one a test of each code in turn finds.  A scan sieves each coset's
-rows a block of Γ1(C)'s columns at a time (``_kernels._fixer_rows``),
-dropping only rows that are no fixers.
+d.  Deeper nodes of one size have their children decided a block at a
+time over pair cosets, the rows that send a codeword to 0 and one at
+distance d from it to L(d): one gather over the pairs inside each C
+rejects most candidates by the batch lemma, and each survivor is
+rescanned only on its new pair cosets and the old ones that tie it.  The
+mover test and a Found stabiliser read the same cosets {x : x(0) = u},
+one per u to which a fixer of Γ1(C) can send 0; the U(C) prune often
+leaves only u in C, which settles the mover test unread.  The search
+runs that prune once per block of codes in depth-first order
+(``_kernels.fixer_cosets`` answers each code of a block as it would
+alone) and scans only the codes it leaves, in the same order, stopping
+at the first hit, so the hit is the one a test of each code in turn
+finds.  A scan sieves each coset's rows a block of Γ1(C)'s columns at a
+time (``_kernels._fixer_rows``), dropping only rows that are no fixers.
 
 The traversal always runs to exhaustion (no early exit), so the
 certificate counts every canonical code; "Found" is the first hit in
@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -180,29 +181,63 @@ def _canonical_codes(space: _SearchSpace, max_size: int | None = None) -> Iterat
     canonical children of {0} are the {0, L(d)} for delta <= d <= m, and
     every code below {0, L(d)} has minimum distance d: its children are C +
     [v] for each v > max C at distance >= d from every codeword, the others
-    being non-canonical."""
+    being non-canonical.
 
-    def children(code: list[int], arr: np.ndarray, cand: np.ndarray, d: int):
-        if not cand.size or (max_size is not None and len(code) >= max_size):
-            return
-        for pos in np.flatnonzero(_kernels.canonical_children(space, arr, cand)).tolist():
-            v = int(cand[pos])
-            child = code + [v]
-            yield child, d
-            rest = cand[pos + 1 :]
-            yield from children(child, np.array(child, dtype=np.int32), rest[space.dist[v, rest] >= d], d)
-
+    A node is [code, rest (its parent's candidates after it), children],
+    the children None until decided; reaching such a node, the walk decides
+    it and the next nodes of its size's FIFO in one kernel call (_decide).
+    Depth-order lemma: each FIFO fills in depth-first order, so the node
+    reached heads its FIFO.  By induction on the size: nodes of one size
+    are decided in that order, each appending its children in order, and
+    depth-first order visits a node's subtree before any later node of its
+    size.  A verdict reads only its parent and candidate: the codes come as
+    with one call a node."""
+    limit = space.n if max_size is None else max_size
     for d in range(space.delta, space.m + 1):
         least = _least(space.q, d)
-        yield [0, least], d
         cand = np.flatnonzero((space.dist[0] >= d) & (space.dist[least] >= d))
-        cand = cand[cand > least].astype(np.int32)
-        yield from children([0, least], np.array([0, least], dtype=np.int32), cand, d)
+        root = [[0, least], cand[cand > least].astype(np.int32), None if limit > 2 else ()]
+        stack, waiting = [root], {2: deque([root])}
+        while stack:
+            node = stack.pop()
+            yield node[0], d
+            if node[2] is None:
+                _decide(space, waiting, len(node[0]), d, limit)
+            stack.extend(reversed(node[2]))
 
 
-def enumerate_codes(
-    m: int, q: int, delta: int, max_size: int | None = None
-) -> Iterator[Code]:
+def _decide(space: _SearchSpace, waiting: dict, k: int, d: int, limit: int) -> None:
+    """Decide the children of the head of FIFO ``waiting[k]`` and of the next
+    nodes while |K_d| k^2 (k + the longest rest) a node, about the cells of
+    its old pair cosets, fits _CHILD_CELLS.  A node's candidates are the
+    vertices of its rest at distance >= d from its last word."""
+    fifo, rows = waiting[k], space.pair_table(d).shape[1]
+    block, most = [fifo.popleft()], 0
+    while fifo:
+        most = max(most, block[-1][1].size, fifo[0][1].size)
+        if rows * k * k * (k + most) * (len(block) + 1) > _kernels._CHILD_CELLS:
+            break
+        block.append(fifo.popleft())
+    codes, rest = np.array([node[0] for node in block], dtype=np.int32), np.concatenate([node[1] for node in block])
+    owner = np.arange(len(block)).repeat([node[1].size for node in block])
+    far = space.dist[codes[:, -1].take(owner), rest] >= d
+    cand, owner = rest[far], owner[far]
+    starts = owner.searchsorted(np.arange(len(block) + 1))  # node b's candidates: starts[b] to starts[b + 1]
+    live = (starts[1:] > starts[:-1]).nonzero()[0]
+    for node in block:
+        node[1:] = None, []  # its rest read, its children to come
+    if live.size:
+        keep = _kernels.canonical_children(space, codes[live], cand, starts[np.append(live, len(block))])
+        fifo, ends, kept = waiting.setdefault(k + 1, deque()), starts[1:].tolist(), keep.nonzero()[0]
+        for i, b, v in zip(kept.tolist(), owner[kept].tolist(), cand[kept].tolist()):
+            leaf = i + 1 == ends[b] or k + 1 >= limit
+            node = [block[b][0] + [v], None if leaf else cand[i + 1 : ends[b]], () if leaf else None]
+            block[b][2].append(node)
+            if not leaf:
+                fifo.append(node)
+
+
+def enumerate_codes(m: int, q: int, delta: int, max_size: int | None = None) -> Iterator[Code]:
     """One representative per equivalence class of codes with |C| >= 2 and
     pairwise distance >= delta, in canonical depth-first order."""
     _check_parameters(m, q, delta, max_size)
@@ -251,18 +286,8 @@ def search_elusive(
     _check_parameters(m, q, delta, max_size, threads)
     filters = ("parity",) if parity_filter else ()
 
-    def cert(outcome, examined=0, max_seen=0, found=None):
-        return SearchCertificate(
-            m=m,
-            q=q,
-            delta=delta,
-            outcome=outcome,
-            canonical_codes_examined=examined,
-            max_code_size_seen=max_seen,
-            found_pair=found,
-            filters_applied=filters,
-            wall_time=time.perf_counter() - start,
-        )
+    def cert(outcome, examined=0, max_seen=0, found=None):  # the fields in SearchCertificate's order
+        return SearchCertificate(m, q, delta, outcome, examined, max_seen, found, filters, time.perf_counter() - start)
 
     if parity_filter and delta == 3 and (m * (q - 1)) % 2 == 1:
         # no elusive pair can have delta=3 with m(q-1) odd, a case of the
@@ -306,11 +331,11 @@ def _first_hit(space: _SearchSpace, block: list[list[int]]) -> list[int] | None:
     """The first code of ``block`` that a fixer of its Γ1(C) moves, or None.
 
     One U(C) prune (_kernels.fixer_cosets) settles every code of the block
-    whose fixers all lie in the cosets of its codewords; first_mover
-    scans the others in block order, stopping at the first hit."""
-    _, off = _kernels.fixer_cosets(block, space.adj)
+    whose fixers all lie in the cosets of its codewords; first_mover scans
+    the others, given their rows of it, in order up to the first hit."""
+    nb, off = _kernels.fixer_cosets(block, space.adj)
     for i in np.flatnonzero(off.any(axis=1)).tolist():
-        if _kernels.first_mover(space.stab0, block[i], space.minus, space.adj) >= 0:
+        if _kernels.first_mover(space.stab0, block[i], space.minus, space.adj, (nb[i], off[i])) >= 0:
             return block[i]
     return None
 

@@ -1,6 +1,7 @@
 """The orderly walk one child at a time: the test oracle for
-search._canonical_codes, which decides all of a node's children in one
-batch through _kernels.canonical_children.
+search._canonical_codes, which decides the children of a block of
+same-size nodes in one _kernels.canonical_children call and keeps
+depth-first order by the depth-order lemma.
 
 Each child C + [v] with pairwise distance >= delta is kept iff
 _kernels.is_canonical accepts it, with no min-distance lemma, no batch

@@ -108,16 +108,17 @@ def test_np_min_distance_against_python_oracle():
 
 
 def _checked_children(full, verdicts):
-    """canonical_children, with every verdict checked against the dense
-    kernel on the child itself and counted in ``verdicts``."""
+    """canonical_children over a batch of codes, with every verdict checked
+    against the dense kernel on the child itself and counted in ``verdicts``."""
     batch = _kernels.canonical_children
 
-    def checked(space, code, cand):
-        got = batch(space, code, cand)
-        assert got.shape == cand.shape
-        for v, ok in zip(cand, got):
-            assert ok == is_canonical(full, np.append(code, v)), (code, v)
-            verdicts[bool(ok)] += 1
+    def checked(space, codes, cand, starts):
+        got = batch(space, codes, cand, starts)
+        assert got.shape == cand.shape and len(starts) == len(codes) + 1
+        for code, lo, hi in zip(codes, starts[:-1], starts[1:]):
+            for v, ok in zip(cand[lo:hi], got[lo:hi]):
+                assert ok == is_canonical(full, np.append(code, v)), (code, v)
+                verdicts[bool(ok)] += 1
         return got
 
     return checked
@@ -151,6 +152,37 @@ def test_canonical_children_match_dense_oracle_at_every_node(m, q, delta, max_si
     assert list(search._canonical_codes(space, max_size)) == want
     _check_walk_settled(space, full, want, max_size, verdicts)
     assert verdicts[True] == len(want) and verdicts[False] > 0
+
+
+@pytest.mark.parametrize(
+    "m, q, delta, max_size",
+    [(3, 3, 1, 6), (3, 3, 2, None), (4, 3, 2, 5), (5, 2, 2, None), (6, 2, 3, None), (3, 4, 3, None)],
+)
+def test_walk_order_is_the_same_at_every_child_budget(m, q, delta, max_size, monkeypatch):
+    # one node a call (budget 0), blocks that take part of a depth (2^16)
+    # and a whole depth a call (2^62) yield the codes of the walk that tests
+    # each child alone, in its order
+    space = search._SearchSpace(m, q, delta)
+    want = list(orderly_walk.canonical_codes(space, max_size))
+    for cells in (0, 1 << 16, 1 << 62):
+        monkeypatch.setattr(_kernels, "_CHILD_CELLS", cells)
+        assert list(search._canonical_codes(space, max_size)) == want, cells
+
+
+@pytest.mark.parametrize("m, q, delta, max_size, most", [(5, 2, 2, None, 16), (4, 3, 2, 5, 7)])
+def test_walk_decides_a_depth_per_kernel_call(m, q, delta, max_size, most, monkeypatch):
+    # the deep-walk triples decide each depth of each subtree {0, L(d)} in
+    # one call (173 and 76 calls at one call per node)
+    calls = []
+    batch = _kernels.canonical_children
+
+    def counted(space, codes, cand, starts):
+        calls.append(len(codes))
+        return batch(space, codes, cand, starts)
+
+    monkeypatch.setattr(_kernels, "canonical_children", counted)
+    list(search._canonical_codes(search._SearchSpace(m, q, delta), max_size))
+    assert len(calls) <= most and max(calls) > 1
 
 
 def _check_walk_settled(space, full, want, max_size, verdicts):
@@ -199,8 +231,8 @@ def test_coset_kernels_match_dense_oracle_on_every_call(m, q, delta, kwargs, mon
                 settled.append(list(code))
         return nb, off
 
-    def checked_mover(table, code, minus, adj):
-        got = coset_mover(table, code, minus, adj)
+    def checked_mover(table, code, minus, adj, masks=None):
+        got = coset_mover(table, code, minus, adj, masks)
         assert (got >= 0) == (first_mover(full, *_oracle_masks(code, m, q)) >= 0), code
         scanned.append(list(code))
         return got
@@ -314,7 +346,7 @@ def test_first_missing_across_bit_words():
             img = np.concatenate([code[:held], rng.choice(others, size=k - held, replace=False)])
             imgs.append(rng.permutation(img))
             want.append(held)
-        got = _kernels._first_missing(np.array(imgs, dtype=np.int32).T, code, n)
+        got = _kernels._first_missing(np.array(imgs, dtype=np.int32).T, code[None], n)
         assert got.tolist() == want, k
 
 
@@ -326,7 +358,7 @@ def test_canonical_children_of_a_code_past_one_bit_word(k):
     _, full = _full_table(4, 3)
     code = np.arange(k, dtype=np.int32)
     cand = np.arange(k, space.n, dtype=np.int32)
-    got = _kernels.canonical_children(space, code, cand)
+    got = _kernels.canonical_children(space, code[None], cand, np.array([0, cand.size]))
     assert got.tolist() == [is_canonical(full, np.append(code, v)) for v in cand]
 
 
@@ -336,20 +368,21 @@ def test_canonical_children_of_a_code_past_one_bit_word(k):
 )
 def test_canonical_children_stay_in_their_chunk_budget(size, last):
     # {0, ..., size-1} is the least set of its size in H(7,2), so canonical.
-    # Twelve words hold forty old pairs, gathered in one chunk with
-    # candidates 12 and 13 and in ten with every candidate.  With fifteen
+    # Twelve words hold forty old pairs, gathered in two chunks with
+    # candidates 12 and 13 and in twenty with every candidate.  With fifteen
     # words and every candidate, the survivors' tied pair cosets outnumber
-    # their new ones four to one and take six chunks, which only a rule
+    # their new ones four to one and take ten chunks, which only a rule
     # that counts them keeps in budget.  A chunk and its temporaries stay
-    # within the 4 MiB the rule allows, checked on the heap numpy allocates
+    # within the bytes of the Stab(0) table the rule allows, checked on the
+    # heap numpy allocates
     space = search._SearchSpace(7, 2, 1)
     code, cand = np.arange(size, dtype=np.int32), np.arange(size, last, dtype=np.int32)
     rows, n = space.stab0.shape
     tracemalloc.start()
     try:
-        keep = _kernels.canonical_children(space, code, cand)
+        keep = _kernels.canonical_children(space, code[None], cand, np.array([0, cand.size]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert keep.tolist() == [_kernels.is_canonical(space.stab0, np.append(code, v), space.minus) for v in cand]
-    assert peak <= 4 * max(rows * n, 1 << 20)
+    assert peak <= 4 * max(rows * n, 1 << 16)

@@ -15,7 +15,7 @@ def test_suite_act_passes(lemma_checks):
     checks = lemma_checks("act")
     _assert_all_pass(checks)
     names = [name for name, _, _ in checks]
-    assert "stab0-closed-form-h33" in names
+    assert "stab0-closed-form-h33" in names and "depth-batch-h33" in names
     assert names.index("u-prune-block-h33") == names.index("fixer-cosets-h33") + 1
 
 

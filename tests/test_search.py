@@ -345,10 +345,10 @@ def test_mover_scans_only_the_codes_the_block_prune_leaves(m, q, delta, kwargs, 
     seen = []
     mover = _kernels.first_mover
 
-    def counted(table, code, minus, adj):
+    def counted(table, code, minus, adj, masks=None):
         cols = _kernels.fixer_cosets([code], adj)[0].sum() - adj.shape[1]
         seen.append(cols > _kernels._SIEVE_CELLS // table.shape[0])
-        return mover(table, code, minus, adj)
+        return mover(table, code, minus, adj, masks)
 
     monkeypatch.setattr(_kernels, "first_mover", counted)
     search_elusive(m, q, delta, **kwargs)
