@@ -108,7 +108,8 @@ def canonical_children(space, codes: np.ndarray, cand: np.ndarray, starts: np.nd
     [cand[i]]) for the b with starts[b] <= i < starts[b + 1].
 
     ``space`` is the search's _SearchSpace: the table of Stab(0), read
-    vertex-major, the translations ``minus``, the distances ``dist``, the
+    vertex-major, the translations ``minus``, the Hamming weights
+    ``weight``, so that d(c, x) = weight[minus[c, x]], the
     representatives ``rep`` and the tables ``pair_table(d)``.  ``codes`` is
     a (B, k) int32 array of canonical codes of one minimum distance d, each
     sorted with 0 first and at least two words, and each has at least one
@@ -166,9 +167,9 @@ def canonical_children(space, codes: np.ndarray, cand: np.ndarray, starts: np.nd
     of the K_d table, unless a single pair coset takes more.
     """
     by_vertex = space.stab0.T  # contiguous: the tables are built vertex-major
-    minus, dist, rep = space.minus, space.dist, space.rep
+    minus, weight, rep = space.minus, space.weight, space.rep
     n, (count, k) = minus.shape[0], codes.shape
-    d = dist[0, codes[0, 1]]
+    d = weight[codes[0, 1]]
     table = space.pair_table(int(d))
     rows = table.shape[1]
     cap = 4 * max(space.stab0.size, 1 << 16) - table.nbytes
@@ -178,7 +179,7 @@ def canonical_children(space, codes: np.ndarray, cand: np.ndarray, starts: np.nd
     cols = np.concatenate([codes.T, cand.take(slot, mode="clip")])  # cols[:, b]: codes[b], then its slots
     code_0 = np.concatenate([codes, codes[:, :1]], axis=1)  # 0 appended to each code, int32 as codes
     words = codes + np.arange(0, count * (n + 1), n + 1, dtype=np.int32)[:, None] if count > 1 else codes
-    near = dist[cols.T[:, :, None], codes[:, None, :]] == d  # near[b, j, i]: d(cols[j, b], codes[b, i]) = d
+    near = weight.take(minus[cols.T[:, :, None], codes[:, None, :]]) == d  # near[b, j, i]: d(cols[j, b], codes[b, i]) = d
     pb, zero, ld = near[:, :k].nonzero()  # the old pairs, whose rows send codes[pb, zero] to 0, codes[pb, ld] to L(d)
     zero, ld = codes[pb, zero], codes[pb, ld]
     h_y = rep.take(minus[zero, ld])

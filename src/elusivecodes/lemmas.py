@@ -41,7 +41,7 @@ from .autgroup import (
 )
 from .codes import Code, _code_at, _neighbour_indices, min_distance, neighbour_set
 from .elusive import verify_elusive
-from .hamming import Vertex, all_vertices, distance, neighbours, sphere
+from .hamming import Vertex, all_vertices, distance, neighbours, sphere, vertex_index
 from .search import _canonical_codes, _SearchSpace
 
 __all__ = [
@@ -282,6 +282,22 @@ def _full_table(m: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     return keys, _key_table(keys, m, q)
 
 
+def _space_arrays_agree(m: int, q: int) -> bool:
+    """The search space's arrays of H(m,q) against their definitions on
+    Vertex objects: minus[c, x] is the index of x - c digit by digit mod q,
+    weight[minus[c, x]] is the distance d(c, x), and adj[c] lists the
+    indices of the neighbours of c."""
+    space = _SearchSpace(m, q, 1)
+    verts = list(all_vertices(m, q))
+    ok = True
+    for c, u in enumerate(verts):
+        diffs = [Vertex(tuple((a - b) % q for a, b in zip(x.entries, u.entries)), q) for x in verts]
+        ok &= space.minus[c].tolist() == [vertex_index(y) for y in diffs]
+        ok &= space.weight.take(space.minus[c]).tolist() == [distance(u, x) for x in verts]
+        ok &= sorted(space.adj[c].tolist()) == sorted(vertex_index(x) for x in neighbours(u))
+    return ok
+
+
 def _coset_kernels_agree(m: int, q: int, delta: int) -> tuple[bool, bool, bool, bool, bool]:
     """(canonicity, batch, mover, fixers, min-distance) verdicts of the coset
     kernels and the walk's lemmas against the _full_table: is_canonical on
@@ -296,12 +312,13 @@ def _coset_kernels_agree(m: int, q: int, delta: int) -> tuple[bool, bool, bool, 
     space = _SearchSpace(m, q, delta)
     keys, full = _full_table(m, q)
     canonical = list(_canonical_codes(space))
+    dist = space.weight.take(space.minus)  # d(c, x) = wt(x - c)
     canon_ok = min_ok = True
     depths: dict[tuple[int, int], list] = {}  # (size, d): (code, candidates, verdicts) of each node
     for code in [[0]] + [code for code, _ in canonical]:
-        near = space.dist[:, code].min(axis=1)
+        near = dist[:, code].min(axis=1)
         cand = np.array([v for v in range(code[-1] + 1, space.n) if near[v] >= delta], dtype=np.int32)
-        d = int(space.dist[np.ix_(code, code)][np.triu_indices(len(code), 1)].min()) if len(code) > 1 else None
+        d = int(dist[np.ix_(code, code)][np.triu_indices(len(code), 1)].min()) if len(code) > 1 else None
         least = None if d is None else (q**d - 1) // (q - 1)
         min_ok &= least is None or code[1] == least
         wants = []
@@ -390,6 +407,7 @@ def suite_act(seed: int = 0) -> list[Check]:
     ]
     stab0 = np.array_equal(stab0_action_table(3, 3), full33[full33[:, 0] == 0])
     out.append(_check("stab0-closed-form-h33", stab0, "Stab(0) table differs from the full group's rows fixing 0"))
+    out.append(_check("space-arrays-h33", _space_arrays_agree(3, 3), "minus, weight or adj differs from its definition"))
     canon, batch, mover, fixers, min_ok = map(all, zip(*(_coset_kernels_agree(3, 3, delta) for delta in (2, 3))))
     out += [
         _check("coset-canonicity-h33", canon, "coset canonicity differs from the full-table scan"),

@@ -91,8 +91,10 @@ class _SearchSpace:
     stabiliser of vertex 0, built in closed form, and reaches each coset
     {x : x(c) = u} = {s_u h t_c : h in Stab(0)} through one translation
     array, ``minus[c, x] = x - c`` digit by digit mod q: t_c is the row
-    ``minus[c]``, and s_u, v -> v + u, the row ``minus[minus[u, 0]]``.  It
-    also holds the distances ``dist``, the neighbour rows ``adj``, and for
+    ``minus[c]``, and s_u, v -> v + u, the row ``minus[minus[u, 0]]``.
+    ``minus`` is its one q^m x q^m array: distances are read off it as
+    d(c, x) = ``weight[minus[c, x]]``, ``weight`` the vector of Hamming
+    weights.  It also holds the neighbour rows ``adj``, unsorted, and for
     the canonicity kernel the representatives ``rep`` and the tables
     ``pair_table(d)`` of the pair cosets (see
     _kernels.canonical_children).  Raises ValueError when delta > m, and
@@ -113,18 +115,22 @@ class _SearchSpace:
             raise ResourceCapError(f"Stab(0) in Aut(H({m},{q})) order {rows} over the group cap")
         self.stab0 = stab0_action_table(m, q)
         check_table_bytes(self.n, self.n, 4)
-        powers, entries = _digits(m, q)
-        # minus[c, x] = x - c, built one digit position at a time in int32
+        # minus[c, x] = x - c and weight[v] = wt(v), built one digit position
+        # j at a time in place: minus viewed as the (c, x) digit grid gains
+        # (x_j - c_j mod q) q^(m-1-j), so no other q^m x q^m array exists
         self.minus = np.zeros((self.n, self.n), dtype=np.int32)
-        for digit, power in zip(entries.T.astype(np.int32), powers.tolist()):
-            self.minus += (digit[None, :] - digit[:, None]) % q * power
-        weight = np.count_nonzero(entries, axis=1).astype(np.int16)
-        self.dist = weight.take(self.minus)  # d(c, x) = wt(x - c)
-        # adjacency rows: the m(q-1) neighbouring indices of each vertex, increasing
-        self.adj = np.nonzero(self.dist == 1)[1].reshape(self.n, -1).astype(np.int32)
+        self.weight = np.zeros(self.n, dtype=np.int16)
+        steps = np.arange(q, dtype=np.int32)
+        for j in range(m):
+            high, low = q**j, q ** (m - 1 - j)
+            grid = self.minus.reshape(high, q, low, high, q, low)
+            grid += ((steps - steps[:, None]) % q * low)[:, None, None, :, None]
+            self.weight.reshape(high, q, low)[:, 1:] += 1
+        # adjacency rows: adj[v] = v + e for the m(q-1) vertices e of weight 1
+        self.adj = self.minus[self.minus[:, :1], np.flatnonzero(self.weight == 1)]
         # rep[y]: a row of Stab(0) sending y to L(wt y), found by a scan of
         # the table a few vertices at a time
-        least = np.array([_least(q, w) for w in range(m + 1)], dtype=np.int32).take(weight)
+        least = np.array([_least(q, w) for w in range(m + 1)], dtype=np.int32).take(self.weight)
         by_vertex = self.stab0.T
         self.rep = np.empty(self.n, dtype=np.int32)
         step = max(1, (1 << 20) // rows)
@@ -181,7 +187,8 @@ def _canonical_codes(space: _SearchSpace, max_size: int | None = None) -> Iterat
     canonical children of {0} are the {0, L(d)} for delta <= d <= m, and
     every code below {0, L(d)} has minimum distance d: its children are C +
     [v] for each v > max C at distance >= d from every codeword, the others
-    being non-canonical.
+    being non-canonical.  A root {0, L(d)} with no candidates is a leaf,
+    so the walk builds the table of K_d only for a d whose kernel it calls.
 
     A node is [code, rest (its parent's candidates after it), children],
     the children None until decided; reaching such a node, the walk decides
@@ -195,8 +202,9 @@ def _canonical_codes(space: _SearchSpace, max_size: int | None = None) -> Iterat
     limit = space.n if max_size is None else max_size
     for d in range(space.delta, space.m + 1):
         least = _least(space.q, d)
-        cand = np.flatnonzero((space.dist[0] >= d) & (space.dist[least] >= d))
-        root = [[0, least], cand[cand > least].astype(np.int32), None if limit > 2 else ()]
+        cand = np.flatnonzero((space.weight >= d) & (space.weight.take(space.minus[least]) >= d))
+        cand = cand[cand > least].astype(np.int32)
+        root = [[0, least], cand, None if limit > 2 and cand.size else ()]
         stack, waiting = [root], {2: deque([root])}
         while stack:
             node = stack.pop()
@@ -220,7 +228,7 @@ def _decide(space: _SearchSpace, waiting: dict, k: int, d: int, limit: int) -> N
         block.append(fifo.popleft())
     codes, rest = np.array([node[0] for node in block], dtype=np.int32), np.concatenate([node[1] for node in block])
     owner = np.arange(len(block)).repeat([node[1].size for node in block])
-    far = space.dist[codes[:, -1].take(owner), rest] >= d
+    far = space.weight.take(space.minus[codes[:, -1].take(owner), rest]) >= d
     cand, owner = rest[far], owner[far]
     starts = owner.searchsorted(np.arange(len(block) + 1))  # node b's candidates: starts[b] to starts[b + 1]
     live = (starts[1:] > starts[:-1]).nonzero()[0]

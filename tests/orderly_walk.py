@@ -5,7 +5,8 @@ depth-first order by the depth-order lemma.
 
 Each child C + [v] with pairwise distance >= delta is kept iff
 _kernels.is_canonical accepts it, with no min-distance lemma, no batch
-lemma and no shared gather.
+lemma and no shared gather; distances are counted on the digits of
+autgroup._digits, not read off the search space.
 """
 
 from __future__ import annotations
@@ -15,12 +16,17 @@ from typing import Iterator
 import numpy as np
 
 from elusivecodes import _kernels
+from elusivecodes.autgroup import _digits
 
 
 def canonical_codes(space, max_size: int | None = None) -> Iterator[tuple[list[int], int]]:
     """Depth first from {0}: every canonical code of at least two words with
     its minimum distance, each code before its children, in the order of
     search._canonical_codes."""
+    entries = _digits(space.m, space.q)[1]
+
+    def dist(v: int, idx: np.ndarray) -> np.ndarray:
+        return np.count_nonzero(entries[idx] != entries[v], axis=1)
 
     def children(code: list[int], arr: np.ndarray, cand: np.ndarray, cur_min: int):
         if max_size is not None and len(code) >= max_size:
@@ -31,10 +37,10 @@ def canonical_codes(space, max_size: int | None = None) -> Iterator[tuple[list[i
             child_arr = np.array(child, dtype=np.int32)
             if not _kernels.is_canonical(space.stab0, child_arr, space.minus):
                 continue
-            child_min = min(cur_min, int(space.dist[v, arr].min()))
+            child_min = min(cur_min, int(dist(v, arr).min()))
             yield child, child_min
             rest = cand[pos + 1 :]
-            yield from children(child, child_arr, rest[space.dist[v, rest] >= space.delta], child_min)
+            yield from children(child, child_arr, rest[dist(v, rest) >= space.delta], child_min)
 
-    first = np.nonzero(space.dist[0] >= space.delta)[0].astype(np.int32)
+    first = np.flatnonzero(dist(0, np.arange(space.n)) >= space.delta).astype(np.int32)
     yield from children([0], np.zeros(1, dtype=np.int32), first, space.m)

@@ -9,7 +9,7 @@ import orderly_walk
 from dense_kernels import first_mover, is_canonical
 from elusivecodes import _kernels, search
 from elusivecodes._kernels import min_distance_words, stabiliser_rows
-from elusivecodes.autgroup import vertex_action_table
+from elusivecodes.autgroup import _digits, vertex_action_table
 from elusivecodes.codes import _neighbour_indices
 from elusivecodes.hamming import all_vertices, distance, space_size, vertex_from_index
 from elusivecodes.lemmas import _full_table
@@ -190,11 +190,11 @@ def _check_walk_settled(space, full, want, max_size, verdicts):
     the walk decides by the min-distance lemma alone: a child of {0} is
     canonical iff it is {0, L(d)}, L(d) = (q^d - 1)/(q - 1), and a child of
     a code of minimum distance d nearer than d to it is not."""
-    q = space.q
+    q, entries = space.q, _digits(space.m, space.q)[1]
     nodes = [([0], None)] + [(code, d) for code, d in want if max_size is None or len(code) < max_size]
     for code, d in nodes:
         for v in range(code[-1] + 1, space.n):
-            near = int(space.dist[v, code].min())
+            near = int(np.count_nonzero(entries[code] != entries[v], axis=1).min())
             if near < space.delta or (d is not None and near >= d):
                 continue  # not a child, or one the kernel decides
             ok = is_canonical(full, np.array(code + [v]))

@@ -23,7 +23,14 @@ from elusivecodes.codes import (
 from elusivecodes.constructions import alt_code, rep_code
 from elusivecodes.elusive import verify_elusive
 from elusivecodes.hamming import Vertex, all_vertices, distance, sphere, vertex_index
-from elusivecodes.lemmas import _full_table, check_partition_lemma, common_neighbours, fourth_vertex, pre_codewords
+from elusivecodes.lemmas import (
+    _full_table,
+    _space_arrays_agree,
+    check_partition_lemma,
+    common_neighbours,
+    fourth_vertex,
+    pre_codewords,
+)
 from elusivecodes.search import enumerate_codes, format_certificate, search_elusive, write_certificate
 
 CERTIFICATES = Path(__file__).resolve().parent.parent / "certificates"
@@ -504,17 +511,46 @@ def test_pair_representatives_sit_under_the_table_bytes_cap(monkeypatch):
     assert search_elusive(3, 2, 2).outcome == "Aborted"
 
 
-def test_search_space_holds_two_vertex_pair_arrays():
-    # besides the Stab(0) table, a search space holds two q^m x q^m arrays,
-    # the int32 translations minus and the int16 distances dist, and only
-    # vectors of q^m cells: 243^2 * 6 = 354 KB in H(5,3)
-    tracemalloc.start()
-    try:
-        space = search._SearchSpace(5, 3, 3)
-        held, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert held <= space.stab0.nbytes + 6 * space.n**2 + (64 << 10)
+def test_search_space_holds_one_vertex_pair_array():
+    # besides the Stab(0) table, a search space holds one q^m x q^m array,
+    # the int32 translations minus, and only vectors of q^m cells: 243^2 * 4
+    # = 236 KB in H(5,3).  Its build allocates no other such array: past
+    # the two it peaks at most 2 MiB higher, mostly the rep scan's 1 MiB
+    # chunk.  2 MiB would hide a q^m x q^m temporary in H(5,3), but not in
+    # H(6,3), whose minus takes 729^2 * 4 = 2.1 MB
+    for m in (5, 6):
+        tracemalloc.start()
+        try:
+            space = search._SearchSpace(m, 3, 3)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held <= space.stab0.nbytes + 4 * space.n**2 + (64 << 10), m
+        assert peak <= space.stab0.nbytes + 4 * space.n**2 + (2 << 20), m
+
+
+@pytest.mark.parametrize("m, q", [(3, 3), (5, 2), (3, 4), (2, 5)])
+def test_search_space_arrays_match_their_definitions(m, q):
+    # minus, weight and adj against digit arithmetic, hamming.distance and
+    # hamming.neighbours on Vertex objects
+    assert _space_arrays_agree(m, q)
+
+
+@pytest.mark.parametrize("m, q, delta", [(5, 2, 2), (6, 2, 3), (7, 2, 3)])
+def test_walk_builds_only_the_pair_tables_its_kernel_reads(m, q, delta, monkeypatch):
+    # a root {0, L(d)} with no candidates is a leaf, so the walk builds no
+    # K_d table that canonical_children does not read
+    called, weight_of = set(), {search._least(q, d): d for d in range(1, m + 1)}
+    batch = _kernels.canonical_children
+
+    def recorded(space, codes, cand, starts):
+        called.add(weight_of[int(codes[0, 1])])  # codes[0, 1] = L(d)
+        return batch(space, codes, cand, starts)
+
+    monkeypatch.setattr(_kernels, "canonical_children", recorded)
+    space = search._SearchSpace(m, q, delta)
+    list(search._canonical_codes(space))
+    assert sorted(space._pair_tables) == sorted(called)
 
 
 @pytest.mark.parametrize(
