@@ -301,11 +301,12 @@ def _fixer_rows(
     table of Stab(0), such that s_u h maps Γ1(C) into Γ1(C), and so fixes
     it, being a bijection.  ``minus`` and ``adj`` are as for first_mover.
 
-    A sieve over each coset, the one of codes._carriers: the columns of
-    Γ1(C) are imaged a block at a time under the rows still alive, and a
-    row is dropped at the first block that it sends off Γ1(C).  The first
-    block, about _SIEVE_CELLS cells, is gathered once for every coset; each
-    next one holds at least twice as many columns, and more as rows die.
+    A sieve over each coset, the simplest case of the refinement in Leon's
+    partition backtrack: the columns of Γ1(C) are imaged a block at a time
+    under the rows still alive, and a row is dropped at the first block
+    that it sends off Γ1(C).  The first block, about _SIEVE_CELLS cells, is
+    gathered once for every coset; each next one holds at least twice as
+    many columns, and more as rows die.
 
     Sphere lemma: h fixes 0, so s_u h maps S1(0) onto S1(u).  Where S1(u)
     ⊆ Γ1(C) for every listed u, as at minimum distance >= 2 (S1(c) ⊆

@@ -161,16 +161,22 @@ def wreath_embed(parts: Sequence[Automorphism], block_perm: Perm) -> Automorphis
 
 
 class Group:
-    """A subgroup of Aut(H(m,q)): generators and, when enumerated, packed keys.
+    """A subgroup of Aut(H(m,q)): generators, and its stabiliser chain or packed keys.
 
     ``keys`` holds the packed keys (``Automorphism.sort_key`` rows) of every
-    element, sorted by value, which is generate_group order; it is None
-    when the group was not enumerated.  The keys are the whole group: it
-    acts by imaging only the vertices asked about (``_key_table``), and
-    ``elements`` decodes them on first use.  ``generators`` None means the
-    group is given by its keys alone and is generated by its elements.
-    Groups compare and hash by identity: one subgroup has many generating
-    sets, and the key array has no value equality.
+    element, sorted by value, which is generate_group order.  A group that
+    generate_group builds within the caps holds its stabiliser chain
+    (_stabiliser_chain) and lists its keys from it on first read; its
+    order is read off the chain.  A group given by keys holds them, and
+    they must be the whole group: ``generators`` None means it is generated
+    by its elements, and its chain is built from its keys only when a set
+    test first asks for one (_transporters), which then refuses keys that
+    generate more elements than they are.  A group with neither, over the
+    cap or read from a file, has ``keys``, ``order`` and ``elements`` None.
+    The group acts by imaging only the vertices asked about (``_key_table``),
+    and ``elements`` decodes the keys on first use.  Groups compare and
+    hash by identity: one subgroup has many generating sets, and the key
+    array has no value equality.
     """
 
     def __init__(
@@ -178,11 +184,29 @@ class Group:
     ) -> None:
         if generators is None and keys is None:
             raise ValueError("a group needs generators or keys")
-        self.m, self.q, self.keys = m, q, keys
+        self.m, self.q, self._keys = m, q, keys
         self._generators = None if generators is None else tuple(generators)
         for g in self._generators or ():
             if g.m != m or g.q != q:
                 raise ValueError("generator acts on the wrong space")
+
+    @cached_property
+    def _chain(self) -> list[tuple[int, np.ndarray]] | None:
+        """The stabiliser chain; generate_group sets it, and a group given
+        by keys builds it from them on first use, ValueError when they
+        generate more elements than they are."""
+        if self._keys is None:
+            return None
+        chain = _stabiliser_chain(self._keys, self.m, self.q)
+        if _chain_order(chain) != len(self._keys):
+            raise ValueError(f"{len(self._keys)} keys generate a group of order {_chain_order(chain)}")
+        return chain
+
+    @property
+    def keys(self) -> np.ndarray | None:
+        if self._keys is None and self._chain is not None:
+            self._keys = _sort_keys(_transversal_product(self._chain, self.m, self.q))
+        return self._keys
 
     @cached_property
     def generators(self) -> tuple[Automorphism, ...]:
@@ -190,7 +214,9 @@ class Group:
 
     @property
     def order(self) -> int | None:
-        return None if self.keys is None else len(self.keys)
+        if self._keys is not None:
+            return len(self._keys)
+        return None if self._chain is None else _chain_order(self._chain)
 
     @cached_property
     def elements(self) -> tuple[Automorphism, ...] | None:
@@ -201,12 +227,14 @@ class Group:
 def generate_group(
     gens: Iterable[Automorphism], cap: int | None = None, *, m: int | None = None, q: int | None = None
 ) -> Group:
-    """The group generated by ``gens``, from its stabiliser chain.
+    """The group generated by ``gens``, as its stabiliser chain.
 
-    Returns a Group with its keys sorted by value when the order stays
-    within ``cap`` and the group cap, whichever is smaller; otherwise a
-    generators-only Group with ``keys`` absent.  ``m`` and ``q`` name the
-    space of an empty generating set.
+    Returns a Group that holds the chain when the order stays within
+    ``cap`` and the group cap, whichever is smaller, and lists its keys,
+    sorted by value, on first read; otherwise a generators-only Group with
+    ``keys`` and ``order`` absent.  Within the caps it first checks the
+    bytes of the key array it would list against the table-bytes cap.
+    ``m`` and ``q`` name the space of an empty generating set.
 
     The order |G| is the product of the chain's orbit lengths, read before
     any element is listed (see _stabiliser_chain).  Every g in G is one
@@ -224,16 +252,24 @@ def generate_group(
     elif m is None or q is None:
         raise ValueError("need m and q for an empty generating set")
     chain = _stabiliser_chain(_keys(gens, m, q), m, q)
-    cap = group_cap() if cap is None else min(cap, group_cap())
-    if math.prod(map(len, chain)) > cap:
-        return Group(m, q, gens)
-    return Group(m, q, gens, _sort_keys(_transversal_product(chain, m, q)))
+    order = _chain_order(chain)
+    group = Group(m, q, gens)
+    if order > (group_cap() if cap is None else min(cap, group_cap())):
+        return group
+    check_table_bytes(order, m * (q + 1), 4)
+    group._chain = chain
+    return group
 
 
 def _group_order(keys: np.ndarray, m: int, q: int) -> int:
     """Order of the group generated by the elements behind ``keys``,
     with no element listed."""
-    return math.prod(map(len, _stabiliser_chain(keys, m, q)))
+    return _chain_order(_stabiliser_chain(keys, m, q))
+
+
+def _chain_order(chain: list[tuple[int, np.ndarray]]) -> int:
+    """|G|, the product of the orbit lengths of G's stabiliser chain."""
+    return math.prod(len(trans) for _, trans in chain)
 
 
 def _points(keys: np.ndarray, m: int, q: int) -> np.ndarray:
@@ -249,9 +285,11 @@ def _points(keys: np.ndarray, m: int, q: int) -> np.ndarray:
     return (sigma[..., None] * q + g).reshape(len(keys), m * q)
 
 
-def _stabiliser_chain(keys: np.ndarray, m: int, q: int) -> list[list[tuple[int, ...]]]:
-    """Transversals of a stabiliser chain of the group G generated by the
-    elements behind ``keys``, acting on the m*q points of _points.
+def _stabiliser_chain(keys: np.ndarray, m: int, q: int) -> list[tuple[int, np.ndarray]]:
+    """(base point b_i, transversal i) per level of a stabiliser chain of
+    the group G generated by the elements behind ``keys``, acting on the
+    m*q points of _points; transversal i is an int32 array of point rows,
+    the identity first.
 
     Products read left to right, as ``compose``: "x y" is x then y.  Level
     i has a base point b_i and strong generators S_i, each fixing
@@ -265,6 +303,13 @@ def _stabiliser_chain(keys: np.ndarray, m: int, q: int) -> list[list[tuple[int, 
     generate the stabiliser of b_i in <S_i>, so once every level is
     complete <S_{i+1}> is that stabiliser, and |G| is the product of the
     orbit lengths (orbit-stabiliser, level by level).
+
+    The elements behind ``keys`` are taken one at a time, each sifted
+    through the chain completed for those before it: one that sifts to
+    the identity lies in their group and is dropped, and the residue of
+    one that does not is a new strong generator of every level down to
+    where it stopped.  So a group given by all its keys is built from the
+    few that generate it.
 
     Each level keeps a FIFO queue of its untested pairs (p, s): a new
     strong generator is queued with every orbit point, a new orbit point
@@ -314,43 +359,110 @@ def _stabiliser_chain(keys: np.ndarray, m: int, q: int) -> list[list[tuple[int, 
             queue.extend((p, len(strong)) for p in trans)
             strong.append(pair)
 
+    def complete():
+        i = len(levels) - 1
+        while i >= 0:
+            _, strong, trans, queue = levels[i]
+            nxt = i - 1
+            while queue:
+                p, k = queue.popleft()
+                (s, s_inv), (u, u_inv) = strong[k], trans[p]
+                t = s[p]
+                if t not in trans:
+                    trans[t] = (then(u, s), then(s_inv, u_inv))
+                    queue.extend((t, e) for e in range(len(strong)))
+                    continue
+                h, j = sift(then(then(u, s), trans[t][1]), i + 1)
+                if h != ident:
+                    add(h, i + 1, j)
+                    nxt = j
+                    break
+            i = nxt
+
     for h in map(tuple, _points(keys, m, q).tolist()):
+        h, j = sift(h, 0)
         if h != ident:
-            add(h, 0, sift(h, 0)[1])
-    i = len(levels) - 1
-    while i >= 0:
-        _, strong, trans, queue = levels[i]
-        nxt = i - 1
-        while queue:
-            p, k = queue.popleft()
-            (s, s_inv), (u, u_inv) = strong[k], trans[p]
-            t = s[p]
-            if t not in trans:
-                trans[t] = (then(u, s), then(s_inv, u_inv))
-                queue.extend((t, e) for e in range(len(strong)))
-                continue
-            h, j = sift(then(then(u, s), trans[t][1]), i + 1)
-            if h != ident:
-                add(h, i + 1, j)
-                nxt = j
-                break
-        i = nxt
-    return [[u for u, _ in level[2].values()] for level in levels]
+            add(h, 0, j)
+            complete()
+    return [(b, np.array([u for u, _ in trans.values()], dtype=np.int32)) for b, _, trans, _ in levels]
 
 
-def _transversal_product(chain: list[list[tuple[int, ...]]], m: int, q: int) -> np.ndarray:
+def _transversal_product(chain: list[tuple[int, np.ndarray]], m: int, q: int) -> np.ndarray:
     """Keys of every product u_{k-1} ... u_0 ("u_{k-1} first") of one
     element of each transversal of ``chain``, unsorted.
 
-    One broadcast gather per level, deepest first, in int32; checks the
-    bytes of the key array against the table-bytes cap before allocating.
+    One broadcast gather per level, deepest first, in int32; generate_group
+    checks the bytes of the key array against the table-bytes cap.
     """
-    check_table_bytes(math.prod(map(len, chain)), m * (q + 1), 4)
     points = np.arange(m * q, dtype=np.int32)[None, :]
-    for level in reversed(chain):
+    for _, trans in reversed(chain):
         # row (t, r): point row r, then transversal element t
-        points = np.array(level, dtype=np.int32)[:, points].reshape(-1, m * q)
+        points = trans[:, points].reshape(-1, m * q)
     return _point_keys(points, m, q)
+
+
+def _transporters(G: Group, idx: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Sorted keys of {g in G : idx^g = target}, for the sorted vertex
+    indices ``idx`` and ``target``; G must hold a chain or keys.
+
+    The simplest refinement of Leon's partition backtrack, run down G's
+    stabiliser chain.  Every element of G is one product u_{k-1} ... u_0
+    ("u_{k-1} first") of transversal elements, as in generate_group.  Level
+    i extends every live partial product w = u_i ... u_0 by the whole of
+    transversal i in one gather, on point rows.  A vertex contains the
+    point (s, a) when its entry at s is a.  A product is kept only if the
+    multiset {(⟦w(b_0) ∈ t⟧, ..., ⟦w(b_i) ∈ t⟧) : t in target} equals
+    {(⟦b_0 ∈ v⟧, ..., ⟦b_i ∈ v⟧) : v in idx}; each leaf, a whole element,
+    images idx and is kept if the image is ``target``.
+
+    Base-incidence lemma: a product whose multisets differ has no
+    extension g with idx^g = target.  Every extension is g = h then w,
+    with h = u_{k-1} ... u_{i+1} fixing b_0, ..., b_i, so g(b_j) = w(b_j)
+    for j <= i.  An automorphism sends the point p of a vertex v to the
+    point g(p) of g(v), so ⟦g(p) ∈ g(v)⟧ = ⟦p ∈ v⟧.  If idx^g = target,
+    v -> g(v) is a bijection from idx onto target that keeps every
+    ⟦w(b_j) ∈ g(v)⟧ = ⟦b_j ∈ v⟧, so the two multisets are equal.
+
+    The incidence vectors are kept as class labels: the vertices of idx
+    are split by their bit at each base point in turn, and a vertex of
+    target under w takes the class of idx with its vector, or -1 where idx
+    has none, so two multisets are equal when their sorted labels are.
+    Checks each level's point rows (live x orbit x m*q int32) and target's
+    labels under them (live x orbit x |target| int32), together, against
+    the table-bytes cap before gathering them; _key_table checks the
+    leaves' images of idx.
+    """
+    m, q, n = G.m, G.q, G.m * G.q
+    if len(idx) != len(target):
+        return np.empty((0, m * (q + 1)), dtype=np.int32)
+
+    def incidence(vs):
+        # row i, column s*q + a: whether vertex vs[i] has entry a at position s
+        inc = np.zeros((len(vs), n), dtype=bool)
+        inc[np.arange(len(vs))[:, None], np.arange(0, n, q) + _digits(m, q, vs)[1]] = True
+        return inc
+
+    own, by_point = incidence(idx), incidence(target).T
+    live = np.arange(n, dtype=np.int32)[None, :]
+    classes = np.zeros(len(idx), dtype=np.int32)  # of each vertex of idx
+    labels = np.zeros((1, len(target)), dtype=np.int32)  # of each vertex of target, per live row
+    for b, trans in G._chain:
+        # split[2c + bit]: the class that class c and the bit at b make
+        pairs = 2 * classes + own[:, b]
+        seen = np.zeros(2 * len(idx) + 2, dtype=bool)
+        seen[pairs] = True
+        split = np.where(seen, np.cumsum(seen, dtype=np.int32) - 1, -1)
+        classes = split[pairs]
+        check_table_bytes(len(live) * len(trans), n + len(target), 4)
+        # row r * |trans| + t: transversal element t, then live row r
+        live = live[:, trans].reshape(-1, n)
+        bits = by_point[live[:, b]].reshape(len(labels), len(trans), len(target))
+        labels = split[2 * labels[:, None, :] + bits].reshape(len(live), len(target))
+        keep = (np.sort(labels, axis=1) == np.sort(classes)).all(axis=1)
+        live, labels = live[keep], labels[keep]
+    keys = _point_keys(live, m, q)
+    images = np.sort(_key_table(keys, m, q, idx), axis=1)
+    return _sort_keys(keys[(images == target).all(axis=1)])
 
 
 def _point_keys(points: np.ndarray, m: int, q: int) -> np.ndarray:

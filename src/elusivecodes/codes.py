@@ -4,8 +4,9 @@ A Code stores its words sorted and duplicate-free.  Neighbour sets are
 built from the codewords' index digits (no ambient enumeration); the
 definitional gamma_r sweep enumerates the space and is cap-guarded.  Set
 tests, stabilisers and equivalences image only the set under test, by
-packed key.  Stabilisers, equivalences and fixes_setwise ask one sieve,
-_carriers, which elements carry one set onto another.  A test of
+packed key.  Stabilisers and equivalences ask one search down the
+group's stabiliser chain, autgroup._transporters, which elements carry
+one set onto another, and list no group.  A test of
 generators that asks whether they fix a set and whether they are
 transitive on it images the set once (_image_positions) and reads both
 off that table, walking the orbit of the least vertex inside it
@@ -30,6 +31,7 @@ from .autgroup import (
     _key_table,
     _keys,
     _sorted_elements,
+    _transporters,
     _vertices,
     apply,
 )
@@ -156,7 +158,7 @@ def apply_to_code(x: Automorphism, C: Code) -> Code:
 def fixes_setwise(x: Automorphism, S: Iterable[Vertex]) -> bool:
     """True iff S^x = S; a vertex of another space raises apply()'s error."""
     idx = _indices(S, x.m, x.q)
-    return bool(_carriers(_keys([x], x.m, x.q), x.m, x.q, idx, idx).size)
+    return bool((np.sort(_key_table(_keys([x], x.m, x.q), x.m, x.q, idx)[0]) == idx).all())
 
 
 def is_transitive(gens: Sequence[Automorphism], S: Iterable[Vertex]) -> bool:
@@ -174,34 +176,6 @@ def is_transitive(gens: Sequence[Automorphism], S: Iterable[Vertex]) -> bool:
     if at is None:
         raise ValueError("a generator moves the set off itself")
     return _transitive_on(at)
-
-
-# cells of the sieve's first block: eight generators image a set of 2,048
-# vertices in one gather, and the 31,104 keys of Aut(H(4,3)) one point
-_SIEVE_CELLS = 1 << 14
-
-
-def _carriers(keys: np.ndarray, m: int, q: int, idx: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Increasing row numbers of the ``keys`` whose elements map the sorted
-    indices ``idx`` into the sorted ``target``, and so onto it when the two
-    have one size, elements being bijections; every row for an empty ``idx``.
-
-    A sieve, the simplest case of the refinement in Leon's partition
-    backtrack: the points of ``idx`` are imaged a block at a time under the
-    rows still alive, and a row is dropped at the first block that it sends
-    outside ``target``.  The first block holds about _SIEVE_CELLS cells;
-    each next one at least twice as many points, and more as rows die.
-    Checks the bytes of the whole (|keys|, |idx|) image table against the
-    cap first, although the blocks allocate at most that.
-    """
-    check_table_bytes(len(keys), len(idx), np.dtype(_index_dtype(m, q)).itemsize)
-    live = np.arange(len(keys))
-    lo, step = 0, max(1, _SIEVE_CELLS // max(1, len(keys)))
-    while lo < len(idx) and live.size:
-        images = _key_table(keys[live], m, q, idx[lo : lo + step])
-        live = live[(target.take(np.searchsorted(target, images), mode="clip") == images).all(axis=1)]
-        lo, step = lo + step, max(2 * step, _SIEVE_CELLS // max(1, live.size))
-    return live
 
 
 def _image_positions(keys: np.ndarray, idx: np.ndarray, m: int, q: int) -> np.ndarray | None:
@@ -250,21 +224,22 @@ def _code_at(idxs: np.ndarray, m: int, q: int) -> Code:
 
 def setwise_stabiliser(G: Group, S: Iterable[Vertex]) -> Group:
     """The subgroup {x in G : S^x = S}, in G's key order, kept as keys;
-    every element images only S."""
+    found down G's stabiliser chain, which images only S."""
     idx = _indices(S, G.m, G.q)
-    if G.keys is None:
+    if G.order is None:
         raise ResourceCapError("a setwise stabiliser needs an enumerated group")
-    return Group(G.m, G.q, None, G.keys[_carriers(G.keys, G.m, G.q, idx, idx)])
+    return Group(G.m, G.q, None, _transporters(G, idx, idx))
 
 
 def are_equivalent(C: Code, D: Code, G: Group) -> Automorphism | None:
-    """The first y in G with C^y = D, or None; every element images only C."""
-    if G.keys is None:
+    """The first y in G, in key order, with C^y = D, or None; found down
+    G's stabiliser chain, which images only C."""
+    if G.order is None:
         raise ResourceCapError("an equivalence needs an enumerated group")
     if C.m != D.m or C.q != D.q or len(C) != len(D):
         return None
-    hits = _carriers(G.keys, G.m, G.q, _indices(C, G.m, G.q), _indices(D, G.m, G.q))
-    return _sorted_elements(G.keys[hits[:1]], G.m, G.q)[0] if hits.size else None
+    keys = _transporters(G, _indices(C, G.m, G.q), _indices(D, G.m, G.q))
+    return _sorted_elements(keys[:1], G.m, G.q)[0] if len(keys) else None
 
 
 def is_neighbour_transitive(gens: Sequence[Automorphism], C: Code) -> bool:

@@ -159,17 +159,17 @@ def verify_elusive(
 def code_stabiliser_analysis(C: Code, G: Group) -> tuple[Group, StabiliserFlags]:
     """The subgroup of G fixing C setwise, with its transitivity flags.
 
-    Uses setwise_stabiliser when G is enumerated, otherwise Schreier
-    generators from the orbit of C, listed when |X_C| is at most
-    ``XC_ENUM_CAP`` and the group cap.  The flags act on the vertex indices
-    of C and Γ1(C) through the keys of the Schreier generators, or of every
-    element of the stabiliser.
+    Uses setwise_stabiliser when G's order is known (G holds its chain or
+    its keys), otherwise Schreier generators from the orbit of C, listed
+    when |X_C| is at most ``XC_ENUM_CAP`` and the group cap.  The flags act
+    on the vertex indices of C and Γ1(C) through the keys of the Schreier
+    generators, or of every element of the stabiliser.
     """
     if G.m != C.m or G.q != C.q:
         raise ValueError("group acts on the wrong space")
     m, q = C.m, C.q
     code = _indices(C, m, q)
-    if G.keys is None:
+    if G.order is None:
         gens = _keys(G.generators, m, q)
         keys = _orbit_schreier(gens, _set_orbit(gens, code, m, q)[1], m, q)[0]
         xc = generate_group(_sorted_elements(keys, m, q), cap=XC_ENUM_CAP, m=m, q=q)

@@ -39,7 +39,16 @@ from .autgroup import (
     wreath_embed,
     wreath_generators,
 )
-from .codes import Code, _code_at, _neighbour_indices, min_distance, neighbour_set
+from .codes import (
+    Code,
+    _code_at,
+    _neighbour_indices,
+    apply_to_code,
+    are_equivalent,
+    min_distance,
+    neighbour_set,
+    setwise_stabiliser,
+)
 from .elusive import verify_elusive
 from .hamming import Vertex, all_vertices, distance, neighbours, sphere, vertex_index
 from .search import _canonical_codes, _SearchSpace
@@ -394,8 +403,8 @@ def _u_prune_block_agrees() -> bool:
 def suite_act(seed: int = 0) -> list[Check]:
     """The group-action identity on permutation words, plus action axioms,
     the search's coset kernels against the table of the chain-listed full
-    group, and the stabiliser chain's listing and orders against their
-    definitions."""
+    group, and the stabiliser chain's listing, orders and set searches
+    against their definitions."""
     _, full33 = _full_table(3, 3)
     out = [
         _check("act-identity-q3", _act_identity_holds(3), "diag/top action identity fails"),
@@ -446,7 +455,27 @@ def suite_act(seed: int = 0) -> list[Check]:
         _group_order(_keys(full_group_generators(m, q), m, q), m, q) == math.factorial(q) ** m * math.factorial(m)
         for m, q in ((4, 3), (3, 4))
     )
-    return out + [_check("group-chain", listed and orders, "chain listing is not the compose closure, or wrong |G|")]
+    return out + [
+        _check("group-chain", listed and orders, "chain listing is not the compose closure, or wrong |G|"),
+        _check("set-stabiliser-chain-h33", _set_searches_agree(), "a chain-searched stabiliser or transporter is wrong"),
+    ]
+
+
+def _set_searches_agree() -> bool:
+    """setwise_stabiliser and are_equivalent, which search down the chain
+    of Aut(H(3,3)), against the definition on Automorphism objects of its
+    compose closure: the stabilisers of rep(3,3) and of Γ1(alt(3)) are the
+    elements x with apply(x, v) over the set giving the set, and the
+    transporter from alt(3) to odd_coset(3) is the first, in sort-key
+    order, with apply_to_code(x, alt(3)) = odd_coset(3)."""
+    gens = full_group_generators(3, 3)
+    G, elements = generate_group(gens), _closure_by_compose(gens, 3, 3)
+    ok = True
+    for S in (cons.rep_code(3, 3).word_set, neighbour_set(cons.alt_code(3))):
+        ok &= setwise_stabiliser(G, S).elements == tuple(x for x in elements if {apply(x, v) for v in S} == S)
+    alt, odd = cons.alt_code(3), cons.odd_coset_code(3)
+    want = next((x for x in elements if apply_to_code(x, alt) == odd), None)
+    return ok and want is not None and are_equivalent(alt, odd, G) == want
 
 
 def _closure_by_compose(gens: Sequence[Automorphism], m: int, q: int) -> tuple[Automorphism, ...]:

@@ -1,11 +1,12 @@
 """Dense kernels: the test oracles for the search's coset kernels and for
-the sieve of ``codes._carriers``.
+the set search down a stabiliser chain, ``autgroup._transporters``.
 
 Each scans every row of an action table, following the definition with
 no pruning.  The search itself never builds the full table; it works on
-the cosets of Stab(0) through ``_kernels``.  The sieve drops a row at the
-first point it sends off its target; ``carriers`` images the whole set
-under every row, sorts each image and compares it with the target.
+the cosets of Stab(0) through ``_kernels``.  The chain search prunes
+partial products by their base-point incidences; ``carriers`` images the
+whole set under every listed key, sorts each image and compares it with
+the target.
 """
 
 from __future__ import annotations

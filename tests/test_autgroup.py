@@ -30,7 +30,7 @@ from elusivecodes.autgroup import (
 from elusivecodes.caps import ResourceCapError
 from elusivecodes.codes import Code, are_equivalent, fixes_setwise, neighbour_set, setwise_stabiliser
 from elusivecodes.constructions import alt_code, parity_code, rep_code
-from elusivecodes.elusive import verify_elusive
+from elusivecodes.elusive import code_stabiliser_analysis, verify_elusive
 from elusivecodes.hamming import Vertex, all_vertices, distance, vertex_index
 from elusivecodes.lemmas import _full_table
 from elusivecodes.perms import Perm
@@ -293,6 +293,21 @@ def test_over_the_cap_lists_no_element(monkeypatch):
     # verify_elusive reads |X_C| off the chain, listed or not
     assert verify_elusive(parity_code(3, 3), wreath_generators(3, 3)).xc_order is None
     assert verify_elusive(alt_code(5), diag_top_generators(5)).xc_order == 7200
+
+
+def test_set_tests_on_the_full_group_list_no_group(monkeypatch):
+    # the set tests search Aut(H(4,3)) down its chain: none lists its
+    # 31,104 keys, and each stabiliser is listed from the search alone
+    _refuse_listing(monkeypatch)
+    G = generate_group(full_group_generators(4, 3))
+    assert G.order == 31104
+    rep = rep_code(4, 3)
+    assert setwise_stabiliser(G, neighbour_set(rep)).order == 144
+    moved = Code.from_words([Vertex((a, a, a, (a + 1) % 3), 3) for a in range(3)])
+    y = are_equivalent(rep, moved, G)
+    assert y is not None and Code.from_words(apply(y, w) for w in rep) == moved
+    xc, flags = code_stabiliser_analysis(rep, G)
+    assert xc.order == 144 and flags.transitive_on_code and flags.transitive_on_neighbours
 
 
 def test_listing_checks_its_bytes_first(monkeypatch):

@@ -4,13 +4,14 @@ import random
 import numpy as np
 import pytest
 
-from elusivecodes import autgroup, perms
+from elusivecodes import perms
 from elusivecodes.autgroup import (
     Automorphism,
     Group,
     _key_table,
     _keys,
     _sorted_elements,
+    _transporters,
     apply,
     compose,
     diag,
@@ -25,7 +26,6 @@ from elusivecodes.autgroup import (
 from elusivecodes.caps import ResourceCapError
 from elusivecodes.codes import (
     Code,
-    _carriers,
     _code_at,
     _indices,
     _neighbour_indices,
@@ -333,109 +333,99 @@ def test_table_paths_match_apply_subgroup_h34():
 
 
 # ---------------------------------------------------------------------------
-# the sieve against the whole-set row test and the apply() definition
+# the chain search against the whole-set row test and the apply() definition
 
-def _sieve_targets(G, idx, rng):
-    """Targets for the sieve on the sorted indices ``idx``: the set itself,
-    its image under a random element, and |idx| vertices that no element
-    reaches from the set: off the orbit of its least point where the group
-    leaves room, else the first |idx| vertices that are no image."""
+def _set_targets(G, idx, rng):
+    """Targets for the chain search from the sorted indices ``idx``: the
+    set itself, its image under a random element, and |idx| vertices that
+    no element reaches from the set: off the orbit of its least point where
+    the group leaves room, else the first |idx| vertices that are no image."""
     m, q = G.m, G.q
+    if not idx.size:
+        return [idx]
     image = np.sort(_key_table(G.keys[[rng.randrange(G.order)]], m, q, idx)[0])
     off = np.setdiff1d(np.arange(q**m), _key_table(G.keys, m, q, idx[:1]))
     if off.size < idx.size:
         images = {tuple(r) for r in np.sort(_key_table(G.keys, m, q, idx), axis=1).tolist()}
-        off = next(np.array(c) for c in itertools.combinations(range(q**m), idx.size) if c not in images)
+        off = next((np.array(c) for c in itertools.combinations(range(q**m), idx.size) if c not in images), None)
+        if off is None:  # every set of |idx| vertices is an image
+            return [idx, image]
     return [idx, image, np.sort(np.array(rng.sample(off.tolist(), idx.size), dtype=idx.dtype))]
 
 
-def _first_out(G, idx, target):
-    """Per row of G, the first position of ``idx`` sent outside ``target``;
-    len(idx) for a row that sends none."""
-    out = ~np.isin(_key_table(G.keys, G.m, G.q, idx), target)
-    return np.where(out.any(axis=1), out.argmax(axis=1), len(idx))
+@pytest.mark.parametrize("m, q", [(3, 3), (4, 3), (3, 4), (5, 2), (2, 4)])
+def test_chain_search_matches_carriers_and_apply(m, q):
+    # the stabilisers and transporters of random sets, the empty set and
+    # the whole space in Aut(H(m,q)), against the whole-set row test over
+    # its listed keys; a two-word set also against apply() on elements
+    G = generate_group(full_group_generators(m, q))
+    n = q**m
+    rng = random.Random(10 * m + q)
+    sets = [np.array([], dtype=np.int32), np.arange(n, dtype=np.int32)]
+    sets += [np.sort(np.array(rng.sample(range(n), k), dtype=np.int32)) for k in (2, 3, n // 4)]
+    outcomes = set()
+    for idx in sets:
+        words = _code_at(idx, m, q).words if idx.size else ()
+        for target in _set_targets(G, idx, rng):
+            want = G.keys[dense_kernels.carriers(G.keys, m, q, idx, target)]
+            got = _transporters(G, idx, target)
+            assert got.tobytes() == want.tobytes() and got.shape == want.shape
+            outcomes.add(len(got) > 0)
+            if idx.size:
+                y = are_equivalent(_code_at(idx, m, q), _code_at(target, m, q), G)
+                assert y == (_sorted_elements(want[:1], m, q)[0] if len(want) else None)
+        fixers = G.keys[dense_kernels.carriers(G.keys, m, q, idx, idx)]
+        assert setwise_stabiliser(G, words).keys.tobytes() == fixers.tobytes()
+    assert outcomes == {True, False}
+    # apply() over every element is slow at (4,3) and (3,4), where
+    # test_table_paths_match_apply_h43 and _subgroup_h34 check it
+    if G.order <= 5000:
+        C = _code_at(sets[2], m, q)
+        D = apply_to_code(rng.choice(G.elements), C)
+        assert setwise_stabiliser(G, C).elements == _stabiliser_by_apply(G, C)
+        assert are_equivalent(C, D, G) == _equivalence_by_apply(C, D, G)
 
 
-@pytest.mark.parametrize("cells", [None, 1])
-def test_sieve_matches_the_whole_set_test_and_apply(full33, full43, cells, monkeypatch):
-    # cells=1 starts every sieve at one point, so the blocks double from there
-    if cells is not None:
-        monkeypatch.setattr("elusivecodes.codes._SIEVE_CELLS", cells)
-    blocks = []
-
-    def spy(keys, m, q, idxs=None):
-        blocks.append(len(idxs))
-        return _key_table(keys, m, q, idxs)
-
-    monkeypatch.setattr("elusivecodes.codes._key_table", spy)
-    rng = random.Random(16)
-    rep43 = Code.from_words(neighbour_set(rep_code(4, 3)))
-    cases = [
-        (full33, [REP33, Code.from_words(neighbour_set(REP33))] + _seeded_codes(3, 3, 33, (2, 4))[1:]),
-        (full43, [rep43]),
-        (_subgroup_h34(34), _seeded_codes(3, 4, 34, (2, 3, 5))),
-    ]
-    seen = set()
-    for G, sets in cases:
-        # every 32nd key of Aut(H(4,3)): apply() over all 31104 is slow
-        A = Group(4, 3, None, G.keys[::32]) if G is full43 else G
-        for C in sets:
-            assert setwise_stabiliser(A, C).elements == _stabiliser_by_apply(A, C)
-            idx = _indices(C, G.m, G.q)
-            for target in _sieve_targets(G, idx, rng):
-                blocks.clear()
-                got = _carriers(G.keys, G.m, G.q, idx, target)
-                assert got.tolist() == dense_kernels.carriers(G.keys, G.m, G.q, idx, target).tolist()
-                assert (np.diff(got) > 0).all()
-                died = _first_out(G, idx, target)
-                starts = np.cumsum(blocks)  # block j + 1 starts at starts[j]
-                if not got.size:
-                    seen.add("no element reaches the target")
-                    if len(blocks) == 1 and blocks[0] < len(idx):
-                        seen.add("every row dies in the first block")
-                if len(starts) >= 3 and ((died >= starts[1]) & (died < len(idx))).any():
-                    seen.add("a row dies in the third block or later")
-                D = _code_at(target, G.m, G.q)
-                assert are_equivalent(C, D, G) == (_sorted_elements(G.keys[got[:1]], G.m, G.q) or (None,))[0]
-                assert are_equivalent(C, D, A) == _equivalence_by_apply(C, D, A)
-    assert setwise_stabiliser(full43, rep43).order == 144
-    want = {"no element reaches the target", "a row dies in the third block or later"}
-    if cells is not None:
-        want.add("every row dies in the first block")
-    assert seen >= want
-
-
-def test_sieve_of_the_empty_set_and_of_one_element(full33):
-    empty = np.array([], dtype=np.int32)
-    assert _carriers(full33.keys, 3, 3, empty, empty).tolist() == list(range(1296))
-    assert setwise_stabiliser(full33, []).keys.tobytes() == full33.keys.tobytes()
-    idx = _indices(REP33, 3, 3)
+def test_chain_search_of_key_given_groups(full33):
+    # a group given by its keys builds its chain from them; one key is a
+    # group only for the identity
+    trivial = Group(3, 3, None, _keys([full33.elements[0]], 3, 3))
+    assert full33.elements[0].is_identity()
+    with pytest.raises(ValueError, match="1 keys generate a group of order 2"):
+        setwise_stabiliser(Group(3, 3, None, _keys([full33.elements[1]], 3, 3)), REP33)
+    assert setwise_stabiliser(trivial, REP33).order == 1
+    assert are_equivalent(REP33, REP33, trivial).is_identity()
+    assert are_equivalent(REP33, Code.from_words([V("000"), V("111"), V("221")]), trivial) is None
     fixers = set()
     for x in full33.elements[:60]:
         fixes = apply_to_code(x, REP33) == REP33
         fixers.add(fixes)
-        assert _carriers(_keys([x], 3, 3), 3, 3, idx, idx).tolist() == ([0] if fixes else [])
         assert fixes_setwise(x, REP33) == fixes
-        assert setwise_stabiliser(Group(3, 3, None, _keys([x], 3, 3)), REP33).order == int(fixes)
+        cyclic = Group(3, 3, None, generate_group([x]).keys)
+        assert setwise_stabiliser(cyclic, REP33).elements == _stabiliser_by_apply(cyclic, REP33)
+        D = apply_to_code(cyclic.elements[-1], REP33)
+        assert are_equivalent(REP33, D, cyclic) == _equivalence_by_apply(REP33, D, cyclic)
     assert fixers == {True, False}
+    # a group with neither chain nor keys is refused
+    for G in (Group(3, 3, full_group_generators(3, 3)), generate_group(full_group_generators(3, 3), cap=1295)):
+        with pytest.raises(ResourceCapError):
+            setwise_stabiliser(G, REP33)
+        with pytest.raises(ResourceCapError):
+            are_equivalent(REP33, REP33, G)
 
 
 def test_setwise_stabiliser_checks_table_bytes_first(full33, monkeypatch):
-    real = autgroup._digits
-
-    def refuse(*args):
-        raise AssertionError("the images of the set were started")
-
-    # _key_table checks the bytes of REP33's images before _digits builds
-    # its first array
-    monkeypatch.setattr(autgroup, "_digits", refuse)
-    monkeypatch.setenv("ELUSIVECODES_MAX_TABLE_BYTES", "15551")  # 1296 * 3 * 4 - 1
+    # Aut(H(3,3))'s chain has orbits of 9, 2, 6, 2, 3 and 2 points.  Every
+    # product survives levels 0 and 1 for REP33, so level 2 allocates the
+    # search's largest tables: 18 live products x 6 transversal elements,
+    # each a row of 9 points and 3 labels of REP33's vertices, 4 bytes a
+    # cell, 5184 bytes; the 36 leaves image 3 vertices, 432 bytes
+    monkeypatch.setenv("ELUSIVECODES_MAX_TABLE_BYTES", str(5184 - 1))
     with pytest.raises(ResourceCapError):
         setwise_stabiliser(full33, REP33)
     with pytest.raises(ResourceCapError):
         are_equivalent(REP33, REP33, full33)
-    monkeypatch.setattr(autgroup, "_digits", real)
-    monkeypatch.setenv("ELUSIVECODES_MAX_TABLE_BYTES", "15552")
+    monkeypatch.setenv("ELUSIVECODES_MAX_TABLE_BYTES", "5184")
     assert setwise_stabiliser(full33, REP33).order == 36  # S_3 x S_3
     assert are_equivalent(REP33, REP33, full33) is not None
 
@@ -447,7 +437,7 @@ def test_table_bytes_count_the_cells_really_allocated(monkeypatch):
     S = rep_code(16, 4).word_set
     gens = [diag(perms.cycle(4, (0, 1, 2, 3)), 16), top(perms.cycle(16, tuple(range(16))), 4)]
     checks = [  # (call, cells of its table, result)
-        (lambda: fixes_setwise(gens[0], S), 1 * 4, True),  # _carriers' images
+        (lambda: fixes_setwise(gens[0], S), 1 * 4, True),  # _key_table's images of S
         (lambda: is_transitive(gens, S), 2 * 4, True),  # _image_positions
         (lambda: orbit(gens, S), 2 * 4, {S}),  # _key_table of the seed layer
     ]

@@ -18,6 +18,7 @@ def test_suite_act_passes(lemma_checks):
     assert "stab0-closed-form-h33" in names and "depth-batch-h33" in names
     assert names.index("u-prune-block-h33") == names.index("fixer-cosets-h33") + 1
     assert names.index("space-arrays-h33") == names.index("stab0-closed-form-h33") + 1
+    assert names.index("set-stabiliser-chain-h33") == names.index("group-chain") + 1
 
 
 def test_suite_act_seed_changes_cases_not_outcome(lemma_checks):

@@ -312,6 +312,8 @@ def test_found_stabiliser_is_the_full_setwise_stabiliser(full33):
     X = setwise_stabiliser(full33, neighbour_set(rep_code(3, 3)))
     assert stab.order == X.order == 108
     assert stab.generators == stab.elements == X.elements
+    # a group given by its keys builds a chain only for a set test
+    assert "_chain" not in vars(stab)
 
 
 @pytest.mark.parametrize(
