@@ -261,12 +261,6 @@ def generate_group(
     return group
 
 
-def _group_order(keys: np.ndarray, m: int, q: int) -> int:
-    """Order of the group generated by the elements behind ``keys``,
-    with no element listed."""
-    return _chain_order(_stabiliser_chain(keys, m, q))
-
-
 def _chain_order(chain: list[tuple[int, np.ndarray]]) -> int:
     """|G|, the product of the orbit lengths of G's stabiliser chain."""
     return math.prod(len(trans) for _, trans in chain)
@@ -767,6 +761,18 @@ def _stab0_keys(rows, m: int, q: int) -> np.ndarray:
     coord, sm = _stab0_factors(m, q)
     *ranks, k = np.unravel_index(rows, (len(coord),) * m + (len(sm),))
     return np.concatenate([coord[np.stack(ranks, axis=-1)].reshape(len(k), -1), sm[k]], axis=1)
+
+
+def _coset_keys(us, rows, m: int, q: int) -> np.ndarray:
+    """Sorted keys of s_u h ("h then s_u") for each vertex index us[i] and
+    row rows[i] of stab0_action_table(m, q), s_u being v -> v + u digit by
+    digit mod q: h sends the entry a at position s to g_s(a) at sigma(s),
+    and s_u adds u's digit there, so s_u h is (g_s + u_sigma(s) mod q; sigma)."""
+    keys = _stab0_keys(rows, m, q)
+    g, sigma = _split(keys, m, q)
+    shift = np.take_along_axis(_digits(m, q, us)[1], sigma, axis=1)
+    keys[:, : m * q] = ((g + shift[..., None]) % q).reshape(len(keys), m * q)
+    return _sort_keys(keys)
 
 
 def _keys(elements: Sequence[Automorphism], m: int, q: int) -> np.ndarray:

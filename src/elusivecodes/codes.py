@@ -6,11 +6,11 @@ definitional gamma_r sweep enumerates the space and is cap-guarded.  Set
 tests, stabilisers and equivalences image only the set under test, by
 packed key.  Stabilisers and equivalences ask one search down the
 group's stabiliser chain, autgroup._transporters, which elements carry
-one set onto another, and list no group.  A test of
-generators that asks whether they fix a set and whether they are
-transitive on it images the set once (_image_positions) and reads both
-off that table, walking the orbit of the least vertex inside it
-(_transitive_on).
+one set onto another, and list no group.  Whether elements fix a set,
+and whether they are transitive on it, is read off one image table of the
+set (_image_positions): fixes_setwise asks the first of its one key, and
+transitivity walks the orbit of the least vertex inside the table
+(_transitive_on); _transitivity gives both flags on C and on Γ1(C).
 """
 
 from __future__ import annotations
@@ -157,8 +157,7 @@ def apply_to_code(x: Automorphism, C: Code) -> Code:
 
 def fixes_setwise(x: Automorphism, S: Iterable[Vertex]) -> bool:
     """True iff S^x = S; a vertex of another space raises apply()'s error."""
-    idx = _indices(S, x.m, x.q)
-    return bool((np.sort(_key_table(_keys([x], x.m, x.q), x.m, x.q, idx)[0]) == idx).all())
+    return _image_positions(_keys([x], x.m, x.q), _indices(S, x.m, x.q), x.m, x.q) is not None
 
 
 def is_transitive(gens: Sequence[Automorphism], S: Iterable[Vertex]) -> bool:
@@ -222,12 +221,15 @@ def _code_at(idxs: np.ndarray, m: int, q: int) -> Code:
     return Code(tuple(_vertices(idxs, m, q)))
 
 
+_NEEDS_CHAIN = "needs a stabiliser chain: a group generated within the group cap, or one given by keys"
+
+
 def setwise_stabiliser(G: Group, S: Iterable[Vertex]) -> Group:
     """The subgroup {x in G : S^x = S}, in G's key order, kept as keys;
     found down G's stabiliser chain, which images only S."""
     idx = _indices(S, G.m, G.q)
     if G.order is None:
-        raise ResourceCapError("a setwise stabiliser needs an enumerated group")
+        raise ResourceCapError(f"a setwise stabiliser {_NEEDS_CHAIN}")
     return Group(G.m, G.q, None, _transporters(G, idx, idx))
 
 
@@ -235,21 +237,27 @@ def are_equivalent(C: Code, D: Code, G: Group) -> Automorphism | None:
     """The first y in G, in key order, with C^y = D, or None; found down
     G's stabiliser chain, which images only C."""
     if G.order is None:
-        raise ResourceCapError("an equivalence needs an enumerated group")
+        raise ResourceCapError(f"an equivalence {_NEEDS_CHAIN}")
     if C.m != D.m or C.q != D.q or len(C) != len(D):
         return None
     keys = _transporters(G, _indices(C, G.m, G.q), _indices(D, G.m, G.q))
     return _sorted_elements(keys[:1], G.m, G.q)[0] if len(keys) else None
 
 
+def _transitivity(keys: np.ndarray, code: np.ndarray, nb: np.ndarray, m: int, q: int) -> tuple[bool, bool | None]:
+    """Whether the elements behind ``keys`` fix and are transitive on C, and
+    on Γ1(C), both given as sorted vertex indices; None for Γ1(C) when it is
+    empty, which each caller reads by its own rule."""
+    on_code = _transitive_on(_image_positions(keys, code, m, q))
+    return on_code, (_transitive_on(_image_positions(keys, nb, m, q)) if nb.size else None)
+
+
 def is_neighbour_transitive(gens: Sequence[Automorphism], C: Code) -> bool:
-    """Gens fix C setwise and act transitively on both C and its neighbour set."""
+    """Gens fix C setwise and act transitively on C and on its neighbour set, if any."""
     m, q = C.m, C.q
-    keys, code = _keys(tuple(gens), m, q), _indices(C, m, q)
-    if not _transitive_on(_image_positions(keys, code, m, q)):
-        return False
-    nb = _neighbour_indices(code, m, q)
-    return not nb.size or _transitive_on(_image_positions(keys, nb, m, q))
+    code = _indices(C, m, q)
+    on_code, on_neighbours = _transitivity(_keys(tuple(gens), m, q), code, _neighbour_indices(code, m, q), m, q)
+    return on_code and on_neighbours is not False
 
 
 # ---------------------------------------------------------------------------

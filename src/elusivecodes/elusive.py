@@ -23,12 +23,13 @@ import numpy as np
 from .autgroup import (
     Automorphism,
     Group,
-    _group_order,
+    _chain_order,
     _keys,
     _orbit_schreier,
     _set_orbit,
     _sort_keys,
     _sorted_elements,
+    _stabiliser_chain,
     format_automorphism,
     generate_group,
 )
@@ -40,6 +41,7 @@ from .codes import (
     _indices,
     _neighbour_indices,
     _transitive_on,
+    _transitivity,
     neighbour_set,
     setwise_stabiliser,
     write_code,
@@ -84,15 +86,6 @@ class StabiliserFlags:
     transitive_on_neighbours: bool
 
 
-def _stabiliser_flags(keys: np.ndarray, code: np.ndarray, nb: np.ndarray, m: int, q: int) -> StabiliserFlags:
-    """Transitivity of the group generated by the elements behind ``keys``
-    on C and Γ1(C), given as sorted vertex indices."""
-    return StabiliserFlags(
-        transitive_on_code=_transitive_on(_image_positions(keys, code, m, q)),
-        transitive_on_neighbours=bool(nb.size) and _transitive_on(_image_positions(keys, nb, m, q)),
-    )
-
-
 def verify_elusive(
     C: Code, gens: Sequence[Automorphism], *, enum_cap: int = XC_ENUM_CAP
 ) -> ElusiveReport:
@@ -135,10 +128,10 @@ def verify_elusive(
     images_intersection = _code_at(common, m, q) if common.size and r >= 2 else None
 
     x_transitive_on_neighbours = bool(nb.size) and _transitive_on(nb_at)
-    xc_order = _group_order(schreier_keys, m, q)
+    xc_order = _chain_order(_stabiliser_chain(schreier_keys, m, q))
     if xc_order > min(enum_cap, group_cap()) // r:
         xc_order = None
-    xc_flags = _stabiliser_flags(schreier_keys, code, nb, m, q)
+    xc_on_code, xc_on_neighbours = _transitivity(schreier_keys, code, nb, m, q)
 
     return ElusiveReport(
         is_elusive=fixes_neighbours and not fixes_code,
@@ -149,8 +142,8 @@ def verify_elusive(
         images_intersection=images_intersection,
         x_transitive_on_neighbours=x_transitive_on_neighbours,
         xc_order=xc_order,
-        xc_transitive_on_code=xc_flags.transitive_on_code,
-        xc_transitive_on_neighbours=xc_flags.transitive_on_neighbours,
+        xc_transitive_on_code=xc_on_code,
+        xc_transitive_on_neighbours=bool(xc_on_neighbours),
         witness_mover=None if fixes_code else _sorted_elements(transversal[1:2], m, q)[0],
         images=images,
     )
@@ -176,7 +169,8 @@ def code_stabiliser_analysis(C: Code, G: Group) -> tuple[Group, StabiliserFlags]
     else:
         xc = setwise_stabiliser(G, C)
         keys = xc.keys
-    return xc, _stabiliser_flags(keys, code, _neighbour_indices(code, m, q), m, q)
+    on_code, on_neighbours = _transitivity(keys, code, _neighbour_indices(code, m, q), m, q)
+    return xc, StabiliserFlags(on_code, bool(on_neighbours))
 
 
 def neighbour_degree_map(C: Code) -> dict[Vertex, int]:

@@ -24,9 +24,10 @@ from . import constructions as cons
 from . import perms
 from .autgroup import (
     Automorphism,
-    _group_order,
+    _chain_order,
     _key_table,
     _keys,
+    _stabiliser_chain,
     apply,
     compose,
     diag,
@@ -452,7 +453,8 @@ def suite_act(seed: int = 0) -> list[Check]:
         for gens, m, q in ((full_group_generators(3, 3), 3, 3), (wreath_generators(3, 2), 6, 3))
     )
     orders = all(
-        _group_order(_keys(full_group_generators(m, q), m, q), m, q) == math.factorial(q) ** m * math.factorial(m)
+        _chain_order(_stabiliser_chain(_keys(full_group_generators(m, q), m, q), m, q))
+        == math.factorial(q) ** m * math.factorial(m)
         for m, q in ((4, 3), (3, 4))
     )
     return out + [

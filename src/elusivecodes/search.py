@@ -35,6 +35,8 @@ alone) and scans only the codes it leaves, in the same order, stopping
 at the first hit, so the hit is the one a test of each code in turn
 finds.  A scan sieves each coset's rows a block of Γ1(C)'s columns at a
 time (``_kernels._fixer_rows``), dropping only rows that are no fixers.
+A Found stabiliser's elements s_u h are built from those rows in key form
+by autgroup._coset_keys, the module that builds every group element.
 
 The traversal always runs to exhaustion (no early exit), so the
 certificate counts every canonical code; "Found" is the first hit in
@@ -52,16 +54,7 @@ from typing import Iterator
 import numpy as np
 
 from . import _kernels
-from .autgroup import (
-    Group,
-    _digits,
-    _point_keys,
-    _points,
-    _sort_keys,
-    _stab0_keys,
-    _vertices,
-    stab0_action_table,
-)
+from .autgroup import Group, _coset_keys, _vertices, stab0_action_table
 from .caps import ResourceCapError, check_table_bytes, group_cap, vertex_cap
 from .codes import Code, _code_at, format_code
 from .hamming import space_size
@@ -153,20 +146,14 @@ class _SearchSpace:
 
         Its members are the elements s_u h, in the cosets that
         _kernels.fixer_cosets lists (the ones the mover test scans), that
-        map Γ1(C) into Γ1(C); being bijections, they fix it.  Each is
-        composed as "h then s_u" on point rows (autgroup._points) and
-        packed as a key, and the keys are sorted by value, which is
-        generate_group order.
+        map Γ1(C) into Γ1(C); being bijections, they fix it.  Their keys,
+        sorted by value, which is generate_group order, come from
+        autgroup._coset_keys.
         """
-        m, q = self.m, self.q
         nb, off = _kernels.fixer_cosets([code], self.adj)
         us, rows = zip(*_kernels._fixer_rows(self.stab0, np.asarray(code), nb[0], off[0], self.minus, self.adj))
-        us, rows = np.repeat(us, [r.size for r in rows]), np.concatenate(rows)
-        # s_u sends the point (s, a) to (s, a + u_s mod q)
-        shift = (np.arange(q) + _digits(m, q, us)[1][..., None]) % q
-        s_u = (np.arange(0, m * q, q)[:, None] + shift).reshape(len(us), m * q)
-        h = _points(_stab0_keys(rows, m, q), m, q)
-        return Group(m, q, None, _sort_keys(_point_keys(np.take_along_axis(s_u, h, axis=1), m, q)))
+        us = np.repeat(us, [r.size for r in rows])
+        return Group(self.m, self.q, None, _coset_keys(us, np.concatenate(rows), self.m, self.q))
 
 
 def _check_parameters(m: int, q: int, delta: int, max_size: int | None, threads: int = 1) -> None:

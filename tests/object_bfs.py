@@ -3,7 +3,8 @@ oracles for generate_group, which lists the products of a stabiliser
 chain's transversals, for orbit, one breadth-first walk over
 sorted vertex-index rows, for the code orbit and Schreier generators that
 verify_elusive reads off that walk's edges on point rows, and for the
-transitivity tests.
+transitivity tests; and random_automorphism, the tests' one seeded random
+element of Aut(H(m,q)).
 
 Each follows the definition: act with every generator on everything found
 so far until nothing new appears.
@@ -16,6 +17,13 @@ from typing import Sequence
 from elusivecodes.autgroup import Automorphism, apply, compose, identity_automorphism, inverse
 from elusivecodes.caps import ResourceCapError
 from elusivecodes.hamming import Vertex, vertex_index
+from elusivecodes.perms import Perm
+
+
+def random_automorphism(rng, m: int, q: int) -> Automorphism:
+    """An element of Aut(H(m,q)) drawn from ``rng``: m coordinate maps, then sigma."""
+    coord = tuple(Perm(tuple(rng.sample(range(q), q))) for _ in range(m))
+    return Automorphism(coord, Perm(tuple(rng.sample(range(m), m))))
 
 
 def closure(gens: Sequence[Automorphism], m: int, q: int, cap: int) -> tuple[Automorphism, ...] | None:

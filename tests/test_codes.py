@@ -6,7 +6,6 @@ import pytest
 
 from elusivecodes import perms
 from elusivecodes.autgroup import (
-    Automorphism,
     Group,
     _key_table,
     _keys,
@@ -49,9 +48,9 @@ from elusivecodes.codes import (
 from elusivecodes.constructions import rep_code
 from elusivecodes.elusive import StabiliserFlags, code_stabiliser_analysis
 from elusivecodes.hamming import Vertex, all_vertices, distance, sphere, vertex_index
-from elusivecodes.perms import Perm
 import dense_kernels
 from object_bfs import orbit as orbit_by_apply
+from object_bfs import random_automorphism
 
 
 def V(text, q=3):
@@ -282,11 +281,7 @@ def _analysis_by_apply(C, G):
 
 def _subgroup_h34(seed):
     """<diag(S_4), top(S_3)>, order 144, conjugated by a seeded element of Aut(H(3,4))."""
-    rng = random.Random(seed)
-    a = Automorphism(
-        tuple(Perm(tuple(rng.sample(range(4), 4))) for _ in range(3)),
-        Perm(tuple(rng.sample(range(3), 3))),
-    )
+    a = random_automorphism(random.Random(seed), 3, 4)
     gens = [
         diag(perms.transposition(4, 0, 1), 3),
         diag(perms.cycle(4, (0, 1, 2, 3)), 3),
@@ -437,7 +432,7 @@ def test_table_bytes_count_the_cells_really_allocated(monkeypatch):
     S = rep_code(16, 4).word_set
     gens = [diag(perms.cycle(4, (0, 1, 2, 3)), 16), top(perms.cycle(16, tuple(range(16))), 4)]
     checks = [  # (call, cells of its table, result)
-        (lambda: fixes_setwise(gens[0], S), 1 * 4, True),  # _key_table's images of S
+        (lambda: fixes_setwise(gens[0], S), 1 * 4, True),  # _image_positions of its one key
         (lambda: is_transitive(gens, S), 2 * 4, True),  # _image_positions
         (lambda: orbit(gens, S), 2 * 4, {S}),  # _key_table of the seed layer
     ]

@@ -4,7 +4,6 @@ import pytest
 
 from elusivecodes import perms
 from elusivecodes.autgroup import (
-    Automorphism,
     Group,
     _indices,
     _keys,
@@ -39,6 +38,8 @@ from elusivecodes.constructions import (
     union_code,
 )
 from elusivecodes.elusive import (
+    XC_ENUM_CAP,
+    StabiliserFlags,
     code_stabiliser_analysis,
     format_report,
     neighbour_degree_map,
@@ -47,7 +48,7 @@ from elusivecodes.elusive import (
     write_report,
 )
 from elusivecodes.hamming import Vertex, all_vertices
-from object_bfs import code_orbit
+from object_bfs import code_orbit, random_automorphism
 from object_bfs import orbit as orbit_by_apply
 
 
@@ -121,6 +122,19 @@ def test_code_stabiliser_analysis_from_generators_only():
     X = Group(3, 3, tuple(diag_top_generators(3)))  # no elements enumerated
     XC, flags = code_stabiliser_analysis(alt_code(3), X)
     assert XC.order == 18
+    assert flags.transitive_on_code and flags.transitive_on_neighbours
+
+
+def test_code_stabiliser_analysis_over_its_listing_cap():
+    # X_C of order 139,968 > XC_ENUM_CAP comes back generators-only: the
+    # Schreier generators of the code orbit, with flags read off them
+    C, gens = parity_code(3, 3), wreath_generators(3, 3)
+    XC, flags = code_stabiliser_analysis(C, Group(9, 3, tuple(gens)))
+    assert XC.order is None and XC.keys is None
+    assert XC.generators == tuple(code_orbit(C, gens, 10)[1]) and len(XC.generators) == 8
+    rep = verify_elusive(C, gens, enum_cap=10**9)
+    assert generate_group(XC.generators).order == rep.xc_order == 139968 > XC_ENUM_CAP
+    assert flags == StabiliserFlags(rep.xc_transitive_on_code, rep.xc_transitive_on_neighbours)
     assert flags.transitive_on_code and flags.transitive_on_neighbours
 
 
@@ -315,11 +329,6 @@ def _code_orbit_by_closure(C, gens, cap):
     return [tuple(row) for row in rows.tolist()], list(_sorted_elements(schreier, m, q)), witness
 
 
-def _random_automorphism(rng, m, q):
-    coord = tuple(perms.Perm(tuple(rng.sample(range(q), q))) for _ in range(m))
-    return Automorphism(coord, perms.Perm(tuple(rng.sample(range(m), m))))
-
-
 def test_code_orbit_matches_object_bfs():
     # the same images in the same FIFO order, the same Schreier generators
     # in the same order and the same witness as the object BFS over apply()
@@ -344,7 +353,7 @@ def test_code_orbit_matches_object_bfs():
         verts = list(all_vertices(m, q))
         for _ in range(20):
             C = Code.from_words(rng.sample(verts, rng.randint(2, 5)))
-            gens = [_random_automorphism(rng, m, q) for _ in range(rng.randint(1, 3))]
+            gens = [random_automorphism(rng, m, q) for _ in range(rng.randint(1, 3))]
             try:
                 expected = code_orbit(C, gens, 200)
             except ResourceCapError:
@@ -370,7 +379,7 @@ def test_transitivity_matches_the_orbit_definition():
         rng = random.Random(17 * m + q)
         verts = list(all_vertices(m, q))
         for trial in range(15):
-            gens = [_random_automorphism(rng, m, q) for _ in range(rng.randint(1, 3))]
+            gens = [random_automorphism(rng, m, q) for _ in range(rng.randint(1, 3))]
             if trial % 3 == 0:  # most of these are moved by the generators
                 words = set(rng.sample(verts, rng.randint(2, 5)))
             else:  # fixed: one or two vertex orbits
@@ -412,7 +421,7 @@ def test_one_image_table_answers_fixing_and_transitivity():
         rng = random.Random(23 * m + q)
         verts = list(all_vertices(m, q))
         for trial in range(8):
-            gens = [_random_automorphism(rng, m, q) for _ in range(rng.randint(1, 2))]
+            gens = [random_automorphism(rng, m, q) for _ in range(rng.randint(1, 2))]
             if trial % 2:  # a union of vertex orbits, whose Γ1 the generators fix
                 words = set()
                 while len(words) < 2:
